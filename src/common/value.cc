@@ -121,13 +121,10 @@ size_t Value::Hash() const {
   switch (type_) {
     case TypeId::kBool:
       return std::hash<int64_t>()(int_ + 2);
-    case TypeId::kInt64: {
-      // Hash ints via their double image when integral-valued so that
-      // 1 and 1.0 collide (Equals treats them as equal).
-      double d = static_cast<double>(int_);
-      if (static_cast<int64_t>(d) == int_) return std::hash<double>()(d);
-      return std::hash<int64_t>()(int_);
-    }
+    case TypeId::kInt64:
+      // The double image, so that every pair Equals accepts across INT64
+      // and DOUBLE (1 and 1.0, 2^53 + 1 and 2^53) hashes alike.
+      return std::hash<double>()(static_cast<double>(int_));
     case TypeId::kDouble:
       return std::hash<double>()(double_);
     case TypeId::kString:

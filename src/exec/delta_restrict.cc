@@ -5,11 +5,9 @@
 // what makes each loop-body iteration proportional to the previous
 // iteration's changes instead of the full CTE.
 
-#include <unordered_map>
-
 #include "exec/physical_plan.h"
 #include "exec/pipeline.h"
-#include "mpp/partition.h"
+#include "exec/row_index.h"
 
 namespace dbspinner {
 
@@ -21,33 +19,30 @@ Result<TablePtr> PhysicalDeltaRestrict::Execute(ExecContext& ctx) const {
                             "' has no columns");
   }
 
-  const ColumnVector& set_keys = keys->column(0);
-  std::unordered_multimap<size_t, uint32_t> set_index;
-  set_index.reserve(keys->num_rows());
-  for (size_t i = 0; i < keys->num_rows(); ++i) {
-    set_index.emplace(set_keys.HashAt(i), static_cast<uint32_t>(i));
-  }
+  const RowIndex set_index = RowIndex::Build(
+      {&keys->column(0)}, {input->column(key_col_).type()},
+      RowIndex::Nulls::kMatch);
+  DataChunk chunk(input, 0, input->num_rows());
+  size_t kept = Restrict(&chunk, set_index);
+  if (keep_matching_) ctx.stats.delta_probe_rows += static_cast<int64_t>(kept);
+  if (kept == input->num_rows()) return input;
+  return chunk.Materialize();
+}
 
-  const ColumnVector& in_keys = input->column(key_col_);
-  std::vector<uint32_t> sel;
-  sel.reserve(input->num_rows());
-  for (size_t i = 0; i < input->num_rows(); ++i) {
-    bool in_set = false;
-    auto range = set_index.equal_range(in_keys.HashAt(i));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (in_keys.EqualsAt(i, set_keys, it->second)) {
-        in_set = true;
-        break;
-      }
-    }
-    if (in_set == keep_matching_) sel.push_back(static_cast<uint32_t>(i));
+size_t PhysicalDeltaRestrict::Restrict(DataChunk* chunk,
+                                       const RowIndex& keys) const {
+  const KeyColumns in_keys{&chunk->table().column(key_col_)};
+  RowIndex scratch;
+  const RowIndex& set_index = keys.Fit(in_keys, &scratch);
+  size_t n = chunk->size();
+  std::vector<uint32_t> keep;
+  keep.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    bool in_set = set_index.Find(in_keys, chunk->RowAt(i)) != kNoMatch;
+    if (in_set == keep_matching_) keep.push_back(static_cast<uint32_t>(i));
   }
-
-  if (keep_matching_) {
-    ctx.stats.delta_probe_rows += static_cast<int64_t>(sel.size());
-  }
-  if (sel.size() == input->num_rows()) return input;
-  return input->Gather(sel);
+  if (keep.size() != n) chunk->Restrict(keep);
+  return keep.size();
 }
 
 }  // namespace dbspinner

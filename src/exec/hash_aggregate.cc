@@ -1,7 +1,5 @@
 #include "exec/hash_aggregate.h"
 
-#include <unordered_map>
-
 #include "exec/physical_plan.h"
 #include "exec/pipeline.h"
 #include "mpp/partition.h"
@@ -10,21 +8,11 @@ namespace dbspinner {
 
 namespace {
 
-size_t MixKeyHash(const std::vector<ColumnVectorPtr>& cols, size_t row) {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const auto& col : cols) {
-    size_t hc = col->HashAt(row);
-    h ^= hc + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-bool KeysEqualAt(const std::vector<ColumnVectorPtr>& a, size_t arow,
-                 const std::vector<ColumnVectorPtr>& b, size_t brow) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (!a[k]->EqualsAt(arow, *b[k], brow)) return false;
-  }
-  return true;
+KeyColumns Raw(const std::vector<ColumnVectorPtr>& cols) {
+  KeyColumns out;
+  out.reserve(cols.size());
+  for (const auto& col : cols) out.push_back(col.get());
+  return out;
 }
 
 }  // namespace
@@ -58,25 +46,29 @@ void GroupedAggregator::UpdateGroup(
 
 void GroupedAggregator::EnsureKeyStore(
     const std::vector<ColumnVectorPtr>& key_cols) {
-  if (!key_store_.empty() || key_cols.empty()) return;
-  key_store_.reserve(key_cols.size());
-  for (const auto& col : key_cols) {
-    key_store_.push_back(std::make_shared<ColumnVector>(col->type()));
+  if (key_cols.empty()) return;
+  if (key_store_.empty()) {
+    key_store_.reserve(key_cols.size());
+    for (const auto& col : key_cols) {
+      key_store_.push_back(std::make_shared<ColumnVector>(col->type()));
+    }
+  }
+  std::vector<TypeId> types = KeyTypes(Raw(key_cols));
+  if (!index_.Accepts(types)) {
+    index_ = RowIndex::Build(Raw(key_store_), types, RowIndex::Nulls::kMatch);
   }
 }
 
-size_t GroupedAggregator::FindOrCreateGroup(
-    size_t h, const std::vector<ColumnVectorPtr>& cols, size_t row) {
-  auto range = index_.equal_range(h);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (KeysEqualAt(cols, row, key_store_, it->second)) return it->second;
+size_t GroupedAggregator::FindOrCreateGroup(const KeyColumns& keys,
+                                            size_t row) {
+  const uint32_t fresh = static_cast<uint32_t>(groups_.size());
+  const uint32_t gid = index_.FindOrInsert(keys, row, fresh);
+  if (gid == fresh) {
+    groups_.push_back(MakeGroup());
+    for (size_t k = 0; k < key_store_.size(); ++k) {
+      key_store_[k]->AppendFrom(*keys[k], row);
+    }
   }
-  size_t gid = groups_.size();
-  groups_.push_back(MakeGroup());
-  for (size_t k = 0; k < key_store_.size(); ++k) {
-    key_store_[k]->AppendFrom(*cols[k], row);
-  }
-  index_.emplace(h, static_cast<uint32_t>(gid));
   return gid;
 }
 
@@ -111,9 +103,9 @@ Status GroupedAggregator::Consume(const Table& input) {
   }
 
   EnsureKeyStore(key_cols);
+  const KeyColumns keys = Raw(key_cols);
   for (size_t i = 0; i < n; ++i) {
-    size_t gid = FindOrCreateGroup(MixKeyHash(key_cols, i), key_cols, i);
-    UpdateGroup(&groups_[gid], arg_cols, i);
+    UpdateGroup(&groups_[FindOrCreateGroup(keys, i)], arg_cols, i);
   }
   return Status::OK();
 }
@@ -137,10 +129,9 @@ Status GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
   }
 
   EnsureKeyStore(other.key_store_);
+  const KeyColumns keys = Raw(other.key_store_);
   for (size_t o = 0; o < other.groups_.size(); ++o) {
-    size_t gid =
-        FindOrCreateGroup(MixKeyHash(other.key_store_, o), other.key_store_, o);
-    merge_group(&groups_[gid], other.groups_[o]);
+    merge_group(&groups_[FindOrCreateGroup(keys, o)], other.groups_[o]);
   }
   return Status::OK();
 }

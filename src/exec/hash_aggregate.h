@@ -11,10 +11,10 @@
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
 #include "storage/table.h"
@@ -57,13 +57,12 @@ class GroupedAggregator {
   void UpdateGroup(Group* g, const std::vector<ColumnVectorPtr>& arg_cols,
                    size_t row);
   /// Lazily creates the per-group key storage with the evaluated key
-  /// column types (stable across chunks for a fixed expression).
+  /// column types (stable across chunks for a fixed expression), and
+  /// makes sure the group index takes probes of those types.
   void EnsureKeyStore(const std::vector<ColumnVectorPtr>& key_cols);
-  /// Finds the group whose stored key equals row `row` of `key_cols`, or
-  /// creates it (appending the key values to the store). `h` is the mixed
-  /// key hash for that row.
-  size_t FindOrCreateGroup(size_t h, const std::vector<ColumnVectorPtr>& cols,
-                           size_t row);
+  /// Finds the group whose stored key equals row `row` of `keys`, or
+  /// creates it (appending the key values to the store).
+  size_t FindOrCreateGroup(const KeyColumns& keys, size_t row);
 
   const std::vector<BoundExprPtr>* group_exprs_;
   const std::vector<AggregateSpec>* aggregates_;
@@ -73,7 +72,8 @@ class GroupedAggregator {
   /// the first-occurrence key values, also the equality side of the probe.
   std::vector<ColumnVectorPtr> key_store_;
   std::vector<Group> groups_;
-  std::unordered_multimap<size_t, uint32_t> index_;  ///< key hash -> group
+  /// Over key_store_: a group's id is its key's row in the store.
+  RowIndex index_;
   int64_t rows_consumed_ = 0;
 };
 

@@ -1,62 +1,9 @@
-#include <unordered_map>
-
 #include "exec/physical_plan.h"
 #include "exec/pipeline.h"
+#include "exec/row_index.h"
 #include "mpp/partition.h"
 
 namespace dbspinner {
-
-namespace {
-
-constexpr uint32_t kNoMatch = 0xffffffffu;
-
-// Appends the combined [left ++ right] columns for the given row pairs.
-// A right index of kNoMatch emits NULLs (left-outer padding).
-TablePtr BuildJoinOutput(const Schema& schema, const Table& left,
-                         const Table& right,
-                         const std::vector<uint32_t>& lrows,
-                         const std::vector<uint32_t>& rrows) {
-  size_t ln = left.num_columns();
-  std::vector<ColumnVectorPtr> cols;
-  cols.reserve(schema.num_columns());
-  for (size_t c = 0; c < ln; ++c) {
-    cols.push_back(left.column(c).Gather(lrows));
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    auto col = std::make_shared<ColumnVector>(schema.column(ln + c).type);
-    col->Reserve(rrows.size());
-    const ColumnVector& src = right.column(c);
-    for (uint32_t r : rrows) {
-      if (r == kNoMatch) {
-        col->AppendNull();
-      } else {
-        col->AppendFrom(src, r);
-      }
-    }
-    cols.push_back(std::move(col));
-  }
-  return Table::FromColumns(schema, std::move(cols));
-}
-
-bool RowHasNullKey(const Table& t, const std::vector<size_t>& keys,
-                   size_t row) {
-  for (size_t k : keys) {
-    if (t.column(k).IsNull(row)) return true;
-  }
-  return false;
-}
-
-bool KeysEqual(const Table& l, const std::vector<size_t>& lkeys, size_t lrow,
-               const Table& r, const std::vector<size_t>& rkeys, size_t rrow) {
-  for (size_t i = 0; i < lkeys.size(); ++i) {
-    if (!l.column(lkeys[i]).EqualsAt(lrow, r.column(rkeys[i]), rrow)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string PhysicalHashJoin::Describe() const {
   std::string out = type_ == JoinType::kLeft ? "LEFT keys:" : "INNER keys:";
@@ -68,107 +15,98 @@ std::string PhysicalHashJoin::Describe() const {
   return out;
 }
 
-Result<TablePtr> PhysicalHashJoin::JoinPartition(
-    ExecContext& ctx, const Table& left, const Table& right,
-    const std::unordered_multimap<size_t, uint32_t>* prebuilt) const {
-  (void)ctx;
-  // Build: hash the right side (unless a cached build is supplied).
-  std::unordered_multimap<size_t, uint32_t> local_build;
-  if (prebuilt == nullptr) {
-    local_build.reserve(right.num_rows());
-    for (size_t i = 0; i < right.num_rows(); ++i) {
-      if (RowHasNullKey(right, right_keys_, i)) continue;
-      local_build.emplace(HashRowKeys(right, right_keys_, i),
-                          static_cast<uint32_t>(i));
+Result<DataChunk> PhysicalHashJoin::Probe(const DataChunk& chunk,
+                                          const Table& right,
+                                          const RowIndex& index) const {
+  const Table& left = chunk.table();
+  const KeyColumns lkeys = KeyColumnsOf(left, left_keys_);
+  RowIndex scratch;
+  const RowIndex& build = index.Fit(lkeys, &scratch);
+  size_t n = chunk.size();
+
+  // Candidate pairs. For LEFT OUTER, lpos[i] is the chunk position of pair
+  // i's probe row; a probe row lives in exactly one chunk, so chunk-local
+  // tracking of unmatched rows equals a global scan.
+  const bool left_outer = type_ == JoinType::kLeft;
+  std::vector<uint32_t> lrows, rrows, lpos;
+  lrows.reserve(n);
+  rrows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t row = chunk.RowAt(i);
+    for (uint32_t r = build.Find(lkeys, row); r != kNoMatch;
+         r = build.Next(r)) {
+      lrows.push_back(row);
+      rrows.push_back(r);
+      if (left_outer) lpos.push_back(static_cast<uint32_t>(i));
     }
   }
-  const std::unordered_multimap<size_t, uint32_t>& build =
-      prebuilt != nullptr ? *prebuilt : local_build;
+  TablePtr candidates =
+      BuildJoinOutput(output_schema_, left, right, lrows, rrows);
 
-  // Probe: collect candidate pairs.
-  std::vector<uint32_t> lrows, rrows;
-  lrows.reserve(left.num_rows());
-  rrows.reserve(left.num_rows());
-  for (size_t i = 0; i < left.num_rows(); ++i) {
-    if (!RowHasNullKey(left, left_keys_, i)) {
-      size_t h = HashRowKeys(left, left_keys_, i);
-      auto range = build.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (KeysEqual(left, left_keys_, i, right, right_keys_, it->second)) {
-          lrows.push_back(static_cast<uint32_t>(i));
-          rrows.push_back(it->second);
-        }
-      }
-    }
-  }
-
-  TablePtr candidates = BuildJoinOutput(output_schema_, left, right, lrows,
-                                        rrows);
-
-  // Residual predicate filters candidate pairs.
-  std::vector<uint8_t> keep(lrows.size(), 1);
-  if (residual_) {
-    DBSP_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                          EvaluatePredicate(*residual_, *candidates));
-    std::fill(keep.begin(), keep.end(), 0);
-    for (uint32_t s : sel) keep[s] = 1;
-  }
-
-  if (type_ == JoinType::kInner) {
-    std::vector<uint32_t> sel;
-    sel.reserve(lrows.size());
-    for (size_t i = 0; i < keep.size(); ++i) {
-      if (keep[i]) sel.push_back(static_cast<uint32_t>(i));
-    }
-    if (sel.size() == keep.size()) return candidates;
-    return candidates->Gather(sel);
-  }
-
-  // LEFT OUTER: surviving candidates + NULL-padded unmatched left rows.
-  std::vector<uint8_t> matched(left.num_rows(), 0);
+  // The residual predicate filters candidate pairs.
   std::vector<uint32_t> sel;
-  sel.reserve(lrows.size());
-  for (size_t i = 0; i < keep.size(); ++i) {
-    if (keep[i]) {
-      matched[lrows[i]] = 1;
-      sel.push_back(static_cast<uint32_t>(i));
+  if (residual_) {
+    DBSP_ASSIGN_OR_RETURN(sel, EvaluatePredicate(*residual_, *candidates));
+  } else {
+    sel.resize(lrows.size());
+    for (size_t i = 0; i < sel.size(); ++i) sel[i] = static_cast<uint32_t>(i);
+  }
+  const bool all_kept = sel.size() == lrows.size();
+
+  // LEFT OUTER: NULL-padded rows for the probe rows no pair kept.
+  std::vector<uint32_t> unmatched_l;
+  if (left_outer) {
+    std::vector<uint8_t> matched(n, 0);
+    for (uint32_t p : sel) matched[lpos[p]] = 1;
+    for (size_t i = 0; i < n; ++i) {
+      if (!matched[i]) unmatched_l.push_back(chunk.RowAt(i));
     }
   }
-  TablePtr matched_out = candidates->Gather(sel);
-  std::vector<uint32_t> unmatched_l;
-  for (size_t i = 0; i < left.num_rows(); ++i) {
-    if (!matched[i]) unmatched_l.push_back(static_cast<uint32_t>(i));
+  if (unmatched_l.empty()) {
+    DataChunk out(candidates, 0, candidates->num_rows());
+    if (!all_kept) out.SetSelection(std::move(sel));
+    return out;
   }
-  if (unmatched_l.empty()) return matched_out;
+  TablePtr out = all_kept ? candidates : candidates->Gather(sel);
   std::vector<uint32_t> unmatched_r(unmatched_l.size(), kNoMatch);
-  TablePtr padded =
-      BuildJoinOutput(output_schema_, left, right, unmatched_l, unmatched_r);
-  matched_out->AppendAll(*padded);
-  return matched_out;
+  out->AppendAll(
+      *BuildJoinOutput(output_schema_, left, right, unmatched_l, unmatched_r));
+  return DataChunk(out, 0, out->num_rows());
 }
 
-std::shared_ptr<const std::unordered_multimap<size_t, uint32_t>>
-PhysicalHashJoin::GetOrBuildSerialHash(ExecContext& ctx,
-                                       const TablePtr& right) const {
+Result<TablePtr> PhysicalHashJoin::JoinPartition(
+    const TablePtr& left, const Table& right, const RowIndex* prebuilt) const {
+  RowIndex local;
+  if (prebuilt == nullptr) {
+    local = RowIndex::Build(KeyColumnsOf(right, right_keys_),
+                            KeyTypes(KeyColumnsOf(*left, left_keys_)),
+                            RowIndex::Nulls::kSkip);
+    prebuilt = &local;
+  }
+  DBSP_ASSIGN_OR_RETURN(
+      DataChunk out,
+      Probe(DataChunk(left, 0, left->num_rows()), right, *prebuilt));
+  if (out.contiguous() && out.size() == out.base()->num_rows()) {
+    return out.base();
+  }
+  return out.Materialize();
+}
+
+std::shared_ptr<const RowIndex> PhysicalHashJoin::GetOrBuildSerialHash(
+    ExecContext& ctx, const TablePtr& right,
+    const std::vector<TypeId>& probe_types) const {
   const bool cache_enabled =
       ctx.options != nullptr && ctx.options->optimizer.enable_join_build_cache;
   if (cache_enabled) {
     auto it = ctx.join_builds.find(this);
     if (it != ctx.join_builds.end() && it->second.table == right &&
-        it->second.map != nullptr) {
+        it->second.map != nullptr && it->second.map->Accepts(probe_types)) {
       ++ctx.stats.build_cache_hits;
       return it->second.map;
     }
   }
-  auto fresh = std::make_shared<std::unordered_multimap<size_t, uint32_t>>();
-  fresh->reserve(right->num_rows());
-  for (size_t i = 0; i < right->num_rows(); ++i) {
-    if (RowHasNullKey(*right, right_keys_, i)) continue;
-    fresh->emplace(HashRowKeys(*right, right_keys_, i),
-                   static_cast<uint32_t>(i));
-  }
-  std::shared_ptr<const std::unordered_multimap<size_t, uint32_t>> build =
-      std::move(fresh);
+  auto build = std::make_shared<const RowIndex>(RowIndex::Build(
+      KeyColumnsOf(*right, right_keys_), probe_types, RowIndex::Nulls::kSkip));
   if (cache_enabled) {
     ExecContext::JoinBuildState& slot = ctx.join_builds[this];
     slot.table = right;
@@ -229,7 +167,7 @@ Result<TablePtr> PhysicalHashJoin::Execute(ExecContext& ctx) const {
         [&](size_t p) -> Status {
           DBSP_ASSIGN_OR_RETURN(
               results[p],
-              JoinPartition(ctx, *lparts[p], *(*rparts)[p], nullptr));
+              JoinPartition(lparts[p], *(*rparts)[p], nullptr));
           return Status::OK();
         },
         ctx.faults, "mpp.dispatch", &ctx.cancel);
@@ -239,10 +177,10 @@ Result<TablePtr> PhysicalHashJoin::Execute(ExecContext& ctx) const {
     return out;
   }
 
-  std::shared_ptr<const std::unordered_multimap<size_t, uint32_t>> build =
-      GetOrBuildSerialHash(ctx, right);
+  std::shared_ptr<const RowIndex> build = GetOrBuildSerialHash(
+      ctx, right, KeyTypes(KeyColumnsOf(*left, left_keys_)));
   DBSP_ASSIGN_OR_RETURN(TablePtr out,
-                        JoinPartition(ctx, *left, *right, build.get()));
+                        JoinPartition(left, *right, build.get()));
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
   return out;
 }

@@ -1,31 +1,10 @@
 #include "exec/merge_update.h"
 
-#include <unordered_map>
+#include "exec/row_index.h"
 
 namespace dbspinner {
 
 namespace {
-
-// Builds a key -> row index map over `t.column(key_col)`; returns false on a
-// duplicate key (first duplicate row reported via *dup_row).
-bool BuildKeyIndex(const Table& t, size_t key_col,
-                   std::unordered_multimap<size_t, uint32_t>* index,
-                   size_t* dup_row) {
-  const ColumnVector& keys = t.column(key_col);
-  index->reserve(t.num_rows());
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    size_t h = keys.HashAt(i);
-    auto range = index->equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (keys.EqualsAt(i, keys, it->second)) {
-        *dup_row = i;
-        return false;
-      }
-    }
-    index->emplace(h, static_cast<uint32_t>(i));
-  }
-  return true;
-}
 
 bool RowsEqual(const Table& a, size_t ar, const Table& b, size_t br) {
   for (size_t c = 0; c < a.num_columns(); ++c) {
@@ -38,67 +17,55 @@ bool RowsEqual(const Table& a, size_t ar, const Table& b, size_t br) {
 
 Result<MergeResult> MergeUpdateTables(const Table& cte, const Table& working,
                                       size_t key_col) {
-  std::unordered_multimap<size_t, uint32_t> index;
-  size_t dup_row = 0;
-  if (!BuildKeyIndex(working, key_col, &index, &dup_row)) {
-    return Status::ExecutionError(
-        "iterative CTE produced duplicate updates for key " +
-        working.GetValue(dup_row, key_col).ToString() +
-        "; resolve duplicates in the iterative part (e.g. with GROUP BY)");
+  const KeyColumns cte_keys{&cte.column(key_col)};
+  const KeyColumns working_keys{&working.column(key_col)};
+  RowIndex index(working_keys, KeyTypes(cte_keys), RowIndex::Nulls::kMatch,
+                 working.num_rows());
+  for (uint32_t i = 0; i < working.num_rows(); ++i) {
+    if (index.FindOrInsert(working_keys, i, i) != i) {
+      return Status::ExecutionError(
+          "iterative CTE produced duplicate updates for key " +
+          working.GetValue(i, key_col).ToString() +
+          "; resolve duplicates in the iterative part (e.g. with GROUP BY)");
+    }
   }
 
+  // Resolve every match first, then assemble each column in one pass: the
+  // CTE column whole, with the matched rows overwritten from `working`.
   MergeResult result;
-  auto merged = Table::Make(cte.schema());
-  merged->Reserve(cte.num_rows());
-  const ColumnVector& cte_keys = cte.column(key_col);
-  const ColumnVector& working_keys = working.column(key_col);
-
-  for (size_t i = 0; i < cte.num_rows(); ++i) {
-    size_t h = cte_keys.HashAt(i);
-    uint32_t match = 0xffffffffu;
-    auto range = index.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (cte_keys.EqualsAt(i, working_keys, it->second)) {
-        match = it->second;
-        break;
-      }
-    }
-    if (match == 0xffffffffu) {
-      merged->AppendRowFrom(cte, i);
-    } else {
-      if (!RowsEqual(cte, i, working, match)) ++result.updated_rows;
-      merged->AppendRowFrom(working, match);
-    }
+  std::vector<uint32_t> rows, from;
+  for (uint32_t i = 0; i < cte.num_rows(); ++i) {
+    uint32_t match = index.Find(cte_keys, i);
+    if (match == kNoMatch) continue;
+    if (!RowsEqual(cte, i, working, match)) ++result.updated_rows;
+    rows.push_back(i);
+    from.push_back(match);
   }
-  result.merged = std::move(merged);
+  std::vector<ColumnVectorPtr> cols;
+  cols.reserve(cte.num_columns());
+  for (size_t c = 0; c < cte.num_columns(); ++c) {
+    auto col = std::make_shared<ColumnVector>(cte.schema().column(c).type);
+    col->AppendAll(cte.column(c));
+    col->OverwriteRows(rows, working.column(c), from);
+    cols.push_back(std::move(col));
+  }
+  result.merged = Table::FromColumns(cte.schema(), std::move(cols));
   return result;
 }
 
 int64_t CountChangedRows(const Table& prev, const Table& current,
                          size_t key_col) {
-  std::unordered_multimap<size_t, uint32_t> index;
-  const ColumnVector& prev_keys = prev.column(key_col);
-  index.reserve(prev.num_rows());
-  for (size_t i = 0; i < prev.num_rows(); ++i) {
-    index.emplace(prev_keys.HashAt(i), static_cast<uint32_t>(i));
-  }
-  const ColumnVector& cur_keys = current.column(key_col);
+  const KeyColumns cur_keys{&current.column(key_col)};
+  const RowIndex index = RowIndex::Build(
+      {&prev.column(key_col)}, KeyTypes(cur_keys), RowIndex::Nulls::kMatch);
   int64_t changed = 0;
   // Duplicate keys in `current` can match the same prev row several times,
   // so count distinct matched prev rows (a per-row counter could exceed
   // prev.num_rows() and make the disappeared-keys subtraction wrap).
   std::vector<char> prev_matched(prev.num_rows(), 0);
   for (size_t i = 0; i < current.num_rows(); ++i) {
-    size_t h = cur_keys.HashAt(i);
-    uint32_t match = 0xffffffffu;
-    auto range = index.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (cur_keys.EqualsAt(i, prev_keys, it->second)) {
-        match = it->second;
-        break;
-      }
-    }
-    if (match == 0xffffffffu) {
+    uint32_t match = index.Find(cur_keys, i);
+    if (match == kNoMatch) {
       ++changed;  // new key
     } else {
       prev_matched[match] = 1;
@@ -115,18 +82,12 @@ int64_t CountChangedRows(const Table& prev, const Table& current,
 TablePtr BuildChangedRowsTable(const Table& prev, const Table& current,
                                size_t key_col) {
   auto delta = Table::Make(current.schema());
-  const ColumnVector& prev_keys = prev.column(key_col);
-  const ColumnVector& cur_keys = current.column(key_col);
-
-  std::unordered_multimap<size_t, uint32_t> prev_idx, cur_idx;
-  prev_idx.reserve(prev.num_rows());
-  for (size_t i = 0; i < prev.num_rows(); ++i) {
-    prev_idx.emplace(prev_keys.HashAt(i), static_cast<uint32_t>(i));
-  }
-  cur_idx.reserve(current.num_rows());
-  for (size_t i = 0; i < current.num_rows(); ++i) {
-    cur_idx.emplace(cur_keys.HashAt(i), static_cast<uint32_t>(i));
-  }
+  const KeyColumns cur_keys{&current.column(key_col)};
+  const std::vector<TypeId> types = KeyTypes(cur_keys);
+  const RowIndex prev_idx = RowIndex::Build({&prev.column(key_col)}, types,
+                                            RowIndex::Nulls::kMatch);
+  const RowIndex cur_idx =
+      RowIndex::Build(cur_keys, types, RowIndex::Nulls::kMatch);
 
   std::vector<char> prev_visited(prev.num_rows(), 0);
   std::vector<char> cur_visited(current.num_rows(), 0);
@@ -134,23 +95,18 @@ TablePtr BuildChangedRowsTable(const Table& prev, const Table& current,
   std::vector<char> used;
   for (size_t i = 0; i < current.num_rows(); ++i) {
     if (cur_visited[i]) continue;
-    size_t h = cur_keys.HashAt(i);
     // Gather every row of this key from both versions.
     prev_rows.clear();
     cur_rows.clear();
-    auto crange = cur_idx.equal_range(h);
-    for (auto it = crange.first; it != crange.second; ++it) {
-      if (cur_keys.EqualsAt(i, cur_keys, it->second)) {
-        cur_visited[it->second] = 1;
-        cur_rows.push_back(it->second);
-      }
+    for (uint32_t r = cur_idx.Find(cur_keys, i); r != kNoMatch;
+         r = cur_idx.Next(r)) {
+      cur_visited[r] = 1;
+      cur_rows.push_back(r);
     }
-    auto prange = prev_idx.equal_range(h);
-    for (auto it = prange.first; it != prange.second; ++it) {
-      if (cur_keys.EqualsAt(i, prev_keys, it->second)) {
-        prev_visited[it->second] = 1;
-        prev_rows.push_back(it->second);
-      }
+    for (uint32_t r = prev_idx.Find(cur_keys, i); r != kNoMatch;
+         r = prev_idx.Next(r)) {
+      prev_visited[r] = 1;
+      prev_rows.push_back(r);
     }
     // Multiset comparison (duplicate keys are rare; per-key sets are tiny).
     bool same = prev_rows.size() == cur_rows.size();

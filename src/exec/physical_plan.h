@@ -17,6 +17,8 @@
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "engine/options.h"
+#include "exec/data_chunk.h"
+#include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
 #include "mpp/thread_pool.h"
@@ -174,7 +176,7 @@ struct ExecContext {
   /// so a reused pointer implies unchanged contents.
   struct JoinBuildState {
     TablePtr table;  ///< the build input version the entry was built from
-    std::shared_ptr<const std::unordered_multimap<size_t, uint32_t>> map;
+    std::shared_ptr<const RowIndex> map;
     std::shared_ptr<const std::vector<TablePtr>> partitions;  ///< MPP path
     size_t num_partitions = 0;
   };
@@ -334,17 +336,25 @@ class PhysicalHashJoin final : public PhysicalOp {
   void set_build_rows_estimate(double rows) { build_rows_estimate_ = rows; }
 
   /// Serial build side with the cross-iteration cache (pointer-identity
-  /// validated, counts build_cache_hits). Shared by Execute() and the
-  /// pipeline executor's fused probe stage.
-  std::shared_ptr<const std::unordered_multimap<size_t, uint32_t>>
-  GetOrBuildSerialHash(ExecContext& ctx, const TablePtr& right) const;
+  /// validated, counts build_cache_hits), for probes with key types
+  /// `probe_types`. Shared by Execute() and the pipeline executor's fused
+  /// probe stage.
+  std::shared_ptr<const RowIndex> GetOrBuildSerialHash(
+      ExecContext& ctx, const TablePtr& right,
+      const std::vector<TypeId>& probe_types) const;
+
+  /// Joins the probe rows of `chunk` with the build side `right`, indexed
+  /// by `index`: the matching pairs that pass the residual, then for LEFT
+  /// each unmatched probe row padded with NULLs. Shared by Execute() and
+  /// the pipeline executor's fused probe stage.
+  Result<DataChunk> Probe(const DataChunk& chunk, const Table& right,
+                          const RowIndex& index) const;
 
  private:
   /// Joins one co-partitioned pair. `prebuilt` (optional) is a cached build
-  /// hash over `right`; when null the build side is hashed locally.
-  Result<TablePtr> JoinPartition(
-      ExecContext& ctx, const Table& left, const Table& right,
-      const std::unordered_multimap<size_t, uint32_t>* prebuilt) const;
+  /// index over `right`; when null the build side is indexed locally.
+  Result<TablePtr> JoinPartition(const TablePtr& left, const Table& right,
+                                 const RowIndex* prebuilt) const;
 
   JoinType type_;
   std::vector<size_t> left_keys_;
@@ -468,6 +478,11 @@ class PhysicalDeltaRestrict final : public PhysicalOp {
   const std::string& delta_source() const { return delta_source_; }
   size_t key_col() const { return key_col_; }
   bool keep_matching() const { return keep_matching_; }
+
+  /// Restricts `chunk` to the rows that pass against the key set indexed
+  /// by `keys`; returns how many were kept. Shared by Execute() and the
+  /// pipeline executor's fused stage.
+  size_t Restrict(DataChunk* chunk, const RowIndex& keys) const;
 
  private:
   std::string delta_source_;

@@ -3,36 +3,24 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 
 #include "exec/data_chunk.h"
 #include "exec/hash_aggregate.h"
 #include "exec/physical_planner.h"
 #include "exec/pipeline_kernels.h"
-#include "mpp/partition.h"
+#include "exec/row_index.h"
 
 namespace dbspinner {
 
 namespace {
 
-constexpr uint32_t kNoMatch = 0xffffffffu;
-
-bool RowHasNullKey(const Table& t, const std::vector<size_t>& keys,
-                   size_t row) {
-  for (size_t k : keys) {
-    if (t.column(k).IsNull(row)) return true;
-  }
-  return false;
-}
-
-bool KeysEqual(const Table& l, const std::vector<size_t>& lkeys, size_t lrow,
-               const Table& r, const std::vector<size_t>& rkeys, size_t rrow) {
-  for (size_t i = 0; i < lkeys.size(); ++i) {
-    if (!l.column(lkeys[i]).EqualsAt(lrow, r.column(rkeys[i]), rrow)) {
-      return false;
-    }
-  }
-  return true;
+// Key types of columns `cols` under `schema`.
+std::vector<TypeId> SchemaKeyTypes(const Schema& schema,
+                                   const std::vector<size_t>& cols) {
+  std::vector<TypeId> types;
+  types.reserve(cols.size());
+  for (size_t c : cols) types.push_back(schema.column(c).type);
+  return types;
 }
 
 // Per-morsel counters, accumulated thread-locally and merged by the driver
@@ -50,154 +38,15 @@ struct Stage {
   std::unique_ptr<ChunkFilter> filter;        // kFilter
   std::unique_ptr<ChunkProjector> projector;  // kProject
 
-  // kHashProbe: fully materialized build side + shared hash.
+  // kHashProbe: fully materialized build side + shared index.
   TablePtr right;
-  std::shared_ptr<const std::unordered_multimap<size_t, uint32_t>> build;
+  std::shared_ptr<const RowIndex> build;
 
-  // kDeltaRestrict: the affected-key set snapshot for this pipeline run.
+  // kDeltaRestrict: the affected-key set snapshot for this pipeline run
+  // (kept alive here for its index).
   TablePtr keys;
-  std::unordered_multimap<size_t, uint32_t> set_index;
+  RowIndex set_index;
 };
-
-// Combined [left ++ right] columns for the given row pairs; a right index
-// of kNoMatch emits NULLs (left-outer padding). Mirrors the legacy join's
-// output assembly but gathers the left side in one batch.
-TablePtr BuildProbeOutput(const Schema& schema, const Table& left,
-                          const Table& right,
-                          const std::vector<uint32_t>& lrows,
-                          const std::vector<uint32_t>& rrows) {
-  size_t ln = left.num_columns();
-  std::vector<ColumnVectorPtr> cols;
-  cols.reserve(schema.num_columns());
-  for (size_t c = 0; c < ln; ++c) {
-    cols.push_back(left.column(c).Gather(lrows));
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    auto col = std::make_shared<ColumnVector>(schema.column(ln + c).type);
-    col->Reserve(rrows.size());
-    const ColumnVector& src = right.column(c);
-    for (uint32_t r : rrows) {
-      if (r == kNoMatch) {
-        col->AppendNull();
-      } else {
-        col->AppendFrom(src, r);
-      }
-    }
-    cols.push_back(std::move(col));
-  }
-  return Table::FromColumns(schema, std::move(cols));
-}
-
-Result<DataChunk> ApplyProbe(const Stage& s, const DataChunk& chunk,
-                             LocalStats* ls) {
-  const auto& join = *static_cast<const PhysicalHashJoin*>(s.op);
-  const Table& left = chunk.table();
-  const Table& right = *s.right;
-  const std::vector<size_t>& lkeys = join.left_keys();
-  const std::vector<size_t>& rkeys = join.right_keys();
-  size_t n = chunk.size();
-  ls->kernels.probe_rows += static_cast<int64_t>(n);
-
-  std::vector<uint32_t> lrows, rrows;
-  lrows.reserve(n);
-  rrows.reserve(n);
-  // For LEFT OUTER, track matches per chunk position; a left row lives in
-  // exactly one morsel, so morsel-local tracking equals the global scan.
-  std::vector<uint8_t> pos_matched;
-  std::vector<uint32_t> lpos;
-  if (join.join_type() == JoinType::kLeft) {
-    pos_matched.assign(n, 0);
-    lpos.reserve(n);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = chunk.RowAt(i);
-    if (RowHasNullKey(left, lkeys, row)) continue;
-    size_t h = HashRowKeys(left, lkeys, row);
-    auto range = s.build->equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (KeysEqual(left, lkeys, row, right, rkeys, it->second)) {
-        lrows.push_back(row);
-        rrows.push_back(it->second);
-        if (join.join_type() == JoinType::kLeft) {
-          lpos.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-  }
-
-  TablePtr candidates =
-      BuildProbeOutput(join.output_schema(), left, right, lrows, rrows);
-
-  std::vector<uint8_t> keep(lrows.size(), 1);
-  if (join.residual() != nullptr) {
-    DBSP_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
-                          EvaluatePredicate(*join.residual(), *candidates));
-    std::fill(keep.begin(), keep.end(), 0);
-    for (uint32_t p : sel) keep[p] = 1;
-  }
-
-  if (join.join_type() == JoinType::kInner) {
-    DataChunk out(candidates, 0, candidates->num_rows());
-    std::vector<uint32_t> sel;
-    sel.reserve(keep.size());
-    for (size_t i = 0; i < keep.size(); ++i) {
-      if (keep[i]) sel.push_back(static_cast<uint32_t>(i));
-    }
-    if (sel.size() != keep.size()) out.SetSelection(std::move(sel));
-    return out;
-  }
-
-  // LEFT OUTER: surviving candidates + NULL-padded unmatched left rows.
-  std::vector<uint32_t> sel;
-  sel.reserve(keep.size());
-  for (size_t i = 0; i < keep.size(); ++i) {
-    if (keep[i]) {
-      pos_matched[lpos[i]] = 1;
-      sel.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  std::vector<uint32_t> unmatched_l;
-  for (size_t i = 0; i < n; ++i) {
-    if (!pos_matched[i]) unmatched_l.push_back(chunk.RowAt(i));
-  }
-  if (unmatched_l.empty()) {
-    DataChunk out(candidates, 0, candidates->num_rows());
-    if (sel.size() != keep.size()) out.SetSelection(std::move(sel));
-    return out;
-  }
-  TablePtr matched_out = candidates->Gather(sel);
-  std::vector<uint32_t> unmatched_r(unmatched_l.size(), kNoMatch);
-  TablePtr padded = BuildProbeOutput(join.output_schema(), left, right,
-                                     unmatched_l, unmatched_r);
-  matched_out->AppendAll(*padded);
-  return DataChunk(matched_out, 0, matched_out->num_rows());
-}
-
-Status ApplyDeltaRestrict(const Stage& s, DataChunk* chunk, LocalStats* ls) {
-  const auto& dr = *static_cast<const PhysicalDeltaRestrict*>(s.op);
-  const ColumnVector& set_keys = s.keys->column(0);
-  const ColumnVector& in_keys = chunk->table().column(dr.key_col());
-  size_t n = chunk->size();
-  std::vector<uint32_t> keep;
-  keep.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = chunk->RowAt(i);
-    bool in_set = false;
-    auto range = s.set_index.equal_range(in_keys.HashAt(row));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (in_keys.EqualsAt(row, set_keys, it->second)) {
-        in_set = true;
-        break;
-      }
-    }
-    if (in_set == dr.keep_matching()) keep.push_back(static_cast<uint32_t>(i));
-  }
-  if (dr.keep_matching()) {
-    ls->delta_probe_rows += static_cast<int64_t>(keep.size());
-  }
-  if (keep.size() != n) chunk->Restrict(keep);
-  return Status::OK();
-}
 
 /// True if `op` can be fused into a pipeline in this context.
 ///
@@ -279,7 +128,10 @@ Result<std::vector<Stage>> CompileStages(
         const auto* join = static_cast<const PhysicalHashJoin*>(op);
         DBSP_ASSIGN_OR_RETURN(s.right,
                               ExecuteOp(*join->children()[1], ctx));
-        s.build = join->GetOrBuildSerialHash(ctx, s.right);
+        s.build = join->GetOrBuildSerialHash(
+            ctx, s.right,
+            SchemaKeyTypes(join->children()[0]->output_schema(),
+                           join->left_keys()));
         break;
       }
       case PipelineRole::kDeltaRestrict: {
@@ -289,11 +141,11 @@ Result<std::vector<Stage>> CompileStages(
           return Status::Internal("DeltaRestrict key set '" +
                                   dr->delta_source() + "' has no columns");
         }
-        const ColumnVector& set_keys = s.keys->column(0);
-        s.set_index.reserve(s.keys->num_rows());
-        for (size_t r = 0; r < s.keys->num_rows(); ++r) {
-          s.set_index.emplace(set_keys.HashAt(r), static_cast<uint32_t>(r));
-        }
+        s.set_index = RowIndex::Build(
+            {&s.keys->column(0)},
+            SchemaKeyTypes(dr->children()[0]->output_schema(),
+                           {dr->key_col()}),
+            RowIndex::Nulls::kMatch);
         break;
       }
       default:
@@ -318,11 +170,15 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
         break;
       }
       case PipelineRole::kHashProbe: {
-        DBSP_ASSIGN_OR_RETURN(chunk, ApplyProbe(s, chunk, ls));
+        ls->kernels.probe_rows += static_cast<int64_t>(chunk.size());
+        const auto* join = static_cast<const PhysicalHashJoin*>(s.op);
+        DBSP_ASSIGN_OR_RETURN(chunk, join->Probe(chunk, *s.right, *s.build));
         break;
       }
       case PipelineRole::kDeltaRestrict: {
-        DBSP_RETURN_NOT_OK(ApplyDeltaRestrict(s, &chunk, ls));
+        const auto* dr = static_cast<const PhysicalDeltaRestrict*>(s.op);
+        size_t kept = dr->Restrict(&chunk, s.set_index);
+        if (dr->keep_matching()) ls->delta_probe_rows += kept;
         break;
       }
       default:

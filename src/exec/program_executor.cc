@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "exec/merge_update.h"
-#include "mpp/partition.h"
+#include "exec/row_index.h"
 
 namespace dbspinner {
 
@@ -291,42 +291,16 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         // internal duplicates within `target`).
         DBSP_ASSIGN_OR_RETURN(TablePtr target, ctx->registry->Get(step.target));
         DBSP_ASSIGN_OR_RETURN(TablePtr source, ctx->registry->Get(step.source));
-        std::vector<size_t> all_cols;
-        for (size_t c = 0; c < target->num_columns(); ++c) {
-          all_cols.push_back(c);
-        }
-        auto row_in = [&](const Table& hay, const Table& needle,
-                          size_t needle_row,
-                          const std::unordered_multimap<size_t, uint32_t>& idx,
-                          size_t h) {
-          auto range = idx.equal_range(h);
-          for (auto it = range.first; it != range.second; ++it) {
-            bool eq = true;
-            for (size_t c = 0; c < needle.num_columns(); ++c) {
-              if (!needle.column(c).EqualsAt(needle_row, hay.column(c),
-                                             it->second)) {
-                eq = false;
-                break;
-              }
-            }
-            if (eq) return true;
-          }
-          return false;
-        };
-        std::unordered_multimap<size_t, uint32_t> source_idx;
-        source_idx.reserve(source->num_rows());
-        for (size_t i = 0; i < source->num_rows(); ++i) {
-          source_idx.emplace(HashRowKeys(*source, all_cols, i),
-                             static_cast<uint32_t>(i));
-        }
-        std::unordered_multimap<size_t, uint32_t> kept_idx;
+        const KeyColumns cols = AllColumnsOf(*target);
+        const std::vector<TypeId> types = KeyTypes(cols);
+        const RowIndex in_source = RowIndex::Build(
+            AllColumnsOf(*source), types, RowIndex::Nulls::kMatch);
+        RowIndex kept(cols, types, RowIndex::Nulls::kMatch,
+                      target->num_rows());
         std::vector<uint32_t> sel;
-        for (size_t i = 0; i < target->num_rows(); ++i) {
-          size_t h = HashRowKeys(*target, all_cols, i);
-          if (row_in(*source, *target, i, source_idx, h)) continue;
-          if (row_in(*target, *target, i, kept_idx, h)) continue;
-          kept_idx.emplace(h, static_cast<uint32_t>(i));
-          sel.push_back(static_cast<uint32_t>(i));
+        for (uint32_t i = 0; i < target->num_rows(); ++i) {
+          if (in_source.Find(cols, i) != kNoMatch) continue;
+          if (kept.FindOrInsert(cols, i, i) == i) sel.push_back(i);
         }
         ctx->registry->Put(step.target, target->Gather(sel));
         break;

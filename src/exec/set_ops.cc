@@ -1,9 +1,8 @@
 // UnionAll and Distinct.
 
-#include <unordered_map>
-
 #include "exec/physical_plan.h"
 #include "exec/pipeline.h"
+#include "exec/row_index.h"
 #include "mpp/partition.h"
 
 namespace dbspinner {
@@ -23,33 +22,11 @@ namespace {
 // Keeps the first occurrence of each distinct row of `input`.
 TablePtr DedupeTable(const Table& input) {
   size_t n = input.num_rows();
-  std::vector<size_t> all_cols;
-  for (size_t c = 0; c < input.num_columns(); ++c) all_cols.push_back(c);
-
-  std::unordered_multimap<size_t, uint32_t> seen;
-  seen.reserve(n);
+  const KeyColumns cols = AllColumnsOf(input);
+  RowIndex seen(cols, KeyTypes(cols), RowIndex::Nulls::kMatch, n);
   std::vector<uint32_t> sel;
-  for (size_t i = 0; i < n; ++i) {
-    size_t h = HashRowKeys(input, all_cols, i);
-    bool dup = false;
-    auto range = seen.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      bool equal = true;
-      for (size_t c = 0; c < input.num_columns(); ++c) {
-        if (!input.column(c).EqualsAt(i, input.column(c), it->second)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      seen.emplace(h, static_cast<uint32_t>(i));
-      sel.push_back(static_cast<uint32_t>(i));
-    }
+  for (uint32_t i = 0; i < n; ++i) {
+    if (seen.FindOrInsert(cols, i, i) == i) sel.push_back(i);
   }
   if (sel.size() == n) {
     // Nothing removed; avoid the copy.
@@ -64,56 +41,17 @@ Result<TablePtr> PhysicalSetDifference::Execute(ExecContext& ctx) const {
   DBSP_ASSIGN_OR_RETURN(TablePtr left, ExecuteOp(*children_[0], ctx));
   DBSP_ASSIGN_OR_RETURN(TablePtr right, ExecuteOp(*children_[1], ctx));
 
-  std::vector<size_t> all_cols;
-  for (size_t c = 0; c < left->num_columns(); ++c) all_cols.push_back(c);
-
-  // Hash the right side's full rows.
-  std::unordered_multimap<size_t, uint32_t> right_index;
-  right_index.reserve(right->num_rows());
-  for (size_t i = 0; i < right->num_rows(); ++i) {
-    right_index.emplace(HashRowKeys(*right, all_cols, i),
-                        static_cast<uint32_t>(i));
-  }
-  auto in_right = [&](size_t row, size_t h) {
-    auto range = right_index.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      bool equal = true;
-      for (size_t c = 0; c < left->num_columns(); ++c) {
-        if (!left->column(c).EqualsAt(row, right->column(c), it->second)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return true;
-    }
-    return false;
-  };
-
-  // Emit distinct left rows that pass the membership test.
-  std::unordered_multimap<size_t, uint32_t> seen;
+  // Index the right side's full rows, then emit the distinct left rows
+  // that pass the membership test.
+  const KeyColumns lcols = AllColumnsOf(*left);
+  const std::vector<TypeId> types = KeyTypes(lcols);
+  const RowIndex in_right =
+      RowIndex::Build(AllColumnsOf(*right), types, RowIndex::Nulls::kMatch);
+  RowIndex seen(lcols, types, RowIndex::Nulls::kMatch, left->num_rows());
   std::vector<uint32_t> sel;
-  for (size_t i = 0; i < left->num_rows(); ++i) {
-    size_t h = HashRowKeys(*left, all_cols, i);
-    if (in_right(i, h) != intersect_) continue;
-    bool dup = false;
-    auto range = seen.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      bool equal = true;
-      for (size_t c = 0; c < left->num_columns(); ++c) {
-        if (!left->column(c).EqualsAt(i, left->column(c), it->second)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      seen.emplace(h, static_cast<uint32_t>(i));
-      sel.push_back(static_cast<uint32_t>(i));
-    }
+  for (uint32_t i = 0; i < left->num_rows(); ++i) {
+    if ((in_right.Find(lcols, i) != kNoMatch) != intersect_) continue;
+    if (seen.FindOrInsert(lcols, i, i) == i) sel.push_back(i);
   }
   TablePtr out = left->Gather(sel);
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());

@@ -2,27 +2,14 @@
 
 #include <algorithm>
 
+#include "exec/row_index.h"
+
 namespace dbspinner {
 namespace ivm {
 namespace {
 
 size_t HashCombine(size_t seed, size_t h) {
   return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
-size_t RowHash(const Table& t, size_t row) {
-  size_t h = 0;
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    h = HashCombine(h, t.GetValue(row, c).Hash());
-  }
-  return h;
-}
-
-bool RowsEqual(const Table& a, size_t ra, const Table& b, size_t rb) {
-  for (size_t c = 0; c < a.num_columns(); ++c) {
-    if (!a.GetValue(ra, c).Equals(b.GetValue(rb, c))) return false;
-  }
-  return true;
 }
 
 size_t Rows(const TablePtr& t) { return t == nullptr ? 0 : t->num_rows(); }
@@ -32,33 +19,31 @@ size_t Rows(const TablePtr& t) { return t == nullptr ? 0 : t->num_rows(); }
 /// finds no match (the caller escalates to a full recompute).
 TablePtr ApplyLinear(const Table& old, const TablePtr& ins,
                      const TablePtr& del) {
-  TablePtr out = Table::Make(old.schema());
-  out->Reserve(old.num_rows() + Rows(ins));
-  size_t unmatched = Rows(del);
-  if (unmatched == 0) {
+  TablePtr out;
+  if (Rows(del) == 0) {
+    out = Table::Make(old.schema());
+    out->Reserve(old.num_rows() + Rows(ins));
     out->AppendAll(old);
   } else {
-    std::unordered_map<size_t, std::vector<size_t>> del_by_hash;
+    // Each contents row drops the first unconsumed equal delete row.
+    const KeyColumns old_cols = AllColumnsOf(old);
+    const RowIndex del_index = RowIndex::Build(
+        AllColumnsOf(*del), KeyTypes(old_cols), RowIndex::Nulls::kMatch);
     std::vector<bool> consumed(del->num_rows(), false);
-    for (size_t i = 0; i < del->num_rows(); ++i) {
-      del_by_hash[RowHash(*del, i)].push_back(i);
-    }
-    for (size_t i = 0; i < old.num_rows(); ++i) {
-      bool dropped = false;
-      auto it = del_by_hash.find(RowHash(old, i));
-      if (it != del_by_hash.end()) {
-        for (size_t cand : it->second) {
-          if (consumed[cand]) continue;
-          if (!RowsEqual(old, i, *del, cand)) continue;
-          consumed[cand] = true;
-          --unmatched;
-          dropped = true;
-          break;
-        }
+    size_t unmatched = del->num_rows();
+    std::vector<uint32_t> kept;
+    for (uint32_t i = 0; i < old.num_rows(); ++i) {
+      uint32_t d = del_index.Find(old_cols, i);
+      while (d != kNoMatch && consumed[d]) d = del_index.Next(d);
+      if (d == kNoMatch) {
+        kept.push_back(i);
+        continue;
       }
-      if (!dropped) out->AppendRowFrom(old, i);
+      consumed[d] = true;
+      --unmatched;
     }
     if (unmatched > 0) return nullptr;
+    out = old.Gather(kept);
   }
   if (ins != nullptr) out->AppendAll(*ins);
   return out;

@@ -1,6 +1,6 @@
 #include "mpp/parallel_ops.h"
 
-#include <unordered_map>
+#include "exec/row_index.h"
 
 namespace dbspinner {
 
@@ -62,34 +62,18 @@ Result<DistributedTable> DistributedHashJoin(const DistributedTable& left,
   auto task = [&](size_t node) {
     const Table& lt = *l.partition(node);
     const Table& rt = *r.partition(node);
-    std::unordered_multimap<size_t, uint32_t> build;
-    build.reserve(rt.num_rows());
-    for (size_t i = 0; i < rt.num_rows(); ++i) {
-      if (rt.column(right_key).IsNull(i)) continue;
-      build.emplace(rt.column(right_key).HashAt(i), static_cast<uint32_t>(i));
-    }
-    auto result = Table::Make(out_schema);
+    const KeyColumns lkeys{&lt.column(left_key)};
+    const RowIndex build = RowIndex::Build(
+        {&rt.column(right_key)}, KeyTypes(lkeys), RowIndex::Nulls::kSkip);
+    std::vector<uint32_t> lrows, rrows;
     for (size_t i = 0; i < lt.num_rows(); ++i) {
-      if (lt.column(left_key).IsNull(i)) continue;
-      size_t h = lt.column(left_key).HashAt(i);
-      auto range = build.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (!lt.column(left_key).EqualsAt(i, rt.column(right_key),
-                                          it->second)) {
-          continue;
-        }
-        std::vector<Value> row;
-        row.reserve(out_schema.num_columns());
-        for (size_t c = 0; c < lt.num_columns(); ++c) {
-          row.push_back(lt.GetValue(i, c));
-        }
-        for (size_t c = 0; c < rt.num_columns(); ++c) {
-          row.push_back(rt.GetValue(it->second, c));
-        }
-        result->AppendRow(row);
+      for (uint32_t r = build.Find(lkeys, i); r != kNoMatch;
+           r = build.Next(r)) {
+        lrows.push_back(static_cast<uint32_t>(i));
+        rrows.push_back(r);
       }
     }
-    out[node] = std::move(result);
+    out[node] = BuildJoinOutput(out_schema, lt, rt, lrows, rrows);
   };
   if (pool != nullptr) {
     pool->ParallelFor(nodes, task);
@@ -119,34 +103,22 @@ Result<DistributedTable> DistributedSumAggregate(const DistributedTable& input,
   std::vector<TablePtr> out(nodes);
   auto task = [&](size_t node) {
     const Table& local = *shuffled.partition(node);
-    std::unordered_multimap<size_t, size_t> index;  // key hash -> group
-    std::vector<uint32_t> first_row;
-    std::vector<double> sums;
-    for (size_t i = 0; i < local.num_rows(); ++i) {
-      size_t h = local.column(key_col).HashAt(i);
-      size_t g = SIZE_MAX;
-      auto range = index.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        if (local.column(key_col).EqualsAt(i, local.column(key_col),
-                                           first_row[it->second])) {
-          g = it->second;
-          break;
-        }
-      }
-      if (g == SIZE_MAX) {
-        g = sums.size();
-        index.emplace(h, g);
-        first_row.push_back(static_cast<uint32_t>(i));
-        sums.push_back(0);
-      }
+    const KeyColumns keys{&local.column(key_col)};
+    RowIndex index(keys, KeyTypes(keys), RowIndex::Nulls::kMatch,
+                   local.num_rows());
+    // A group is named by its first row, which also holds its sum.
+    std::vector<uint32_t> first_rows;
+    std::vector<double> sums(local.num_rows(), 0.0);
+    for (uint32_t i = 0; i < local.num_rows(); ++i) {
+      uint32_t g = index.FindOrInsert(keys, i, i);
+      if (g == i) first_rows.push_back(i);
       if (!local.column(value_col).IsNull(i)) {
         sums[g] += local.column(value_col).NumericAt(i);
       }
     }
     auto result = Table::Make(out_schema);
-    for (size_t g = 0; g < sums.size(); ++g) {
-      result->AppendRow({local.GetValue(first_row[g], key_col),
-                         Value::Double(sums[g])});
+    for (uint32_t g : first_rows) {
+      result->AppendRow({local.GetValue(g, key_col), Value::Double(sums[g])});
     }
     out[node] = std::move(result);
   };

@@ -1,16 +1,8 @@
 #include "mpp/partition.h"
 
-namespace dbspinner {
+#include "exec/row_index.h"
 
-size_t HashRowKeys(const Table& t, const std::vector<size_t>& key_cols,
-                   size_t row) {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t c : key_cols) {
-    size_t hc = t.column(c).HashAt(row);
-    h ^= hc + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
+namespace dbspinner {
 
 std::vector<TablePtr> HashPartition(const Table& input,
                                     const std::vector<size_t>& key_cols,
@@ -18,8 +10,9 @@ std::vector<TablePtr> HashPartition(const Table& input,
   std::vector<std::vector<uint32_t>> selections(num_partitions);
   size_t n = input.num_rows();
   for (auto& s : selections) s.reserve(n / num_partitions + 1);
+  const KeyColumns keys = KeyColumnsOf(input, key_cols);
   for (size_t i = 0; i < n; ++i) {
-    size_t p = HashRowKeys(input, key_cols, i) % num_partitions;
+    size_t p = HashKeys(keys, i) % num_partitions;
     selections[p].push_back(static_cast<uint32_t>(i));
   }
   std::vector<TablePtr> out;

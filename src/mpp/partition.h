@@ -27,8 +27,4 @@ std::vector<TablePtr> RangePartition(const Table& input,
 /// All partitions must share the first partition's schema.
 TablePtr Gather(const std::vector<TablePtr>& partitions);
 
-/// Combined row hash over `key_cols` of row `row`.
-size_t HashRowKeys(const Table& t, const std::vector<size_t>& key_cols,
-                   size_t row);
-
 }  // namespace dbspinner

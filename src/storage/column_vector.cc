@@ -142,13 +142,15 @@ void ColumnVector::AppendGathered(const ColumnVector& src,
   if (src.type_ != type_) {
     // Coercing path (e.g. INT64 source into DOUBLE column).
     Reserve(size_ + sel.size());
-    for (uint32_t i : sel) AppendFrom(src, i);
+    for (uint32_t i : sel) i == kNoMatch ? AppendNull() : AppendFrom(src, i);
     return;
   }
   size_t base = size_;
   size_t n = sel.size();
   nulls_.resize(base + n);
-  for (size_t i = 0; i < n; ++i) nulls_[base + i] = src.nulls_[sel[i]];
+  for (size_t i = 0; i < n; ++i) {
+    nulls_[base + i] = sel[i] == kNoMatch ? 1 : src.nulls_[sel[i]];
+  }
   switch (type_) {
     case TypeId::kBool:
     case TypeId::kInt64: {
@@ -156,7 +158,9 @@ void ColumnVector::AppendGathered(const ColumnVector& src,
       ints_.resize(ibase + n);
       const int64_t* in = src.ints_.data();
       int64_t* out = ints_.data() + ibase;
-      for (size_t i = 0; i < n; ++i) out[i] = in[sel[i]];
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = sel[i] == kNoMatch ? 0 : in[sel[i]];
+      }
       break;
     }
     case TypeId::kDouble: {
@@ -164,18 +168,53 @@ void ColumnVector::AppendGathered(const ColumnVector& src,
       doubles_.resize(dbase + n);
       const double* in = src.doubles_.data();
       double* out = doubles_.data() + dbase;
-      for (size_t i = 0; i < n; ++i) out[i] = in[sel[i]];
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = sel[i] == kNoMatch ? 0 : in[sel[i]];
+      }
       break;
     }
     case TypeId::kString: {
       strings_.reserve(strings_.size() + n);
-      for (size_t i = 0; i < n; ++i) strings_.push_back(src.strings_[sel[i]]);
+      for (size_t i = 0; i < n; ++i) {
+        strings_.push_back(sel[i] == kNoMatch ? "" : src.strings_[sel[i]]);
+      }
       break;
     }
     case TypeId::kNull:
       break;
   }
   size_ = base + n;
+}
+
+void ColumnVector::OverwriteRows(const std::vector<uint32_t>& rows,
+                                 const ColumnVector& src,
+                                 const std::vector<uint32_t>& src_rows) {
+  if (src.type_ != type_) {
+    ColumnVector coerced(type_);
+    coerced.AppendAll(src);
+    OverwriteRows(rows, coerced, src_rows);
+    return;
+  }
+  size_t n = rows.size();
+  for (size_t k = 0; k < n; ++k) nulls_[rows[k]] = src.nulls_[src_rows[k]];
+  switch (type_) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+      for (size_t k = 0; k < n; ++k) ints_[rows[k]] = src.ints_[src_rows[k]];
+      break;
+    case TypeId::kDouble:
+      for (size_t k = 0; k < n; ++k) {
+        doubles_[rows[k]] = src.doubles_[src_rows[k]];
+      }
+      break;
+    case TypeId::kString:
+      for (size_t k = 0; k < n; ++k) {
+        strings_[rows[k]] = src.strings_[src_rows[k]];
+      }
+      break;
+    case TypeId::kNull:
+      break;
+  }
 }
 
 void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
@@ -217,11 +256,9 @@ size_t ColumnVector::HashAt(size_t i) const {
   switch (type_) {
     case TypeId::kBool:
       return std::hash<int64_t>()(ints_[i] + 2);
-    case TypeId::kInt64: {
-      double d = static_cast<double>(ints_[i]);
-      if (static_cast<int64_t>(d) == ints_[i]) return std::hash<double>()(d);
-      return std::hash<int64_t>()(ints_[i]);
-    }
+    case TypeId::kInt64:
+      // The double image: EqualsAt compares INT64 with DOUBLE as doubles.
+      return std::hash<double>()(static_cast<double>(ints_[i]));
     case TypeId::kDouble:
       return std::hash<double>()(doubles_[i]);
     case TypeId::kString:

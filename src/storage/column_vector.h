@@ -20,6 +20,11 @@ namespace dbspinner {
 class ColumnVector;
 using ColumnVectorPtr = std::shared_ptr<ColumnVector>;
 
+/// A selection index naming no source row: gathering it emits NULL (the
+/// padding of an outer join's unmatched side), and a RowIndex lookup that
+/// finds nothing returns it.
+inline constexpr uint32_t kNoMatch = 0xffffffffu;
+
 /// A single column of nullable values of a fixed TypeId.
 class ColumnVector {
  public:
@@ -59,9 +64,10 @@ class ColumnVector {
   /// Appends row `i` of `src` (must have an identical or coercible type).
   void AppendFrom(const ColumnVector& src, size_t i);
 
-  /// New vector containing rows selected by `sel` in order. Same-type copies
-  /// run as type-specialized batch loops (no per-row type dispatch); an
-  /// empty selection yields an empty vector of this vector's type.
+  /// New vector containing rows selected by `sel` in order; an index of
+  /// kNoMatch yields NULL. Same-type copies run as type-specialized batch
+  /// loops (no per-row type dispatch); an empty selection yields an empty
+  /// vector of this vector's type.
   ColumnVectorPtr Gather(const std::vector<uint32_t>& sel) const;
 
   /// Appends every row of `src`.
@@ -73,9 +79,16 @@ class ColumnVector {
   void AppendRange(const ColumnVector& src, size_t begin, size_t count);
 
   /// Appends rows of `src` selected by `sel` in order (batch-specialized
-  /// like Gather, but into an existing vector).
+  /// like Gather, but into an existing vector, coercing like AppendFrom
+  /// when the types differ).
   void AppendGathered(const ColumnVector& src,
                       const std::vector<uint32_t>& sel);
+
+  /// Overwrites row rows[k] with row src_rows[k] of `src`, for every k
+  /// (coercing like AppendFrom when the types differ).
+  void OverwriteRows(const std::vector<uint32_t>& rows,
+                     const ColumnVector& src,
+                     const std::vector<uint32_t>& src_rows);
 
   /// Direct access for monomorphic executor loops.
   const std::vector<int64_t>& ints() const { return ints_; }
@@ -83,7 +96,9 @@ class ColumnVector {
   const std::vector<std::string>& strings() const { return strings_; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
 
-  /// Hash of row i compatible with Value::Hash.
+  /// Hash of row i compatible with Value::Hash and with EqualsAt: numeric
+  /// values hash by their double image, so equal INT64 and DOUBLE values
+  /// hash alike.
   size_t HashAt(size_t i) const;
 
   /// Value equality between row i of this and row j of other.

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "test_util.h"
 
 namespace dbspinner {
@@ -167,6 +170,65 @@ TEST_F(LikeTest, LikeOnNumberFails) {
   auto result = db_.Query("SELECT x FROM n WHERE x LIKE '1%'");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTypeError);
+}
+
+// Keys past 2^53 where INT64 and DOUBLE meet: the hash paths must agree
+// with `=`, which compares an INT64 with a DOUBLE as doubles.
+class WideKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (Database* db : {&db_, &nested_}) {
+      MustExecute(db, "CREATE TABLE bi (k BIGINT)");
+      MustExecute(db, "CREATE TABLE dbl (k DOUBLE)");
+      MustExecute(db,
+                  "INSERT INTO bi VALUES (9007199254740992), "
+                  "(9007199254740993), (9223372036854775807), (5)");
+      MustExecute(db,
+                  "INSERT INTO dbl VALUES (9007199254740992.0), "
+                  "(9223372036854775807.0), (5.0), (6.0)");
+    }
+  }
+  static EngineOptions NoPushdown() {
+    EngineOptions options;
+    options.optimizer.enable_predicate_pushdown = false;
+    return options;
+  }
+  Database db_;
+  // Keeps the WHERE above a nested-loop cross join: the reference answer.
+  Database nested_{NoPushdown()};
+};
+
+TEST_F(WideKeyTest, BigintDoubleJoinMatchesCrossJoinFilter) {
+  // 2^53 + 1 and 2^53 both equal 2^53.0; INT64_MAX equals 2^63.
+  for (const char* from : {"bi JOIN dbl ON bi.k = dbl.k",
+                           "dbl JOIN bi ON dbl.k = bi.k"}) {
+    TablePtr joined = MustQuery(
+        &db_, std::string("SELECT bi.k, dbl.k FROM ") + from);
+    TablePtr reference = MustQuery(
+        &nested_, "SELECT bi.k, dbl.k FROM bi CROSS JOIN dbl "
+                  "WHERE bi.k = dbl.k");
+    EXPECT_EQ(reference->num_rows(), 4u);
+    testing::ExpectSameRows(joined, reference);
+  }
+}
+
+TEST_F(WideKeyTest, GroupByAndDistinctKeepExtremeIntsApart) {
+  MustExecute(&db_, "CREATE TABLE ext (k BIGINT)");
+  MustExecute(&db_,
+              "INSERT INTO ext VALUES (9223372036854775807), "
+              "(9223372036854775806), (-9223372036854775807 - 1), "
+              "(9223372036854775807), (9223372036854775806)");
+  TablePtr groups =
+      MustQuery(&db_, "SELECT k, COUNT(*) FROM ext GROUP BY k ORDER BY k");
+  ASSERT_EQ(groups->num_rows(), 3u);
+  EXPECT_EQ(groups->GetValue(0, 0).int64_value(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(groups->GetValue(1, 0).int64_value(),
+            std::numeric_limits<int64_t>::max() - 1);
+  EXPECT_EQ(groups->GetValue(2, 0).int64_value(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(groups->GetValue(2, 1).int64_value(), 2);
+  EXPECT_EQ(MustQuery(&db_, "SELECT DISTINCT k FROM ext")->num_rows(), 3u);
 }
 
 }  // namespace

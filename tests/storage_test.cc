@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "storage/catalog.h"
 #include "storage/column_vector.h"
 #include "storage/result_registry.h"
@@ -47,12 +49,24 @@ TEST(ColumnVectorTest, Gather) {
 }
 
 TEST(ColumnVectorTest, EqualsAtCrossType) {
+  // Each INT64 equals (as a double) the DOUBLE beside it, including
+  // 2^53 + 1 against 2^53 and INT64_MAX against 2^63; equal values must
+  // hash alike, in columns and in Values.
   ColumnVector a(TypeId::kInt64);
   a.AppendInt64(5);
+  a.AppendInt64((int64_t{1} << 53) + 1);
+  a.AppendInt64(std::numeric_limits<int64_t>::max());
   ColumnVector b(TypeId::kDouble);
   b.AppendDouble(5.0);
-  EXPECT_TRUE(a.EqualsAt(0, b, 0));
-  EXPECT_EQ(a.HashAt(0), b.HashAt(0));
+  b.AppendDouble(9007199254740992.0);
+  b.AppendDouble(9223372036854775808.0);
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(a.EqualsAt(i, b, i)) << i;
+    EXPECT_EQ(a.HashAt(i), b.HashAt(i)) << i;
+    ASSERT_TRUE(a.GetValue(i).Equals(b.GetValue(i))) << i;
+    EXPECT_EQ(a.GetValue(i).Hash(), b.GetValue(i).Hash()) << i;
+    EXPECT_EQ(a.GetValue(i).Hash(), a.HashAt(i)) << i;
+  }
 }
 
 TEST(ColumnVectorTest, NullEqualsNull) {
