@@ -1,13 +1,12 @@
 // Ablation: shared-nothing worker scaling.
 //
-// Runs the PR-VS query with 1/2/4/8 simulated nodes, plus the raw
-// distributed kernels (shuffle + co-partitioned join) at increasing widths.
-// Not a paper figure — it validates that the MPP substrate behaves like a
-// shared-nothing engine (join work scales down per node, shuffle volume
-// appears as soon as width > 1).
+// Runs the PR-VS query with 1/2/4/8 simulated nodes, plus a shuffle join
+// and a GROUP BY in SQL at the same widths. Not a paper figure — it
+// validates that the MPP substrate behaves like a shared-nothing engine
+// (join work scales down per node, shuffle volume appears as soon as
+// width > 1, pre-aggregation shuffles nothing).
 
 #include "bench_util.h"
-#include "mpp/parallel_ops.h"
 
 namespace dbspinner {
 namespace bench {
@@ -24,45 +23,46 @@ void MppPrVs(benchmark::State& state) {
 BENCHMARK(MppPrVs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 
-void MppDistributedJoin(benchmark::State& state) {
-  size_t nodes = static_cast<size_t>(state.range(0));
-  graph::GraphSpec spec = SpecFor(Dataset::kDblp);
-  graph::EdgeList g = graph::Generate(spec);
-  TablePtr edges = graph::BuildEdgesTable(g);
-  TablePtr vs = graph::BuildVertexStatusTable(g.num_nodes, 0.8, 7);
-  ThreadPool pool(static_cast<int>(nodes));
-  auto de = DistributedTable::Distribute(*edges, {}, nodes);
-  auto dv = DistributedTable::Distribute(*vs, {}, nodes);
+// Runs `sql` on the DBLP graph at the width in state.range(0), with the
+// partitioned-shuffle join forced (broadcast_build_rows = 0), and reports
+// the rows the shuffles moved and the morsels workers stole per query.
+void RunMppSql(benchmark::State& state, const char* sql) {
+  Database* db = GetDatabase(Dataset::kDblp);
+  db->options().optimizer = OptimizerOptions{};
+  db->options().num_workers = static_cast<int>(state.range(0));
+  db->options().mpp_min_rows_per_task = 1024;
+  db->options().broadcast_build_rows = 0;
+  ExecStats last;
   for (auto _ : state) {
-    int64_t moved = 0;
-    auto joined = DistributedHashJoin(de, /*left_key=*/1, dv, /*right_key=*/0,
-                                      &pool, &moved);
-    if (!joined.ok()) {
-      state.SkipWithError(joined.status().ToString().c_str());
-      return;
+    Result<QueryResult> result = db->Execute(sql);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
     }
-    benchmark::DoNotOptimize(joined->TotalRows());
-    state.counters["rows_shuffled"] = static_cast<double>(moved);
+    last = result->stats;
+    benchmark::DoNotOptimize(result->table);
   }
+  db->options() = EngineOptions();
+  state.counters["rows_shuffled"] = static_cast<double>(last.rows_shuffled);
+  state.counters["morsels_stolen"] = static_cast<double>(last.morsels_stolen);
 }
-BENCHMARK(MppDistributedJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+
+// Co-partitioned join: both inputs are hash-partitioned on the join key as
+// soon as width > 1.
+void MppShuffleJoin(benchmark::State& state) {
+  RunMppSql(state,
+            "SELECT e.src, v.status FROM edges e "
+            "JOIN vertexstatus v ON e.dst = v.node");
+}
+BENCHMARK(MppShuffleJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void MppShuffle(benchmark::State& state) {
-  size_t nodes = static_cast<size_t>(state.range(0));
-  graph::GraphSpec spec = SpecFor(Dataset::kDblp);
-  graph::EdgeList g = graph::Generate(spec);
-  TablePtr edges = graph::BuildEdgesTable(g);
-  ThreadPool pool(static_cast<int>(nodes));
-  auto dist = DistributedTable::Distribute(*edges, {}, nodes);
-  for (auto _ : state) {
-    int64_t moved = 0;
-    auto shuffled = Exchange::Shuffle(dist, {0}, &pool, &moved);
-    benchmark::DoNotOptimize(shuffled->TotalRows());
-    state.counters["rows_shuffled"] = static_cast<double>(moved);
-  }
+// GROUP BY: per-worker partial aggregates merged at the breaker, so nothing
+// is shuffled at any width; the morsel dispatcher balances the scan.
+void MppGroupBy(benchmark::State& state) {
+  RunMppSql(state, "SELECT src, COUNT(*), SUM(weight) FROM edges GROUP BY src");
 }
-BENCHMARK(MppShuffle)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(MppGroupBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -97,17 +97,13 @@ BENCHMARK(BM_PageRankDeltaVsNaive)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel-fusion's materialization/movement saving, isolated: the same
-// SSSP loop at width 8 with the vectorized executor on vs off. On, small
-// builds broadcast (probes fuse, no join repartitioning) and aggregates
-// consume chunks straight into per-worker partials instead of
-// shuffle-then-aggregate — so both rows_materialized and rows_shuffled
-// drop, while agg_rows_preaggregated accounts the (post-filter) aggregate
-// input that skipped the materializer entirely.
+// Parallel fusion's materialization/movement accounting: the SSSP loop at
+// width 8. Small builds broadcast (probes fuse, no join repartitioning) and
+// aggregates consume chunks straight into per-worker partials, so
+// rows_shuffled stays 0 while agg_rows_preaggregated accounts the
+// (post-filter) aggregate input that skipped the materializer entirely.
 void BM_SsspAggregateMaterialization(benchmark::State& state) {
-  bool vectorized = state.range(0) != 0;
   Database* db = bench::GetDatabase(bench::Dataset::kDblp);
-  db->options().optimizer.vectorized_exec = vectorized;
   db->options().num_workers = 8;
   db->options().mpp_min_rows_per_task = 1;
 
@@ -132,11 +128,7 @@ void BM_SsspAggregateMaterialization(benchmark::State& state) {
       static_cast<double>(last.agg_partials_merged);
   db->options() = EngineOptions();
 }
-BENCHMARK(BM_SsspAggregateMaterialization)
-    ->ArgNames({"vectorized"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SsspAggregateMaterialization)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dbspinner

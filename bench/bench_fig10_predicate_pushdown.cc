@@ -24,15 +24,13 @@ void Fig10(benchmark::State& state, int64_t mod_x, bool pushdown_enabled) {
   RunQuery(state, db, workloads::FFQuery(kIterations, mod_x, 10));
 }
 
-// Vectorized-executor series (DESIGN.md §11): Fig 10's pushed-down sampling
-// shape is a scan→filter→project pipeline over edges, so this pair measures
-// exactly that chain on the same DBLP dataset with the chunk pipeline on vs
-// the legacy operator-at-a-time executor. rows_per_sec uses the fixed
-// edges-scanned denominator, so the on/off ratio is pure wall-clock.
-void Fig10Vectorized(benchmark::State& state, bool vectorized) {
+// Pipeline series (DESIGN.md §11): Fig 10's pushed-down sampling shape is a
+// scan→filter→project pipeline over edges, so this measures exactly that
+// chain on the same DBLP dataset. rows_per_sec uses the edges-scanned
+// denominator.
+void Fig10ScanFilterProject(benchmark::State& state) {
   Database* db = GetDatabase(Dataset::kDblp);
   db->options().optimizer = OptimizerOptions{};
-  db->options().optimizer.vectorized_exec = vectorized;
   int64_t edge_rows = 0;
   if (auto r = db->Query("SELECT COUNT(*) FROM edges"); r.ok()) {
     edge_rows = (*r)->column(0).Int64At(0);
@@ -44,14 +42,12 @@ void Fig10Vectorized(benchmark::State& state, bool vectorized) {
   for (auto _ : state) {
     Result<QueryResult> result = db->Execute(sql);
     if (!result.ok()) {
-      db->options().optimizer = OptimizerOptions{};
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(result->table);
     ++runs;
   }
-  db->options().optimizer = OptimizerOptions{};
   state.counters["rows_per_sec"] = benchmark::Counter(
       static_cast<double>(runs * edge_rows), benchmark::Counter::kIsRate);
 }
@@ -61,7 +57,7 @@ void Fig10Vectorized(benchmark::State& state, bool vectorized) {
 }  // namespace dbspinner
 
 using dbspinner::bench::Fig10;
-using dbspinner::bench::Fig10Vectorized;
+using dbspinner::bench::Fig10ScanFilterProject;
 
 BENCHMARK_CAPTURE(Fig10, x10_baseline, 10, false)
     ->Unit(benchmark::kMillisecond)->Iterations(3);
@@ -80,9 +76,7 @@ BENCHMARK_CAPTURE(Fig10, x100_baseline, 100, false)
 BENCHMARK_CAPTURE(Fig10, x100_pushdown, 100, true)
     ->Unit(benchmark::kMillisecond)->Iterations(3);
 
-BENCHMARK_CAPTURE(Fig10Vectorized, sfp_vectorized, true)
-    ->Unit(benchmark::kMillisecond)->Iterations(20);
-BENCHMARK_CAPTURE(Fig10Vectorized, sfp_legacy, false)
+BENCHMARK(Fig10ScanFilterProject)
     ->Unit(benchmark::kMillisecond)->Iterations(20);
 
 BENCHMARK_MAIN();

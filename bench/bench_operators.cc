@@ -40,20 +40,16 @@ void RunSql(benchmark::State& state, const char* sql) {
   }
 }
 
-// Runs `sql` with the vectorized pipeline executor on or off and reports
-// source rows/sec plus the per-kernel row counters from ExecStats, so a
-// JSON bench run (--benchmark_format=json) carries the on-vs-off rows/sec
-// comparison directly. The rows denominator is the edges scan size, fixed
-// across both series — the ratio is pure wall-clock.
-void RunSqlExec(benchmark::State& state, const char* sql, bool vectorized) {
+// Runs `sql` and reports source rows/sec plus the per-kernel row counters
+// from ExecStats (--benchmark_format=json carries them). The rows
+// denominator is the edges scan size.
+void RunSqlExec(benchmark::State& state, const char* sql) {
   Database* db = SetupDb(20000, kEdgeRows);
-  db->options().optimizer.vectorized_exec = vectorized;
   int64_t runs = 0;
   int64_t kernel_filter = 0, kernel_project = 0, pipelines = 0;
   for (auto _ : state) {
     auto result = db->Execute(sql);
     if (!result.ok()) {
-      db->options().optimizer.vectorized_exec = true;
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
@@ -63,7 +59,6 @@ void RunSqlExec(benchmark::State& state, const char* sql, bool vectorized) {
     kernel_project += result->stats.kernel_rows_project;
     pipelines += result->stats.pipelines_run;
   }
-  db->options().optimizer.vectorized_exec = true;
   state.counters["rows_per_sec"] =
       benchmark::Counter(static_cast<double>(runs * kEdgeRows),
                          benchmark::Counter::kIsRate);
@@ -131,47 +126,31 @@ void BM_TriangleJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleJoin)->Unit(benchmark::kMillisecond);
 
-// --- vectorized pipeline vs legacy executor (DESIGN.md §11) -----------------
+// --- fused pipelines (DESIGN.md §11) ---------------------------------------
 //
-// The same fused scan→filter→project chain, kernelizable predicates only,
-// with the chunk pipeline on vs the legacy operator-at-a-time executor.
-// Compare the two rows_per_sec counters in a JSON run.
+// A fused scan→filter→project chain, kernelizable predicates only.
 
-constexpr const char* kScanFilterProjectSql =
-    "SELECT src * 2, src + dst, weight * 0.85 FROM edges "
-    "WHERE weight > 0.05 AND src > 2500";
-
-void BM_ScanFilterProject_Vectorized(benchmark::State& state) {
-  RunSqlExec(state, kScanFilterProjectSql, /*vectorized=*/true);
+void BM_ScanFilterProject(benchmark::State& state) {
+  RunSqlExec(state,
+             "SELECT src * 2, src + dst, weight * 0.85 FROM edges "
+             "WHERE weight > 0.05 AND src > 2500");
 }
-BENCHMARK(BM_ScanFilterProject_Vectorized)->Unit(benchmark::kMillisecond);
-
-void BM_ScanFilterProject_Legacy(benchmark::State& state) {
-  RunSqlExec(state, kScanFilterProjectSql, /*vectorized=*/false);
-}
-BENCHMARK(BM_ScanFilterProject_Legacy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanFilterProject)->Unit(benchmark::kMillisecond);
 
 // Mixed predicate: the modulus conjunct is not kernelizable, so the
 // pipeline runs its prefix kernel and falls back row-wise on survivors.
-constexpr const char* kMixedFilterSql =
-    "SELECT src FROM edges WHERE weight > 0.01 AND src % 3 = 0";
-
-void BM_MixedFilter_Vectorized(benchmark::State& state) {
-  RunSqlExec(state, kMixedFilterSql, /*vectorized=*/true);
+void BM_MixedFilter(benchmark::State& state) {
+  RunSqlExec(state,
+             "SELECT src FROM edges WHERE weight > 0.01 AND src % 3 = 0");
 }
-BENCHMARK(BM_MixedFilter_Vectorized)->Unit(benchmark::kMillisecond);
-
-void BM_MixedFilter_Legacy(benchmark::State& state) {
-  RunSqlExec(state, kMixedFilterSql, /*vectorized=*/false);
-}
-BENCHMARK(BM_MixedFilter_Legacy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MixedFilter)->Unit(benchmark::kMillisecond);
 
 // --- broadcast-fused probe vs breaker at MPP width 8 (DESIGN.md §11) --------
 //
 // scan→filter→probe with a small (20k-row) build side at 8 workers. The
 // fused series broadcasts the build (one shared hash table, probes run
 // inside the stealing morsel dispatcher); the breaker series forces the
-// legacy repartitioned join by setting broadcast_build_rows = 0. Compare
+// partitioned-shuffle join by setting broadcast_build_rows = 0. Compare
 // the two rows_per_sec counters in a JSON run — the acceptance bar is
 // fused >= 1.5x breaker.
 

@@ -1,6 +1,6 @@
 // Deterministic fault injection for the MPP and executor layers.
 //
-// A FaultInjector is consulted at named injection points ("exchange.shuffle",
+// A FaultInjector is consulted at named injection points ("exec.join.shuffle",
 // "exec.materialize", "mpp.dispatch", ...). Whether the Nth hit of a site
 // fires is a pure function of (seed, site, N), so a fixed seed reproduces the
 // same fault schedule even when hits race across pool threads: threads may
@@ -34,7 +34,7 @@ struct FaultInjectionConfig {
   int64_t max_faults = -1;  ///< total faults to inject; -1 = unlimited
 
   /// When non-empty, only sites whose name contains this substring fault
-  /// (e.g. "shuffle" restricts the schedule to exchange paths).
+  /// (e.g. "shuffle" restricts the schedule to the shuffle paths).
   std::string site_filter;
 
   /// Fraction of injected faults that are kWorkerLost instead of the

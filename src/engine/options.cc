@@ -16,7 +16,6 @@ const std::vector<OptimizerToggles::Toggle>& OptimizerToggles::All() {
       {"rename", &OptimizerOptions::enable_rename_optimization},
       {"delta_iteration", &OptimizerOptions::enable_delta_iteration},
       {"join_build_cache", &OptimizerOptions::enable_join_build_cache},
-      {"vectorized_exec", &OptimizerOptions::vectorized_exec},
   };
   return kToggles;
 }
@@ -92,7 +91,7 @@ std::string EngineOptions::ToString() const {
   return StringPrintf(
       "EngineOptions{workers=%d, fold=%d, join_simplify=%d, pushdown=%d, "
       "cte_pushdown=%d, common_result=%d, rename=%d, delta=%d, "
-      "build_cache=%d, vectorized=%d(morsel=%zu, broadcast=%zu), "
+      "build_cache=%d, morsel=%zu, broadcast=%zu, "
       "faults=%d(seed=%llu, "
       "rate=%.3f), recovery=%d(k=%lld, "
       "retries=%d), verify=%d(enforce=%d), persist=%d, "
@@ -105,7 +104,7 @@ std::string EngineOptions::ToString() const {
       optimizer.enable_rename_optimization ? 1 : 0,
       optimizer.enable_delta_iteration ? 1 : 0,
       optimizer.enable_join_build_cache ? 1 : 0,
-      optimizer.vectorized_exec ? 1 : 0, morsel_size, broadcast_build_rows,
+      morsel_size, broadcast_build_rows,
       fault_injection.enabled ? 1 : 0,
       static_cast<unsigned long long>(fault_injection.seed),
       fault_injection.rate, fault_tolerance.enable_recovery ? 1 : 0,

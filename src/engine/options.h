@@ -50,12 +50,6 @@ struct OptimizerOptions {
   /// input is the identical table version (pointer identity, sound under
   /// the engine's copy-on-write result discipline).
   bool enable_join_build_cache = true;
-
-  /// Morsel-driven vectorized execution (DESIGN.md §11): fuse
-  /// scan→filter→project→probe chains into chunk-at-a-time pipelines that
-  /// materialize only at pipeline breakers. Off = the original
-  /// operator-at-a-time executor, kept as the differential baseline.
-  bool vectorized_exec = true;
 };
 
 /// Programmatic access to every per-rule optimizer toggle. The differential

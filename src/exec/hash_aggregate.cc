@@ -1,9 +1,5 @@
 #include "exec/hash_aggregate.h"
 
-#include "exec/physical_plan.h"
-#include "exec/pipeline.h"
-#include "mpp/partition.h"
-
 namespace dbspinner {
 
 namespace {
@@ -180,67 +176,6 @@ Result<TablePtr> GroupedAggregator::Finalize() {
     out_cols.push_back(std::move(col));
   }
   return Table::FromColumns(*output_schema_, std::move(out_cols));
-}
-
-Result<TablePtr> PhysicalHashAggregate::AggregatePartition(
-    const Table& input) const {
-  GroupedAggregator agg(&group_exprs_, &aggregates_, &output_schema_);
-  DBSP_RETURN_NOT_OK(agg.Consume(input));
-  return agg.Finalize();
-}
-
-Result<TablePtr> PhysicalHashAggregate::Execute(ExecContext& ctx) const {
-  DBSP_ASSIGN_OR_RETURN(TablePtr input, ExecuteOp(*children_[0], ctx));
-
-  if (!group_exprs_.empty() && ctx.UseParallel(input->num_rows())) {
-    // Shuffle on the group key so each simulated node owns whole groups,
-    // then aggregate partitions independently (shared-nothing two-phase).
-    // The shuffle can fail (injection point) before any state is touched.
-    DBSP_RETURN_NOT_OK(MaybeInjectFault(ctx.faults, "exec.aggregate.shuffle"));
-    size_t parts = ctx.NumPartitions();
-    // Materialize key columns for partitioning.
-    std::vector<ColumnVectorPtr> key_cols;
-    for (const auto& g : group_exprs_) {
-      DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                            EvaluateExprBatch(*g, *input));
-      key_cols.push_back(std::move(col));
-    }
-    // Extend the input with key columns so HashPartition can address them.
-    Schema ext_schema = input->schema();
-    std::vector<ColumnVectorPtr> ext_cols;
-    for (size_t c = 0; c < input->num_columns(); ++c) {
-      ext_cols.push_back(input->column_ptr(c));
-    }
-    std::vector<size_t> key_idx;
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      ext_schema.AddColumn("__key" + std::to_string(k), key_cols[k]->type());
-      key_idx.push_back(input->num_columns() + k);
-      ext_cols.push_back(key_cols[k]);
-    }
-    TablePtr ext = Table::FromColumns(ext_schema, std::move(ext_cols));
-    std::vector<TablePtr> parts_tables = HashPartition(*ext, key_idx, parts);
-    ctx.stats.rows_shuffled += static_cast<int64_t>(input->num_rows());
-
-    std::vector<TablePtr> results(parts_tables.size());
-    Status st = ctx.pool->ParallelForStatus(
-        parts_tables.size(),
-        [&](size_t p) -> Status {
-          // Drop the helper key columns: expressions reference original
-          // ordinals, which are unchanged.
-          DBSP_ASSIGN_OR_RETURN(results[p],
-                                AggregatePartition(*parts_tables[p]));
-          return Status::OK();
-        },
-        ctx.faults, "mpp.dispatch", &ctx.cancel);
-    DBSP_RETURN_NOT_OK(st);
-    TablePtr out = Gather(results);
-    ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
-    return out;
-  }
-
-  DBSP_ASSIGN_OR_RETURN(TablePtr out, AggregatePartition(*input));
-  ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
-  return out;
 }
 
 }  // namespace dbspinner

@@ -1,13 +1,11 @@
 // Streaming grouped aggregation with mergeable partials.
 //
-// GroupedAggregator is the hash-aggregation kernel shared by the legacy
-// operator-at-a-time path (PhysicalHashAggregate::Execute aggregates one
-// materialized partition per call) and the vectorized pipeline executor
-// (DESIGN.md §11), where each pipeline worker folds its morsels into a
-// private partial table and the driver merges the partials once at the
-// breaker. Merging is exact: every AggState is a commutative monoid, and
-// DISTINCT aggregates defer state updates until Finalize so unioned
-// distinct sets count each value exactly once.
+// GroupedAggregator is the hash-aggregation kernel behind the pipeline
+// executor's aggregate sink (DESIGN.md §11): each pipeline worker folds its
+// morsels into a private partial table, and the partials are merged once at
+// the breaker. Merging is exact: every AggState is a commutative
+// monoid, and DISTINCT aggregates defer state updates until Finalize so
+// unioned distinct sets count each value exactly once.
 
 #pragma once
 

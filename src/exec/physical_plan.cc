@@ -86,6 +86,12 @@ std::string PhysicalOp::ToString(int indent) const {
   return out;
 }
 
+Result<TablePtr> PhysicalOp::Execute(ExecContext& ctx) const {
+  (void)ctx;
+  return Status::Internal(std::string(Name()) +
+                          " runs only inside a pipeline");
+}
+
 Result<TablePtr> PhysicalScan::Execute(ExecContext& ctx) const {
   if (from_catalog_) {
     DBSP_ASSIGN_OR_RETURN(CatalogEntry * entry, ctx.catalog->Get(name_));

@@ -1,9 +1,13 @@
 // Physical operators and the execution context.
 //
-// The executor is operator-at-a-time: each operator fully materializes its
-// output table. This matches the paper's setting (MPPDB materializes CTE,
-// working, and common-result tables) and makes the costs the optimizations
-// remove — copies, recomputed joins, unfiltered scans — directly measurable.
+// Operators run only through ExecuteOp (exec/pipeline.h), the morsel
+// pipeline executor. Streaming operators (filter, project, fused probe,
+// delta restrict) are pipeline stages and have no Execute of their own;
+// sources and breakers implement Execute and materialize their full output
+// table. Materializing at breakers matches the paper's setting (MPPDB
+// materializes CTE, working, and common-result tables) and keeps the costs
+// the optimizations remove — copies, recomputed joins, unfiltered scans —
+// directly measurable.
 
 #pragma once
 
@@ -34,7 +38,7 @@ struct ExecStats {
   int64_t steps_executed = 0;
   int64_t loop_iterations = 0;
   int64_t rows_materialized = 0;
-  int64_t rows_shuffled = 0;   ///< rows moved through Exchange (MPP)
+  int64_t rows_shuffled = 0;   ///< rows hash-partitioned by MPP shuffles
   int64_t renames = 0;
   int64_t merge_updates = 0;   ///< updated rows identified by MergeUpdate
   int64_t delta_rows = 0;      ///< rows emitted by ComputeDelta (old + new
@@ -218,7 +222,10 @@ class PhysicalOp {
   explicit PhysicalOp(Schema schema) : output_schema_(std::move(schema)) {}
   virtual ~PhysicalOp() = default;
 
-  virtual Result<TablePtr> Execute(ExecContext& ctx) const = 0;
+  /// Materializes this operator's output. Only sources and breakers
+  /// override it; ExecuteOp runs every other operator as a pipeline stage,
+  /// and the base body reports a call that bypassed it.
+  virtual Result<TablePtr> Execute(ExecContext& ctx) const;
   virtual const char* Name() const = 0;
   /// Extra per-operator detail for EXPLAIN.
   virtual std::string Describe() const { return ""; }
@@ -276,7 +283,6 @@ class PhysicalFilter final : public PhysicalOp {
  public:
   PhysicalFilter(Schema schema, BoundExprPtr predicate)
       : PhysicalOp(std::move(schema)), predicate_(std::move(predicate)) {}
-  Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "Filter"; }
   std::string Describe() const override { return predicate_->ToString(); }
   PipelineRole pipeline_role() const override { return PipelineRole::kFilter; }
@@ -291,7 +297,6 @@ class PhysicalProject final : public PhysicalOp {
  public:
   PhysicalProject(Schema schema, std::vector<BoundExprPtr> exprs)
       : PhysicalOp(std::move(schema)), exprs_(std::move(exprs)) {}
-  Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "Project"; }
   PipelineRole pipeline_role() const override { return PipelineRole::kProject; }
   const std::vector<BoundExprPtr>& exprs() const { return exprs_; }
@@ -302,8 +307,10 @@ class PhysicalProject final : public PhysicalOp {
 
 /// Hash join on extracted equi-key pairs with an optional residual
 /// predicate over the combined row. Supports INNER and LEFT OUTER.
-/// Parallel mode hash-partitions both inputs (the MPP shuffle) and joins
-/// partitions independently.
+/// Normally a fused pipeline probe stage. Under MPP, a join whose build
+/// side is too large to broadcast is a breaker instead: Execute
+/// hash-partitions both inputs (the MPP shuffle) and joins partitions
+/// independently.
 class PhysicalHashJoin final : public PhysicalOp {
  public:
   PhysicalHashJoin(Schema schema, JoinType type, std::vector<size_t> left_keys,
@@ -337,16 +344,16 @@ class PhysicalHashJoin final : public PhysicalOp {
 
   /// Serial build side with the cross-iteration cache (pointer-identity
   /// validated, counts build_cache_hits), for probes with key types
-  /// `probe_types`. Shared by Execute() and the pipeline executor's fused
-  /// probe stage.
+  /// `probe_types`. Shared by the serial branch of Execute() and the
+  /// pipeline executor's fused probe stage.
   std::shared_ptr<const RowIndex> GetOrBuildSerialHash(
       ExecContext& ctx, const TablePtr& right,
       const std::vector<TypeId>& probe_types) const;
 
   /// Joins the probe rows of `chunk` with the build side `right`, indexed
   /// by `index`: the matching pairs that pass the residual, then for LEFT
-  /// each unmatched probe row padded with NULLs. Shared by Execute() and
-  /// the pipeline executor's fused probe stage.
+  /// each unmatched probe row padded with NULLs. Shared by the shuffle
+  /// join's partitions and the pipeline executor's fused probe stage.
   Result<DataChunk> Probe(const DataChunk& chunk, const Table& right,
                           const RowIndex& index) const;
 
@@ -378,8 +385,9 @@ class PhysicalNestedLoopJoin final : public PhysicalOp {
   BoundExprPtr condition_;  ///< may be null (cross join)
 };
 
-/// Hash aggregation. Parallel mode hash-partitions the input on the group
-/// key (shuffle) and aggregates partitions independently.
+/// Hash aggregation. Always a pipeline sink (exec/pipeline.cc): its input
+/// chain folds into per-worker partial hash tables (GroupedAggregator)
+/// that are merged once at the breaker.
 class PhysicalHashAggregate final : public PhysicalOp {
  public:
   PhysicalHashAggregate(Schema schema, std::vector<BoundExprPtr> group_exprs,
@@ -387,11 +395,7 @@ class PhysicalHashAggregate final : public PhysicalOp {
       : PhysicalOp(std::move(schema)),
         group_exprs_(std::move(group_exprs)),
         aggregates_(std::move(aggregates)) {}
-  Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "HashAggregate"; }
-  /// The vectorized executor runs this operator as a pipeline sink with
-  /// per-worker partial aggregation (exec/pipeline.cc); the legacy path
-  /// keeps the shuffle-then-aggregate breaker below.
   PipelineRole pipeline_role() const override {
     return PipelineRole::kPreAggregate;
   }
@@ -400,8 +404,6 @@ class PhysicalHashAggregate final : public PhysicalOp {
   const std::vector<AggregateSpec>& aggregates() const { return aggregates_; }
 
  private:
-  Result<TablePtr> AggregatePartition(const Table& input) const;
-
   std::vector<BoundExprPtr> group_exprs_;
   std::vector<AggregateSpec> aggregates_;
 };
@@ -466,7 +468,6 @@ class PhysicalDeltaRestrict final : public PhysicalOp {
         delta_source_(std::move(delta_source)),
         key_col_(key_col),
         keep_matching_(keep_matching) {}
-  Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "DeltaRestrict"; }
   std::string Describe() const override {
     return "key:" + std::to_string(key_col_) +
@@ -480,8 +481,8 @@ class PhysicalDeltaRestrict final : public PhysicalOp {
   bool keep_matching() const { return keep_matching_; }
 
   /// Restricts `chunk` to the rows that pass against the key set indexed
-  /// by `keys`; returns how many were kept. Shared by Execute() and the
-  /// pipeline executor's fused stage.
+  /// by `keys`; returns how many were kept. The pipeline executor's
+  /// delta-restrict stage.
   size_t Restrict(DataChunk* chunk, const RowIndex& keys) const;
 
  private:

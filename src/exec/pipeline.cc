@@ -225,12 +225,11 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
     // order regardless of claim order. Fault injection and cancellation
     // ride on the per-morsel claim — the same "worker abandoned the task"
     // failure mode mpp.dispatch models, fired once per morsel. The serial
-    // path deliberately injects nothing, mirroring the legacy operators
-    // (whose fault sites live only on their parallel branches): a serial
-    // pipeline adds no scheduling step that could fail, and injecting per
-    // serial morsel would inflate the per-recovery-segment hit count until
-    // the executor's bounded checkpoint/restore loop could no longer
-    // finish.
+    // path deliberately injects nothing, like the breakers (whose fault
+    // sites live only on their parallel branches): a serial pipeline adds
+    // no scheduling step that could fail, and injecting per serial morsel
+    // would inflate the per-recovery-segment hit count until the
+    // executor's bounded checkpoint/restore loop could no longer finish.
     size_t width = std::min<size_t>(
         static_cast<size_t>(ctx.options->num_workers), morsels.size());
     std::vector<TablePtr> results(morsels.size());
@@ -272,8 +271,8 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
       if (!accumulating) {
         // Single morsel: pass the result through without the sink copy.
         // A chunk that still spans its whole base unchanged returns the
-        // base table itself (preserves the legacy zero-copy/pointer
-        // identity behavior of all-pass filters and delta restricts).
+        // base table itself (zero-copy: an all-pass filter or delta
+        // restrict keeps the input's pointer identity).
         // An empty chunk may have short-circuited mid-pipeline, so its
         // base can carry an intermediate schema — never pass it through.
         if (chunk.empty()) {
@@ -312,11 +311,8 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
 // aggregate never sees a materialized input table. Each morsel streams
 // through the compiled stages and folds directly into a GroupedAggregator —
 // one private partial per worker slot under MPP, merged once at the breaker
-// (exact: AggState is a commutative monoid and DISTINCT defers to Finalize).
-// This replaces both the input materialization AND the legacy
-// shuffle-then-aggregate MPP path whenever vectorized execution is on; the
-// shuffle path (exec.aggregate.shuffle, rows_shuffled) remains reachable
-// with vectorized_exec off.
+// (exact: AggState is a commutative monoid and DISTINCT defers to Finalize),
+// so a parallel GROUP BY never repartitions its input on the group key.
 Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
                                       ExecContext& ctx) {
   const auto& agg = static_cast<const PhysicalHashAggregate&>(top);
@@ -404,8 +400,8 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
 }  // namespace
 
 Result<TablePtr> ExecuteOp(const PhysicalOp& op, ExecContext& ctx) {
-  if (ctx.options == nullptr || !ctx.options->optimizer.vectorized_exec) {
-    return op.Execute(ctx);
+  if (ctx.options == nullptr) {
+    return Status::Internal("ExecContext has no EngineOptions");
   }
   if (op.pipeline_role() == PipelineRole::kPreAggregate) {
     return RunAggregatePipeline(op, ctx);

@@ -1,17 +1,15 @@
 // Morsel-driven vectorized pipeline executor (DESIGN.md §11).
 //
-// ExecuteOp is the single entry point for running any physical operator.
-// With OptimizerOptions::vectorized_exec on, maximal streaming chains
-// (scan→filter→project→probe→delta-restrict) are fused into one pipeline
-// that pulls fixed-size morsels from the source table through compiled
-// chunk kernels and materializes once, at the sink. Pipeline breakers
-// (aggregate, sort, set ops, limit, MPP hash joins, loop boundaries) run
-// their own Execute and recursively route their children back through
-// ExecuteOp, so every breaker input is itself pipelined.
-//
-// With the toggle off this degenerates to PhysicalOp::Execute everywhere —
-// the legacy operator-at-a-time executor, preserved as the differential
-// baseline swept by the fuzzer and tests.
+// ExecuteOp is the only way a physical operator runs. Maximal streaming
+// chains (scan→filter→project→probe→delta-restrict) are fused into one
+// pipeline that pulls fixed-size morsels from the source table through
+// compiled chunk kernels and materializes once, at the sink. A hash
+// aggregate is a pipeline sink: its input chain folds straight into
+// per-worker partial hash tables. Pipeline breakers (sort, set ops, limit,
+// nested-loop joins, MPP hash joins whose build is too large to
+// broadcast) run their own Execute and route their children back through
+// ExecuteOp, so every breaker input is itself pipelined. Streaming
+// operators have no Execute of their own: they exist only as stages.
 
 #pragma once
 

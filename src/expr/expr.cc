@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "expr/scalar_functions.h"
 
@@ -199,6 +200,11 @@ Result<Value> EvalBinary(const BoundExpr& e, const Value& l, const Value& r) {
         if (r.int64_value() == 0) {
           return Status::ExecutionError("division by zero");
         }
+        // INT64_MIN / -1 is the one quotient that does not fit (and traps).
+        if (r.int64_value() == -1 &&
+            l.int64_value() == std::numeric_limits<int64_t>::min()) {
+          return Status::ExecutionError("integer overflow");
+        }
         return Value::Int64(l.int64_value() / r.int64_value());
       }
       if (r.AsDouble() == 0) {
@@ -210,6 +216,9 @@ Result<Value> EvalBinary(const BoundExpr& e, const Value& l, const Value& r) {
         if (r.int64_value() == 0) {
           return Status::ExecutionError("modulo by zero");
         }
+        // x % -1 is 0 for every x, as in PostgreSQL; computing it for
+        // INT64_MIN traps like the overflowing quotient.
+        if (r.int64_value() == -1) return Value::Int64(0);
         return Value::Int64(l.int64_value() % r.int64_value());
       }
       if (r.AsDouble() == 0) {

@@ -21,23 +21,6 @@ std::vector<TablePtr> HashPartition(const Table& input,
   return out;
 }
 
-std::vector<TablePtr> RangePartition(const Table& input,
-                                     size_t num_partitions) {
-  size_t n = input.num_rows();
-  if (num_partitions == 0) num_partitions = 1;
-  size_t chunk = (n + num_partitions - 1) / num_partitions;
-  std::vector<TablePtr> out;
-  for (size_t start = 0; start < n; start += chunk) {
-    size_t end = std::min(n, start + chunk);
-    std::vector<uint32_t> sel;
-    sel.reserve(end - start);
-    for (size_t i = start; i < end; ++i) sel.push_back(static_cast<uint32_t>(i));
-    out.push_back(input.Gather(sel));
-  }
-  if (out.empty()) out.push_back(input.Gather({}));
-  return out;
-}
-
 TablePtr Gather(const std::vector<TablePtr>& partitions) {
   TablePtr out = Table::Make(partitions.at(0)->schema());
   size_t total = 0;

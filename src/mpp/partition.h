@@ -18,11 +18,6 @@ std::vector<TablePtr> HashPartition(const Table& input,
                                     const std::vector<size_t>& key_cols,
                                     size_t num_partitions);
 
-/// Splits `input` into up to `num_partitions` contiguous row ranges of
-/// near-equal size (round-robin by range; models node-local scans).
-std::vector<TablePtr> RangePartition(const Table& input,
-                                     size_t num_partitions);
-
 /// Concatenates partitions back into one table (the "gather" step).
 /// All partitions must share the first partition's schema.
 TablePtr Gather(const std::vector<TablePtr>& partitions);

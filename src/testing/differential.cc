@@ -247,6 +247,14 @@ DiffReport RunDifferential(const FuzzCase& c,
     report.outcomes.push_back(RunSqlOracle(
         c, StringPrintf("mpp-%d", workers), eo, report.sql));
   }
+  {
+    // Serial row-at-a-time execution: one-row morsels, so no kernel ever
+    // sees a second row, a selection vector or a chunk boundary inside a
+    // group or join-match run. The morsel sweep below skips this cell.
+    EngineOptions eo = BaseOptions(opts);
+    eo.morsel_size = 1;
+    report.outcomes.push_back(RunSqlOracle(c, "morsel-1", eo, report.sql));
+  }
   for (size_t morsel : opts.morsel_sizes) {
     // Chunk-boundary equivalence: the vectorized pipeline must produce the
     // same rows no matter where morsel boundaries fall (group runs, join
@@ -254,6 +262,7 @@ DiffReport RunDifferential(const FuzzCase& c,
     // Crossed with worker widths, the same sweep also covers the stealing
     // dispatcher, broadcast-fused probes, and partial pre-aggregation.
     for (int workers : opts.morsel_workers) {
+      if (morsel == 1 && workers == 1) continue;  // the oracle above
       EngineOptions eo = BaseOptions(opts);
       eo.morsel_size = morsel;
       eo.num_workers = workers;
@@ -363,9 +372,9 @@ DiffReport RunDifferential(const FuzzCase& c,
   }
 
   // Work-accounting equivalence: oracles that run the identical program
-  // serially (only the execution engine or chunk boundaries differ) must
-  // also agree on the iteration-semantic counters — same loop trips, same
-  // delta sizes, same rows surviving the fused vs. legacy DeltaRestrict.
+  // serially (only chunk boundaries differ) must also agree on the
+  // iteration-semantic counters — same loop trips, same delta sizes, same
+  // rows surviving DeltaRestrict whatever the morsel size.
   // Parallel oracles are excluded: reordered floating-point accumulation
   // can legitimately shift convergence by an iteration.
   auto delta_counters = [](const ExecStats& s) {
@@ -374,10 +383,8 @@ DiffReport RunDifferential(const FuzzCase& c,
                                   s.delta_probe_rows};
   };
   for (const OracleOutcome& o : report.outcomes) {
-    bool serial_same_plan =
-        o.name == "no-vectorized_exec" ||
-        (o.name.rfind("morsel-", 0) == 0 &&
-         o.name.find("-w") == std::string::npos);
+    bool serial_same_plan = o.name.rfind("morsel-", 0) == 0 &&
+                            o.name.find("-w") == std::string::npos;
     if (!serial_same_plan || !o.status.ok()) continue;
     if (delta_counters(o.stats) != delta_counters(baseline.stats)) {
       report.ok = false;

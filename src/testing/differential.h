@@ -7,6 +7,7 @@
 //   - parallelism: MPP thread pool with 2 and 8 workers (task threshold
 //                  forced to 1 row so small inputs really partition) vs.
 //                  the serial baseline;
+//   - row-at-a-time: the serial pipeline with one-row morsels ("morsel-1");
 //   - lowering:    the iterative-CTE plan vs. the statement-at-a-time
 //                  Procedure rendering of the same spec (Fig 11 baseline);
 //   - ground truth: canonical workload queries vs. the C++ reference
@@ -68,9 +69,8 @@ struct DifferentialOptions {
 
   /// Chunk-level oracle dimension: one extra oracle ("morsel-N") per entry
   /// runs the query with EngineOptions::morsel_size = N, so every chunk
-  /// boundary placement (including degenerate 1-row morsels) must agree
-  /// with the baseline and with the legacy row-at-a-time executor (which
-  /// the "no-vectorized_exec" toggle oracle already covers).
+  /// boundary placement must agree with the baseline. The serial
+  /// "morsel-1" oracle runs on every case, whether or not 1 is listed.
   std::vector<size_t> morsel_sizes;
 
   /// Worker widths crossed with `morsel_sizes` (oracle "morsel-N-wW" for

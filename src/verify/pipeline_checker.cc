@@ -415,9 +415,8 @@ class PipelineChecker {
                        est));
       return;
     }
-    if (ctx_.options == nullptr || ctx_.options->num_workers <= 1 ||
-        !ctx_.options->optimizer.vectorized_exec) {
-      return;  // serial / legacy execution never broadcasts the build
+    if (ctx_.options == nullptr || ctx_.options->num_workers <= 1) {
+      return;  // serial execution never broadcasts the build
     }
     if (BroadcastFusionLegal(est, ctx_.options->broadcast_build_rows) &&
         !(est >= 0.0 &&

@@ -1,5 +1,5 @@
 // Regression tests for table-aliasing and delta-count bugs: registry
-// TablePtrs are shared (snapshots, renames, broadcast replicas), so every
+// TablePtrs are shared (snapshots, renames, cached build sides), so every
 // mutation path must copy-on-write, and CountChangedRows must stay correct
 // when duplicate keys make the matched-row count exceed the prev row count.
 
@@ -9,7 +9,7 @@
 #include "exec/merge_update.h"
 #include "exec/physical_planner.h"
 #include "exec/program_executor.h"
-#include "mpp/exchange.h"
+#include "mpp/partition.h"
 #include "plan/program.h"
 #include "storage/catalog.h"
 #include "storage/result_registry.h"
@@ -98,40 +98,20 @@ TEST(CountChangedRowsTest, DuplicateCurrentKeysDoNotWrap) {
   EXPECT_EQ(CountChangedRows(*prev, *dup_only, 0), 0);
 }
 
-// Broadcast must hand every node its own copy: a node-local mutation (or a
-// downstream COW violation) on one replica must not leak into the others
-// or back into the source table.
-TEST(BroadcastTest, ReplicasAreIndependentCopies) {
-  auto source = MakeKV({{1, 1.0}, {2, 2.0}});
-  int64_t moved = 0;
-  auto replicas_r = Exchange::Broadcast(source, 3, &moved);
-  ASSERT_TRUE(replicas_r.ok()) << replicas_r.status().ToString();
-  std::vector<TablePtr> replicas = std::move(*replicas_r);
-  ASSERT_EQ(replicas.size(), 3u);
-  // Replicating 2 rows to 2 remote nodes moves 4 rows over the network.
-  EXPECT_EQ(moved, 4);
-
-  EXPECT_NE(replicas[0].get(), source.get());
-  EXPECT_NE(replicas[0].get(), replicas[1].get());
-
-  replicas[0]->AppendRow({Value::Int64(9), Value::Double(9.0)});
-  EXPECT_EQ(replicas[0]->num_rows(), 3u);
-  EXPECT_EQ(replicas[1]->num_rows(), 2u);
-  EXPECT_EQ(replicas[2]->num_rows(), 2u);
-  EXPECT_EQ(source->num_rows(), 2u);
-}
-
-// Shuffle of a zero-partition DistributedTable (an empty loop delta on an
-// idle cluster) must not dereference partition(0) for its schema.
+// Shuffling an empty input (an empty loop delta on an idle cluster) must
+// hand every node an empty partition of the input's schema, and gathering
+// those partitions must not lose the schema either.
 TEST(ShuffleTest, EmptyDistributedTableDoesNotCrash) {
-  DistributedTable empty = DistributedTable::FromPartitions({}, {0});
-  int64_t moved = 0;
-  auto out_r = Exchange::Shuffle(empty, {0}, nullptr, &moved);
-  ASSERT_TRUE(out_r.ok()) << out_r.status().ToString();
-  DistributedTable out = std::move(*out_r);
-  EXPECT_EQ(out.num_nodes(), 0u);
-  EXPECT_EQ(out.TotalRows(), 0u);
-  EXPECT_EQ(moved, 0);
+  auto empty = MakeKV({});
+  std::vector<TablePtr> parts = HashPartition(*empty, {0}, 4);
+  ASSERT_EQ(parts.size(), 4u);
+  for (const TablePtr& p : parts) {
+    EXPECT_EQ(p->num_rows(), 0u);
+    EXPECT_EQ(p->num_columns(), 2u);
+  }
+  TablePtr back = Gather(parts);
+  EXPECT_EQ(back->num_rows(), 0u);
+  EXPECT_EQ(back->num_columns(), 2u);
 }
 
 // A DELTA-terminated loop whose body appends into the watched CTE: before

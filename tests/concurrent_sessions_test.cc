@@ -312,7 +312,6 @@ TEST(ConcurrentSessions, CancelKillsIterativeQueryMidLoop) {
 // boundaries. The query must still die with kCancelled and leak nothing.
 TEST(ConcurrentSessions, CancelLandsAtMorselBoundaryInsidePipeline) {
   std::unique_ptr<Database> db = MakeGraphDb();
-  db->options().optimizer.vectorized_exec = true;
   db->options().morsel_size = 1;
   SessionManager mgr(db.get());
   auto s = mgr.CreateSession();

@@ -107,15 +107,14 @@ TEST_F(DeltaEquivalenceTest, ExplainShowsComputeDeltaOnlyWhenEnabled) {
 
 TEST_F(DeltaEquivalenceTest, MppDeltaAgreesAndShufflesLess) {
   // Width-8 cluster: deltas are shuffled instead of full partitions, so the
-  // delta engine must move strictly fewer rows on a converging SSSP. The
-  // fused pre-aggregation path shuffles nothing at all, so pin the legacy
-  // executor on both sides to keep the shuffle-volume comparison meaningful.
-  delta_db_.options().num_workers = 8;
-  delta_db_.options().mpp_min_rows_per_task = 1;
-  delta_db_.options().optimizer.vectorized_exec = false;
-  naive_db_.options().num_workers = 8;
-  naive_db_.options().mpp_min_rows_per_task = 1;
-  naive_db_.options().optimizer.vectorized_exec = false;
+  // delta engine must move strictly fewer rows on a converging SSSP. A zero
+  // broadcast budget makes every join the partitioned-shuffle breaker on
+  // both sides (the fused broadcast probe would shuffle nothing at all).
+  for (Database* db : {&delta_db_, &naive_db_}) {
+    db->options().num_workers = 8;
+    db->options().mpp_min_rows_per_task = 1;
+    db->options().broadcast_build_rows = 0;
+  }
 
   std::string sql = workloads::SSSPQuery(12, 1, 2);
   auto with_delta = delta_db_.Execute(sql);
@@ -123,35 +122,35 @@ TEST_F(DeltaEquivalenceTest, MppDeltaAgreesAndShufflesLess) {
   ASSERT_TRUE(with_delta.ok()) << with_delta.status().ToString();
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
   ExpectSameRows(with_delta->table, naive->table, 1e-6);
+  EXPECT_GT(with_delta->stats.rows_shuffled, 0);
   EXPECT_LT(with_delta->stats.rows_shuffled, naive->stats.rows_shuffled);
 }
 
-// The fused DeltaRestrict kernel and the legacy operator must account
-// delta work identically: delta_probe_rows counts driving rows kept by the
-// restrict, wherever it executes. A toggle of the vectorized executor must
-// not move any of the semi-naive bookkeeping, and the loop must converge in
-// the same number of iterations.
+// DeltaRestrict must account delta work identically at every morsel size:
+// delta_probe_rows counts driving rows kept by the restrict, however they
+// were chunked. Row-at-a-time execution (one-row morsels) must not move any
+// of the semi-naive bookkeeping, and the loop must converge in the same
+// number of iterations.
 TEST_F(DeltaEquivalenceTest, VectorizedTogglePreservesDeltaStats) {
   std::string sql = workloads::SSSPQuery(12, 1, 2);
 
-  delta_db_.options().optimizer.vectorized_exec = true;
-  auto vec = delta_db_.Execute(sql);
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+  auto chunked = delta_db_.Execute(sql);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
 
-  delta_db_.options().optimizer.vectorized_exec = false;
-  auto legacy = delta_db_.Execute(sql);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  delta_db_.options().morsel_size = 1;
+  auto rows = delta_db_.Execute(sql);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
 
-  ExpectSameRows(vec->table, legacy->table, 1e-6);
-  EXPECT_EQ(vec->stats.loop_iterations, legacy->stats.loop_iterations);
-  EXPECT_EQ(vec->stats.renames, legacy->stats.renames);
-  EXPECT_EQ(vec->stats.merge_updates, legacy->stats.merge_updates);
-  EXPECT_EQ(vec->stats.delta_rows, legacy->stats.delta_rows);
-  EXPECT_EQ(vec->stats.delta_probe_rows, legacy->stats.delta_probe_rows);
-  EXPECT_GT(vec->stats.delta_probe_rows, 0);
-  // Only the vectorized run drives fused pipelines.
-  EXPECT_GT(vec->stats.pipelines_run, 0);
-  EXPECT_EQ(legacy->stats.pipelines_run, 0);
+  ExpectSameRows(chunked->table, rows->table, 1e-6);
+  EXPECT_EQ(chunked->stats.loop_iterations, rows->stats.loop_iterations);
+  EXPECT_EQ(chunked->stats.renames, rows->stats.renames);
+  EXPECT_EQ(chunked->stats.merge_updates, rows->stats.merge_updates);
+  EXPECT_EQ(chunked->stats.delta_rows, rows->stats.delta_rows);
+  EXPECT_EQ(chunked->stats.delta_probe_rows, rows->stats.delta_probe_rows);
+  EXPECT_GT(chunked->stats.delta_probe_rows, 0);
+  // The one-row run really split its pipelines into more morsels.
+  EXPECT_GT(rows->stats.morsels_dispatched,
+            chunked->stats.morsels_dispatched);
 }
 
 // Pairwise differential: delta-on vs delta-off over a stream of generated

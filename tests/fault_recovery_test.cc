@@ -203,24 +203,17 @@ TEST_F(FaultRecoveryTest, SsspMppWidth8TenPercentRate200Cases) {
   EXPECT_GT(total_faults, 200);
 }
 
-// Recovery sweep through the vectorized pipeline's own fault site: a small
-// morsel size under MPP width 8 forces multi-morsel parallel dispatch, so
-// the per-task "exec.pipeline.morsel" injection point actually fires, and
-// every injected loss must recover to the fault-free result — with both
-// the vectorized executor (explicitly on) and the legacy baseline agreeing.
+// Recovery sweep through the pipeline's own fault site: a small morsel size
+// under MPP width 8 forces multi-morsel parallel dispatch, so the per-task
+// "exec.pipeline.morsel" injection point actually fires, and every injected
+// loss must recover to the fault-free result.
 TEST_F(FaultRecoveryTest, MorselTaskFaultsRecoverAtSmallMorselSize) {
   std::string sql = workloads::PRQuery(6);
 
-  clean_db_.options().optimizer.vectorized_exec = true;
   clean_db_.options().morsel_size = 16;
   SetMpp(&clean_db_, 8);
   TablePtr expected = MustQuery(&clean_db_, sql);
 
-  clean_db_.options().optimizer.vectorized_exec = false;
-  TablePtr legacy = MustQuery(&clean_db_, sql);
-  ExpectSameRows(legacy, expected, 1e-6);
-
-  faulty_db_.options().optimizer.vectorized_exec = true;
   faulty_db_.options().morsel_size = 16;
   SetMpp(&faulty_db_, 8);
   int64_t total_faults = 0;

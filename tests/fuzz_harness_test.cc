@@ -70,14 +70,24 @@ TEST(QueryGeneratorTest, RenderedSqlParsesAndRuns) {
 }
 
 TEST(DifferentialTest, CleanEngineAgreesOnRenamePathCase) {
-  fuzz::DiffReport report = fuzz::RunDifferential(RenamePathCase());
+  fuzz::DifferentialOptions opts;
+  opts.morsel_sizes = {1, 16};
+  opts.morsel_workers = {1, 2};
+  fuzz::DiffReport report = fuzz::RunDifferential(RenamePathCase(), opts);
   EXPECT_TRUE(report.ok) << report.Describe(RenamePathCase());
   // Rename-path + counted UNTIL means the procedure oracle participated.
   bool saw_procedure = false;
+  int row_at_a_time = 0, morsel_oracles = 0;
   for (const auto& o : report.outcomes) {
     if (o.name == "procedure") saw_procedure = true;
+    if (o.name == "morsel-1") ++row_at_a_time;
+    if (o.name.rfind("morsel-", 0) == 0) ++morsel_oracles;
   }
   EXPECT_TRUE(saw_procedure);
+  // The serial one-row-morsel oracle runs once, although the sweep lists
+  // size 1 too: {1, 16} x {1, 2} is four morsel oracles in all.
+  EXPECT_EQ(row_at_a_time, 1);
+  EXPECT_EQ(morsel_oracles, 4);
 }
 
 TEST(DifferentialTest, InjectedRenameFaultIsCaught) {
@@ -130,7 +140,7 @@ TEST(DiffRowSetsTest, ReportsCardinalityAndNullMismatches) {
 
 TEST(OptimizerTogglesTest, RegistryCoversEveryRule) {
   const auto& all = OptimizerToggles::All();
-  EXPECT_EQ(all.size(), 9u);
+  EXPECT_EQ(all.size(), 8u);
 
   // Every toggle flips exactly the field it names.
   for (const auto& t : all) {

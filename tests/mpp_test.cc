@@ -1,13 +1,11 @@
-// Shared-nothing simulation tests: partitioning, exchange/shuffle,
-// distributed kernels, and parallel SQL execution equivalence.
+// Shared-nothing simulation tests: the thread pool, hash partitioning, and
+// parallel SQL execution equivalence (shuffle join, pre-aggregation).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <unordered_map>
 
-#include "mpp/exchange.h"
-#include "mpp/parallel_ops.h"
 #include "mpp/partition.h"
 #include "mpp/thread_pool.h"
 #include "test_util.h"
@@ -22,11 +20,10 @@ Schema KV() {
   return s;
 }
 
-TablePtr MakeKV(int64_t n, uint64_t mult = 1) {
+TablePtr MakeKV(int64_t n) {
   auto t = Table::Make(KV());
   for (int64_t i = 0; i < n; ++i) {
-    t->AppendRow({Value::Int64(i % 17), Value::Double(
-                      static_cast<double>(i * mult))});
+    t->AppendRow({Value::Int64(i % 17), Value::Double(static_cast<double>(i))});
   }
   return t;
 }
@@ -70,103 +67,6 @@ TEST(PartitionTest, HashPartitionKeepsEqualKeysTogether) {
   EXPECT_EQ(total, t->num_rows());
 }
 
-TEST(PartitionTest, RangePartitionPreservesOrder) {
-  auto t = MakeKV(10);
-  auto parts = RangePartition(*t, 3);
-  TablePtr back = Gather(parts);
-  ASSERT_EQ(back->num_rows(), 10u);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(back->GetValue(i, 1).double_value(),
-                     static_cast<double>(i));
-  }
-}
-
-TEST(ExchangeTest, ShuffleRedistributesByKey) {
-  auto t = MakeKV(300);
-  DistributedTable dist = DistributedTable::Distribute(*t, {}, 4);
-  int64_t moved = 0;
-  auto shuffled_r = Exchange::Shuffle(dist, {0}, nullptr, &moved);
-  ASSERT_TRUE(shuffled_r.ok()) << shuffled_r.status().ToString();
-  DistributedTable shuffled = std::move(*shuffled_r);
-  EXPECT_EQ(shuffled.TotalRows(), 300u);
-  EXPECT_GT(moved, 0);
-  EXPECT_TRUE(Table::SameRows(*t, *shuffled.ToTable()));
-  // Keys co-located after the shuffle.
-  std::unordered_map<int64_t, size_t> owner;
-  for (size_t p = 0; p < shuffled.num_nodes(); ++p) {
-    const Table& part = *shuffled.partition(p);
-    for (size_t r = 0; r < part.num_rows(); ++r) {
-      int64_t k = part.GetValue(r, 0).int64_value();
-      auto it = owner.find(k);
-      if (it == owner.end()) {
-        owner[k] = p;
-      } else {
-        EXPECT_EQ(it->second, p);
-      }
-    }
-  }
-}
-
-TEST(ExchangeTest, BroadcastReplicates) {
-  auto t = MakeKV(10);
-  int64_t moved = 0;
-  auto copies_r = Exchange::Broadcast(t, 3, &moved);
-  ASSERT_TRUE(copies_r.ok()) << copies_r.status().ToString();
-  std::vector<TablePtr> copies = std::move(*copies_r);
-  ASSERT_EQ(copies.size(), 3u);
-  EXPECT_EQ(moved, 20);  // 10 rows to each of 2 other nodes
-}
-
-TEST(DistributedOpsTest, FilterMatchesSerial) {
-  auto t = MakeKV(200);
-  ThreadPool pool(3);
-  DistributedTable dist = DistributedTable::Distribute(*t, {0}, 3);
-  auto pred = MakeBoundBinary(BinaryOp::kGt,
-                              MakeBoundColumnRef(1, TypeId::kDouble, "v"),
-                              MakeBoundConstant(Value::Double(100)),
-                              TypeId::kBool);
-  auto result = DistributedFilter(dist, *pred, &pool);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  auto sel = EvaluatePredicate(*pred, *t);
-  ASSERT_TRUE(sel.ok());
-  EXPECT_TRUE(Table::SameRows(*t->Gather(*sel), *result->ToTable()));
-}
-
-TEST(DistributedOpsTest, HashJoinMatchesSingleNode) {
-  auto l = MakeKV(120, 1);
-  auto r = MakeKV(60, 2);
-  ThreadPool pool(4);
-  int64_t moved = 0;
-  auto dl = DistributedTable::Distribute(*l, {}, 4);
-  auto dr = DistributedTable::Distribute(*r, {}, 4);
-  auto joined = DistributedHashJoin(dl, 0, dr, 0, &pool, &moved);
-  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-
-  // Serial comparison via the SQL engine.
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("l", l).ok());
-  ASSERT_TRUE(db.RegisterTable("r", r).ok());
-  auto expected = testing::MustQuery(
-      &db, "SELECT l.k, l.v, r.k, r.v FROM l JOIN r ON l.k = r.k");
-  EXPECT_TRUE(Table::SameRows(*expected, *joined->ToTable()));
-  EXPECT_GT(moved, 0);
-}
-
-TEST(DistributedOpsTest, SumAggregateMatchesSingleNode) {
-  auto t = MakeKV(250);
-  ThreadPool pool(4);
-  int64_t moved = 0;
-  auto dist = DistributedTable::Distribute(*t, {}, 4);
-  auto agg = DistributedSumAggregate(dist, 0, 1, &pool, &moved);
-  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
-
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("t", t).ok());
-  auto expected = testing::MustQuery(
-      &db, "SELECT k, CAST(SUM(v) AS DOUBLE) FROM t GROUP BY k");
-  EXPECT_TRUE(Table::SameRows(*expected, *agg->ToTable()));
-}
-
 TEST(MppSqlTest, ParallelQueriesMatchSerial) {
   Database serial;
   testing::MustExecute(&serial, "CREATE TABLE t (k BIGINT, v DOUBLE)");
@@ -200,27 +100,41 @@ TEST(MppSqlTest, ParallelQueriesMatchSerial) {
   }
 }
 
+// A join whose build side is over the broadcast budget (0 here: every
+// build) is the partitioned-shuffle breaker: both inputs are hash-
+// partitioned on the join key, and the shuffle is a fault site.
 TEST(MppSqlTest, ShuffleStatsReported) {
   Database db;
   db.options().num_workers = 4;
   db.options().mpp_min_rows_per_task = 8;
-  // The legacy repartitioned aggregate is only reachable with the fused
-  // pre-aggregation pipeline off; the default path never shuffles.
-  db.options().optimizer.vectorized_exec = false;
+  db.options().broadcast_build_rows = 0;
   testing::MustExecute(&db, "CREATE TABLE t (k BIGINT)");
   std::string insert = "INSERT INTO t VALUES (0)";
   for (int i = 1; i < 400; ++i) insert += ", (" + std::to_string(i % 5) + ")";
   testing::MustExecute(&db, insert);
-  auto result = db.Execute("SELECT k, COUNT(*) FROM t GROUP BY k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->stats.rows_shuffled, 0);
+  testing::MustExecute(&db, "CREATE TABLE d (k BIGINT, name VARCHAR)");
+  testing::MustExecute(&db,
+                       "INSERT INTO d VALUES (0, 'a'), (1, 'b'), (2, 'c')");
+  const std::string q = "SELECT t.k, d.name FROM t JOIN d ON t.k = d.k";
+  auto result = db.Execute(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->table->num_rows(), 240u);
+  EXPECT_EQ(result->stats.rows_shuffled, 403);
+
+  db.options().fault_injection.enabled = true;
+  db.options().fault_injection.rate = 1.0;
+  db.options().fault_injection.site_filter = "exec.join.shuffle";
+  auto faulted = db.Execute(q);
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_NE(faulted.status().message().find("exec.join.shuffle"),
+            std::string::npos)
+      << faulted.status().ToString();
 }
 
-// With the vectorized executor on (default), a parallel GROUP BY is served
-// by fused pre-aggregation: per-worker partial hash tables merged once at
-// the breaker, no key repartitioning. The shuffle counter must stay zero,
-// the new pre-aggregation counters must engage, and the rows must equal the
-// serial (and legacy shuffled) answer exactly.
+// A parallel GROUP BY is served by fused pre-aggregation: per-worker
+// partial hash tables merged once at the breaker, no key repartitioning.
+// The shuffle counter must stay zero, the pre-aggregation counters must
+// engage, and the rows must equal the width-1 answer exactly.
 TEST(MppSqlTest, FusedPreAggregationSkipsShuffle) {
   Database db;
   db.options().num_workers = 4;
@@ -238,11 +152,11 @@ TEST(MppSqlTest, FusedPreAggregationSkipsShuffle) {
   EXPECT_GT(fused->stats.agg_partials_merged, 0);
   EXPECT_EQ(fused->stats.agg_rows_preaggregated, 400);
 
-  db.options().optimizer.vectorized_exec = false;
-  auto legacy = db.Execute(q);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_GT(legacy->stats.rows_shuffled, 0);
-  EXPECT_TRUE(Table::SameRows(*fused->table, *legacy->table));
+  db.options().num_workers = 1;
+  auto serial = db.Execute(q);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial->stats.agg_partials_merged, 0);
+  EXPECT_TRUE(Table::SameRows(*fused->table, *serial->table));
 }
 
 }  // namespace

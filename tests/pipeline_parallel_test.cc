@@ -83,7 +83,6 @@ void SetParallel(Database* db, int workers, size_t morsel_size) {
   db->options().num_workers = workers;
   db->options().mpp_min_rows_per_task = 1;
   db->options().morsel_size = morsel_size;
-  db->options().optimizer.vectorized_exec = true;
 }
 
 TEST(PipelineParallel, EmptySourceAtEveryWidth) {

@@ -1,5 +1,6 @@
 // Tests for the extended SQL surface: EXCEPT / INTERSECT, LIMIT OFFSET,
-// CREATE TABLE AS SELECT, and LIKE.
+// CREATE TABLE AS SELECT, LIKE, wide join/group keys and BIGINT division
+// edge cases.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,46 @@ TEST_F(WideKeyTest, GroupByAndDistinctKeepExtremeIntsApart) {
             std::numeric_limits<int64_t>::max());
   EXPECT_EQ(groups->GetValue(2, 1).int64_value(), 2);
   EXPECT_EQ(MustQuery(&db_, "SELECT DISTINCT k FROM ext")->num_rows(), 3u);
+}
+
+// INT64_MIN / -1 is the one BIGINT quotient that does not fit, and the
+// hardware divide traps on it: it must fail with a typed error. x % -1 is 0
+// for every x, INT64_MIN included (as in PostgreSQL).
+void ExpectOverflow(Database* db, const std::string& sql) {
+  auto r = db->Execute(sql);
+  ASSERT_FALSE(r.ok()) << sql;
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << sql;
+  EXPECT_NE(r.status().message().find("integer overflow"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(IntegerOverflowTest, MinInt64DivModMinusOneFolded) {
+  Database db;
+  ExpectOverflow(&db, "SELECT (-9223372036854775807 - 1) / -1");
+  TablePtr mod = MustQuery(&db, "SELECT (-9223372036854775807 - 1) % -1");
+  EXPECT_EQ(mod->GetValue(0, 0).int64_value(), 0);
+}
+
+TEST(IntegerOverflowTest, MinInt64DivModMinusOneOverColumns) {
+  EngineOptions options;
+  options.optimizer.enable_constant_folding = false;
+  Database db(options);
+  MustExecute(&db, "CREATE TABLE t (a BIGINT, b BIGINT)");
+  MustExecute(&db,
+              "INSERT INTO t VALUES (-9223372036854775807 - 1, -1), "
+              "(7, -1), (-7, 2)");
+  ExpectOverflow(&db, "SELECT a / b FROM t");
+  ExpectOverflow(&db, "SELECT a / -1 FROM t");
+  TablePtr mod = MustQuery(&db, "SELECT a % b, a % -1 FROM t");
+  ASSERT_EQ(mod->num_rows(), 3u);
+  EXPECT_EQ(mod->GetValue(0, 0).int64_value(), 0);
+  EXPECT_EQ(mod->GetValue(1, 0).int64_value(), 0);
+  EXPECT_EQ(mod->GetValue(2, 0).int64_value(), -1);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(mod->GetValue(r, 1).int64_value(), 0);
+  }
+  TablePtr div = MustQuery(&db, "SELECT a / b FROM t WHERE b = 2");
+  EXPECT_EQ(div->GetValue(0, 0).int64_value(), -3);
 }
 
 }  // namespace

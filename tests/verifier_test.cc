@@ -652,13 +652,12 @@ TEST_F(VerifierCleanCorpusTest, AllWorkloadsAllToggleCombinations) {
   }
 }
 
-// The V2xx clean corpus: the same workloads swept across vectorized
-// execution on/off and MPP widths 1/2/8, verifier enforcing, with the
-// thresholds lowered so parallel fused pipelines (broadcast probes, fused
-// pre-aggregation, morsel stealing) actually engage on the small test
-// graph. The "after-compile" stage runs the pipeline checker on every
-// step's physical plan, so any V2xx diagnostic fails the query with
-// kInternal.
+// The V2xx clean corpus: the same workloads swept across MPP widths
+// 1/2/8, verifier enforcing, with the thresholds lowered so parallel fused
+// pipelines (broadcast probes, fused pre-aggregation, morsel stealing)
+// actually engage on the small test graph. The "after-compile" stage runs
+// the pipeline checker on every step's physical plan, so any V2xx
+// diagnostic fails the query with kInternal.
 TEST_F(VerifierCleanCorpusTest, VectorizedAndWidthSweepIsV2xxClean) {
   const std::vector<std::string> queries = {
       workloads::PRQuery(2),
@@ -675,27 +674,22 @@ TEST_F(VerifierCleanCorpusTest, VectorizedAndWidthSweepIsV2xxClean) {
       "ORDER BY deg DESC LIMIT 5",
   };
 
-  for (bool vectorized : {false, true}) {
-    for (int width : {1, 2, 8}) {
-      EngineOptions eo;
-      eo.verify.verify_plans = true;
-      eo.verify.enforce = true;
-      eo.optimizer.vectorized_exec = vectorized;
-      eo.num_workers = width;
-      eo.mpp_min_rows_per_task = 1;
-      eo.morsel_size = 16;
+  for (int width : {1, 2, 8}) {
+    EngineOptions eo;
+    eo.verify.verify_plans = true;
+    eo.verify.enforce = true;
+    eo.num_workers = width;
+    eo.mpp_min_rows_per_task = 1;
+    eo.morsel_size = 16;
 
-      Database db(eo);
-      ASSERT_TRUE(graph::LoadIntoDatabase(&db, graph_, 0.8, 99).ok());
-      for (const std::string& sql : queries) {
-        Result<QueryResult> r = db.Execute(sql);
-        ASSERT_TRUE(r.ok())
-            << "vectorized=" << vectorized << " width=" << width << "\n"
-            << r.status().ToString() << "\nSQL: " << sql;
-        EXPECT_EQ(r->stats.verify_violations, 0)
-            << "vectorized=" << vectorized << " width=" << width
-            << "\nSQL: " << sql;
-      }
+    Database db(eo);
+    ASSERT_TRUE(graph::LoadIntoDatabase(&db, graph_, 0.8, 99).ok());
+    for (const std::string& sql : queries) {
+      Result<QueryResult> r = db.Execute(sql);
+      ASSERT_TRUE(r.ok()) << "width=" << width << "\n"
+                          << r.status().ToString() << "\nSQL: " << sql;
+      EXPECT_EQ(r->stats.verify_violations, 0)
+          << "width=" << width << "\nSQL: " << sql;
     }
   }
 }
