@@ -41,8 +41,7 @@ class Binder {
                                           const Schema& schema,
                                           const std::string& rel_name);
 
-  /// Binds a FROM-clause table reference, returning the plan. `*scopes_out`
-  /// (optional) receives the visible column scopes. Used by UPDATE ... FROM.
+  /// One FROM item's columns within a combined input schema.
   struct ScopeEntry {
     std::string alias;       ///< explicit alias (empty if none)
     std::string table_name;  ///< underlying table/CTE name (empty for
@@ -54,14 +53,17 @@ class Binder {
     Schema schema;                   ///< combined input schema
     std::vector<ScopeEntry> entries;
   };
-  Result<LogicalOpPtr> BindTableRef(const TableRef& ref, BindContext* ctx_out);
 
   /// Binds a scalar expression over an explicit context (exposed for
-  /// UPDATE ... FROM and tests).
+  /// INSERT ... VALUES, whose constants bind over an empty context).
   Result<BoundExprPtr> BindScalarExpr(const ParseExpr& expr,
                                       const BindContext& ctx);
 
  private:
+  /// Binds a FROM-clause table reference, returning the plan; `*ctx_out`
+  /// receives the visible column scopes.
+  Result<LogicalOpPtr> BindTableRef(const TableRef& ref, BindContext* ctx_out);
+
   Result<LogicalOpPtr> BindSelectCore(const QueryNode& q);
   Result<LogicalOpPtr> BindSetOp(const QueryNode& q);
 

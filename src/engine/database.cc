@@ -1,11 +1,11 @@
 #include "engine/database.h"
 
+#include <numeric>
 #include <unordered_set>
 
 #include "binder/binder.h"
 #include "common/string_util.h"
 #include "exec/physical_planner.h"
-#include "exec/pipeline.h"
 #include "exec/program_executor.h"
 #include "ivm/sql_render.h"
 #include "optimizer/cost_model.h"
@@ -153,6 +153,23 @@ std::string ViewSeedName(const std::string& name) { return "__ivm:" + name; }
 /// __ivm_views storage table and the maintenance seed namespace).
 bool IsReservedIvmName(const std::string& name) {
   return name.size() >= 5 && EqualsIgnoreCase(name.substr(0, 5), "__ivm");
+}
+
+/// The row-id column UPDATE and DELETE add to their target table.
+constexpr const char* kRowIdColumn = "__rowid";
+
+/// `col` with every value cast to `type` by Value::CastTo (2.7 -> 3, 'x' ->
+/// kTypeError), which the column's own coercing append does not do; shared
+/// as is when the types already agree.
+Result<ColumnVectorPtr> CastColumn(ColumnVectorPtr col, TypeId type) {
+  if (col->type() == type) return col;
+  auto out = std::make_shared<ColumnVector>(type);
+  out->Reserve(col->size());
+  for (size_t r = 0; r < col->size(); ++r) {
+    DBSP_ASSIGN_OR_RETURN(Value v, col->GetValue(r).CastTo(type));
+    out->Append(v);
+  }
+  return out;
 }
 
 void MergeIvmCounters(const ivm::IvmCounters& from, ExecStats* stats) {
@@ -389,12 +406,8 @@ Result<Program> Database::Plan(const std::string& sql) {
   }
   Catalog snapshot = catalog_.PinSnapshot();
   ViewBindings views;
-  DBSP_RETURN_NOT_OK(
-      CollectViewBindings(default_session_, snapshot, *target, &views));
-  return PrepareProgramWithViews(default_session_, &snapshot, views,
-                                 [&](ProgramBuilder& b) {
-                                   return b.BuildSelect(*target);
-                                 });
+  return PrepareQuery(default_session_, &snapshot, *target, *target->query,
+                      &views);
 }
 
 Status Database::VerifyStage(SessionState& ss, Catalog* cat,
@@ -456,7 +469,7 @@ Result<QueryResult> Database::ExecuteStatement(SessionState& ss,
       // statement.
       Catalog snapshot = catalog_.PinSnapshot();
       if (stmt.kind == StatementKind::kSelect) {
-        return ExecuteSelect(ss, &snapshot, stmt);
+        return RunQuery(ss, &snapshot, stmt, *stmt.query);
       }
       return ExecuteExplain(ss, &snapshot, stmt);
     }
@@ -526,16 +539,13 @@ Result<QueryResult> Database::ExecuteCopy(SessionState& ss,
   DBSP_ASSIGN_OR_RETURN(
       TablePtr imported,
       ReadCsv(entry->table->schema(), stmt.copy_path, stmt.copy_delimiter));
+  result.rows_affected = static_cast<int64_t>(imported->num_rows());
   // Append to a COW clone, like INSERT.
   TablePtr updated = entry->table->Clone();
   updated->AppendAll(*imported);
-  DBSP_RETURN_NOT_OK(
-      PersistUpsert(stmt.table_name, entry->primary_key_col, updated));
-  DBSP_RETURN_NOT_OK(catalog_.ReplaceContents(stmt.table_name, updated));
-  if (views_.DependsOn(stmt.table_name)) {
-    CaptureDelta(ss, stmt.table_name, imported, nullptr);
-  }
-  result.rows_affected = static_cast<int64_t>(imported->num_rows());
+  DBSP_RETURN_NOT_OK(CommitWrite(ss, stmt.table_name, *entry,
+                                 std::move(updated), std::move(imported),
+                                 nullptr));
   return result;
 }
 
@@ -663,15 +673,22 @@ Result<QueryResult> Database::RunProgramToResult(SessionState& ss, Catalog* cat,
   return result;
 }
 
-Result<QueryResult> Database::ExecuteSelect(SessionState& ss, Catalog* cat,
-                                            const Statement& stmt) {
-  ViewBindings views;
-  DBSP_RETURN_NOT_OK(CollectViewBindings(ss, *cat, stmt, &views));
-  DBSP_ASSIGN_OR_RETURN(
-      Program program,
-      PrepareProgramWithViews(ss, cat, views, [&](ProgramBuilder& builder) {
-        return builder.BuildSelect(stmt);
-      }));
+Result<Program> Database::PrepareQuery(SessionState& ss, Catalog* cat,
+                                       const Statement& stmt,
+                                       const QueryNode& query,
+                                       ViewBindings* views) {
+  DBSP_RETURN_NOT_OK(CollectViewBindings(ss, *cat, stmt, views));
+  return PrepareProgramWithViews(ss, cat, *views, [&](ProgramBuilder& b) {
+    return b.BuildQuery(stmt.ctes, query);
+  });
+}
+
+Result<QueryResult> Database::RunQuery(SessionState& ss, Catalog* cat,
+                                       const Statement& stmt,
+                                       const QueryNode& query,
+                                       ViewBindings views) {
+  DBSP_ASSIGN_OR_RETURN(Program program,
+                        PrepareQuery(ss, cat, stmt, query, &views));
   return RunProgramToResult(ss, cat, std::move(program), views);
 }
 
@@ -682,12 +699,8 @@ Result<QueryResult> Database::ExecuteExplain(SessionState& ss, Catalog* cat,
     return Status::NotImplemented("EXPLAIN supports SELECT statements only");
   }
   ViewBindings views;
-  DBSP_RETURN_NOT_OK(CollectViewBindings(ss, *cat, inner, &views));
-  DBSP_ASSIGN_OR_RETURN(
-      Program program,
-      PrepareProgramWithViews(ss, cat, views, [&](ProgramBuilder& builder) {
-        return builder.BuildSelect(inner);
-      }));
+  DBSP_ASSIGN_OR_RETURN(Program program,
+                        PrepareQuery(ss, cat, inner, *inner.query, &views));
   QueryResult result;
   if (stmt.explain_analyze) {
     // EXPLAIN ANALYZE: actually run the program with per-step profiling
@@ -768,22 +781,10 @@ Result<QueryResult> Database::ExecuteCreateTable(SessionState& ss,
                                  stmt.table_name + "' already exists");
   }
   if (stmt.ctas_query) {
-    // CREATE TABLE ... AS SELECT: the query's result seeds the table. Runs
-    // against the live catalog — the writer slot we hold excludes any
-    // concurrent republish.
+    // CREATE TABLE ... AS SELECT: the query's result seeds the table.
     Catalog snapshot = catalog_.PinSnapshot();
-    ViewBindings views;
-    DBSP_RETURN_NOT_OK(CollectViewBindings(ss, snapshot, stmt, &views));
-    DBSP_ASSIGN_OR_RETURN(
-        Program program,
-        PrepareProgramWithViews(ss, &catalog_, views,
-                                [&](ProgramBuilder& builder) {
-                                  return builder.BuildQuery(stmt.ctes,
-                                                            *stmt.ctas_query);
-                                }));
-    DBSP_ASSIGN_OR_RETURN(
-        QueryResult rows,
-        RunProgramToResult(ss, &catalog_, std::move(program), views));
+    DBSP_ASSIGN_OR_RETURN(QueryResult rows,
+                          RunQuery(ss, &snapshot, stmt, *stmt.ctas_query));
     TablePtr created = rows.table->Clone();
     if (storage_ != nullptr && catalog_.Exists(stmt.table_name)) {
       return Status::AlreadyExists("table '" + stmt.table_name +
@@ -842,18 +843,14 @@ Result<QueryResult> Database::ExecuteInsert(SessionState& ss,
     }
   }
 
-  // Copy-on-write so previously returned results that alias this table's
-  // storage stay stable.
-  TablePtr updated = entry->table->Clone();
-  int64_t inserted = 0;
-
+  // The inserted rows in the target's schema: built row by row from VALUES
+  // constants, or column by column from the source query's result.
+  QueryResult result;
+  TablePtr ins = Table::Make(schema);
   if (!stmt.insert_values.empty()) {
     Binder binder(&catalog_);
     Binder::BindContext empty_ctx;
-    static const TablePtr kOneRow = [] {
-      auto t = Table::Make(Schema());
-      return t;
-    }();
+    static const TablePtr kOneRow = Table::Make(Schema());
     for (const auto& value_row : stmt.insert_values) {
       if (value_row.size() != targets.size()) {
         return Status::BindError("INSERT row has " +
@@ -869,71 +866,100 @@ Result<QueryResult> Database::ExecuteInsert(SessionState& ss,
         DBSP_ASSIGN_OR_RETURN(row[targets[i]],
                               v.CastTo(schema.column(targets[i]).type));
       }
-      updated->AppendRow(row);
-      ++inserted;
+      ins->AppendRow(row);
     }
   } else if (stmt.insert_query) {
     Catalog snapshot = catalog_.PinSnapshot();
-    ViewBindings views;
-    DBSP_RETURN_NOT_OK(CollectViewBindings(ss, snapshot, stmt, &views));
-    DBSP_ASSIGN_OR_RETURN(
-        Program program,
-        PrepareProgramWithViews(ss, &catalog_, views,
-                                [&](ProgramBuilder& builder) {
-                                  return builder.BuildQuery(
-                                      stmt.ctes, *stmt.insert_query);
-                                }));
-    DBSP_ASSIGN_OR_RETURN(
-        QueryResult rows,
-        RunProgramToResult(ss, &catalog_, std::move(program), views));
-    if (rows.table->num_columns() != targets.size()) {
+    DBSP_ASSIGN_OR_RETURN(result,
+                          RunQuery(ss, &snapshot, stmt, *stmt.insert_query));
+    const Table& rows = *result.table;
+    if (rows.num_columns() != targets.size()) {
       return Status::BindError(
-          "INSERT source returns " +
-          std::to_string(rows.table->num_columns()) + " columns, expected " +
-          std::to_string(targets.size()));
+          "INSERT source returns " + std::to_string(rows.num_columns()) +
+          " columns, expected " + std::to_string(targets.size()));
     }
-    for (size_t r = 0; r < rows.table->num_rows(); ++r) {
-      std::vector<Value> row(schema.num_columns(), Value::Null());
-      for (size_t i = 0; i < targets.size(); ++i) {
-        DBSP_ASSIGN_OR_RETURN(
-            row[targets[i]],
-            rows.table->GetValue(r, i).CastTo(
-                schema.column(targets[i]).type));
-      }
-      updated->AppendRow(row);
-      ++inserted;
+    std::vector<ColumnVectorPtr> cols(schema.num_columns());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      DBSP_ASSIGN_OR_RETURN(
+          cols[targets[i]],
+          CastColumn(rows.column_ptr(i), schema.column(targets[i]).type));
     }
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (cols[c] != nullptr) continue;
+      cols[c] = std::make_shared<ColumnVector>(schema.column(c).type);
+      for (size_t r = 0; r < rows.num_rows(); ++r) cols[c]->AppendNull();
+    }
+    ins = Table::FromColumns(schema, std::move(cols));
   }
 
-  DBSP_RETURN_NOT_OK(
-      PersistUpsert(stmt.table_name, entry->primary_key_col, updated));
-  DBSP_RETURN_NOT_OK(catalog_.ReplaceContents(stmt.table_name, updated));
-  if (inserted > 0 && views_.DependsOn(stmt.table_name)) {
-    // The appended suffix of the COW clone is exactly the inserted set.
-    const size_t old_n = updated->num_rows() - static_cast<size_t>(inserted);
-    auto ins = Table::Make(schema);
-    ins->Reserve(static_cast<size_t>(inserted));
-    for (size_t r = old_n; r < updated->num_rows(); ++r) {
-      ins->AppendRowFrom(*updated, r);
-    }
-    CaptureDelta(ss, stmt.table_name, std::move(ins), nullptr);
-  }
-  QueryResult result;
   result.table = Table::Make(Schema());
-  result.rows_affected = inserted;
+  result.rows_affected = static_cast<int64_t>(ins->num_rows());
+  // Copy-on-write so previously returned results that alias this table's
+  // storage stay stable.
+  TablePtr updated = entry->table->Clone();
+  updated->AppendAll(*ins);
+  DBSP_RETURN_NOT_OK(CommitWrite(ss, stmt.table_name, *entry,
+                                 std::move(updated), std::move(ins), nullptr));
   return result;
+}
+
+Result<QueryResult> Database::RunRowIdQuery(SessionState& ss,
+                                            const Statement& stmt,
+                                            const Table& target) {
+  Schema schema = target.schema();
+  if (schema.FindColumn(kRowIdColumn).has_value()) {
+    return Status::NotImplemented("UPDATE and DELETE need table '" +
+                                  stmt.table_name +
+                                  "' to have no column named " +
+                                  kRowIdColumn);
+  }
+  schema.AddColumn(kRowIdColumn, TypeId::kInt64);
+  std::vector<ColumnVectorPtr> cols;
+  for (size_t c = 0; c < target.num_columns(); ++c) {
+    cols.push_back(target.column_ptr(c));
+  }
+  auto rowid = std::make_shared<ColumnVector>(TypeId::kInt64);
+  rowid->Reserve(target.num_rows());
+  for (size_t r = 0; r < target.num_rows(); ++r) {
+    rowid->AppendInt64(static_cast<int64_t>(r));
+  }
+  cols.push_back(std::move(rowid));
+
+  // SELECT <t>.__rowid, <set_1>, ... FROM <t> [CROSS JOIN <from>] WHERE ...
+  Statement select;
+  select.kind = StatementKind::kSelect;
+  select.query = std::make_unique<QueryNode>();
+  QueryNode& q = *select.query;
+  q.kind = QueryNodeKind::kSelect;
+  q.select_list.push_back(
+      SelectItem{MakeColumnRef(stmt.table_name, kRowIdColumn), ""});
+  for (const auto& [name, expr] : stmt.set_clauses) {
+    q.select_list.push_back(SelectItem{expr->Clone(), ""});
+  }
+  q.from = std::make_unique<TableRef>();
+  q.from->kind = TableRefKind::kBase;
+  q.from->table_name = stmt.table_name;
+  if (stmt.update_from) {
+    auto join = std::make_unique<TableRef>();
+    join->kind = TableRefKind::kJoin;
+    join->join_type = JoinType::kInner;
+    join->left = std::move(q.from);
+    join->right = stmt.update_from->Clone();
+    q.from = std::move(join);
+  }
+  if (stmt.where) q.where = stmt.where->Clone();
+
+  Catalog snapshot = catalog_.PinSnapshot();
+  return RunQuery(ss, &snapshot, select, q,
+                  {{stmt.table_name,
+                    Table::FromColumns(std::move(schema), std::move(cols))}});
 }
 
 Result<QueryResult> Database::ExecuteUpdate(SessionState& ss,
                                             const Statement& stmt) {
   DBSP_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Get(stmt.table_name));
-  TablePtr target = entry->table;
+  const TablePtr target = entry->table;
   const Schema& schema = target->schema();
-  size_t ncols = schema.num_columns();
-
-  Binder binder(&catalog_);
-
-  // Resolve SET target columns.
   std::vector<size_t> set_cols;
   for (const auto& [name, expr] : stmt.set_clauses) {
     auto idx = schema.FindColumn(name);
@@ -943,240 +969,74 @@ Result<QueryResult> Database::ExecuteUpdate(SessionState& ss,
                                stmt.table_name + "'");
     }
     set_cols.push_back(*idx);
-    (void)expr;
   }
+  DBSP_ASSIGN_OR_RETURN(QueryResult result, RunRowIdQuery(ss, stmt, *target));
 
-  if (!stmt.update_from) {
-    // Simple UPDATE: evaluate WHERE and SET over the table itself.
-    Binder::BindContext ctx;
-    ctx.schema = schema;
-    ctx.entries = {Binder::ScopeEntry{"", stmt.table_name, 0, ncols}};
-    BoundExprPtr where;
-    if (stmt.where) {
-      DBSP_ASSIGN_OR_RETURN(where, binder.BindScalarExpr(*stmt.where, ctx));
+  // The first output row of each row id is that row's update; an UPDATE ...
+  // FROM row with several matches takes one of them.
+  const Table& rows = *result.table;
+  std::vector<uint32_t> hits, firsts;
+  std::vector<char> seen(target->num_rows(), 0);
+  for (uint32_t r = 0; r < rows.num_rows(); ++r) {
+    const auto id = static_cast<uint32_t>(rows.column(0).Int64At(r));
+    if (seen[id]) continue;
+    seen[id] = 1;
+    hits.push_back(id);
+    firsts.push_back(r);
+  }
+  std::vector<uint32_t> order(hits.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<ColumnVectorPtr> cols;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    cols.push_back(target->column_ptr(c));
+  }
+  for (size_t i = 0; i < set_cols.size(); ++i) {
+    const TypeId type = schema.column(set_cols[i]).type;
+    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr values,
+                          CastColumn(rows.column(i + 1).Gather(firsts), type));
+    ColumnVectorPtr& col = cols[set_cols[i]];
+    if (col == target->column_ptr(set_cols[i])) {
+      auto copy = std::make_shared<ColumnVector>(type);
+      copy->AppendAll(*col);
+      col = std::move(copy);
     }
-    std::vector<BoundExprPtr> set_exprs;
-    for (const auto& [name, expr] : stmt.set_clauses) {
-      DBSP_ASSIGN_OR_RETURN(BoundExprPtr bound,
-                            binder.BindScalarExpr(*expr, ctx));
-      set_exprs.push_back(std::move(bound));
-    }
-    auto updated = Table::Make(schema);
-    updated->Reserve(target->num_rows());
-    // An UPDATE is a (delete old row, insert new row) pair per hit for view
-    // maintenance; only built when a view depends on this table.
-    const bool track = views_.DependsOn(stmt.table_name);
-    TablePtr delta_old, delta_new;
-    if (track) {
-      delta_old = Table::Make(schema);
-      delta_new = Table::Make(schema);
-    }
-    int64_t affected = 0;
-    for (size_t r = 0; r < target->num_rows(); ++r) {
-      bool hit = true;
-      if (where) {
-        DBSP_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*where, *target, r));
-        hit = !v.is_null() && v.bool_value();
-      }
-      if (!hit) {
-        updated->AppendRowFrom(*target, r);
-        continue;
-      }
-      std::vector<Value> row = target->GetRow(r);
-      for (size_t i = 0; i < set_cols.size(); ++i) {
-        DBSP_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*set_exprs[i], *target, r));
-        DBSP_ASSIGN_OR_RETURN(row[set_cols[i]],
-                              v.CastTo(schema.column(set_cols[i]).type));
-      }
-      if (track) {
-        delta_old->AppendRowFrom(*target, r);
-        delta_new->AppendRow(row);
-      }
-      updated->AppendRow(row);
-      ++affected;
-    }
-    DBSP_RETURN_NOT_OK(
-        PersistUpsert(stmt.table_name, entry->primary_key_col, updated));
-    DBSP_RETURN_NOT_OK(catalog_.ReplaceContents(stmt.table_name, updated));
-    if (track && affected > 0) {
-      CaptureDelta(ss, stmt.table_name, std::move(delta_new),
-                   std::move(delta_old));
-    }
-    QueryResult result;
-    result.table = Table::Make(Schema());
-    result.rows_affected = affected;
-    return result;
+    col->OverwriteRows(hits, *values, order);
   }
-
-  // UPDATE ... FROM: join the target (extended with a row id) against the
-  // FROM relation on the WHERE condition, then apply SET per matched row.
-  Schema ext_schema = schema;
-  ext_schema.AddColumn("__rowid", TypeId::kInt64);
-  std::vector<ColumnVectorPtr> ext_cols;
-  for (size_t c = 0; c < ncols; ++c) ext_cols.push_back(target->column_ptr(c));
-  auto rowid = std::make_shared<ColumnVector>(TypeId::kInt64);
-  rowid->Reserve(target->num_rows());
-  for (size_t r = 0; r < target->num_rows(); ++r) {
-    rowid->AppendInt64(static_cast<int64_t>(r));
+  TablePtr updated = Table::FromColumns(schema, std::move(cols));
+  // For view maintenance an UPDATE is a (delete old row, insert new row)
+  // pair per hit.
+  TablePtr inserts, deletes;
+  if (views_.DependsOn(stmt.table_name)) {
+    deletes = target->Gather(hits);
+    inserts = updated->Gather(hits);
   }
-  ext_cols.push_back(rowid);
-  TablePtr ext = Table::FromColumns(ext_schema, std::move(ext_cols));
-
-  Binder::BindContext from_ctx;
-  DBSP_ASSIGN_OR_RETURN(LogicalOpPtr from_plan,
-                        binder.BindTableRef(*stmt.update_from, &from_ctx));
-
-  // Combined context: target columns first (scoped by table name), then the
-  // FROM scopes shifted past the row id column.
-  Binder::BindContext ctx;
-  ctx.schema = ext_schema;
-  for (const auto& col : from_ctx.schema.columns()) {
-    ctx.schema.AddColumn(col.name, col.type);
-  }
-  ctx.entries = {Binder::ScopeEntry{"", stmt.table_name, 0, ncols}};
-  for (Binder::ScopeEntry e : from_ctx.entries) {
-    e.start += ext_schema.num_columns();
-    ctx.entries.push_back(e);
-  }
-
-  auto join = std::make_unique<LogicalOp>();
-  join->kind = LogicalOpKind::kJoin;
-  join->join_type = JoinType::kInner;
-  join->output_schema = ctx.schema;
-  join->children.push_back(
-      MakeScan(ScanSource::kResult, "__update_target", ext_schema));
-  join->children.push_back(std::move(from_plan));
-  LogicalOpPtr plan = std::move(join);
-  if (stmt.where) {
-    DBSP_ASSIGN_OR_RETURN(BoundExprPtr where,
-                          binder.BindScalarExpr(*stmt.where, ctx));
-    plan = MakeFilter(std::move(where), std::move(plan));
-  }
-  std::vector<BoundExprPtr> set_exprs;
-  for (const auto& [name, expr] : stmt.set_clauses) {
-    DBSP_ASSIGN_OR_RETURN(BoundExprPtr bound,
-                          binder.BindScalarExpr(*expr, ctx));
-    set_exprs.push_back(std::move(bound));
-  }
-
-  Optimizer optimizer(ss.options.optimizer, &catalog_);
-  DBSP_RETURN_NOT_OK(optimizer.OptimizePlan(&plan));
-  if (ss.options.verify.verify_plans) {
-    // Standalone-plan path (no Program): run just the plan checker.
-    verify::VerifyContext vctx;
-    vctx.catalog = &catalog_;
-    verify::VerifyReport report = verify::VerifyPlan(*plan, vctx);
-    report.phase = "update-from";
-    DBSP_RETURN_NOT_OK(verify::EnforceOrCount(
-        report, ss.options.verify.enforce, &ss.pending_verify_violations));
-  }
-  CostModel cost(&catalog_);
-  DBSP_ASSIGN_OR_RETURN(PhysicalOpPtr physical,
-                        CreatePhysicalPlan(*plan, &cost));
-
-  ResultRegistry registry;
-  registry.set_scope(ss.temp_scope);
-  registry.Put("__update_target", ext);
-  ExecContext exec_ctx = MakeContext(ss, &catalog_, &registry);
-  DBSP_ASSIGN_OR_RETURN(TablePtr joined, ExecuteOp(*physical, exec_ctx));
-
-  // Apply the first match per row id.
-  size_t rowid_col = ncols;  // __rowid ordinal in the joined output
-  std::vector<int64_t> match_of(target->num_rows(), -1);
-  for (size_t r = 0; r < joined->num_rows(); ++r) {
-    int64_t id = joined->GetValue(r, rowid_col).int64_value();
-    if (match_of[static_cast<size_t>(id)] < 0) {
-      match_of[static_cast<size_t>(id)] = static_cast<int64_t>(r);
-    }
-  }
-  auto updated = Table::Make(schema);
-  updated->Reserve(target->num_rows());
-  const bool track = views_.DependsOn(stmt.table_name);
-  TablePtr delta_old, delta_new;
-  if (track) {
-    delta_old = Table::Make(schema);
-    delta_new = Table::Make(schema);
-  }
-  int64_t affected = 0;
-  for (size_t r = 0; r < target->num_rows(); ++r) {
-    int64_t m = match_of[r];
-    if (m < 0) {
-      updated->AppendRowFrom(*target, r);
-      continue;
-    }
-    std::vector<Value> row = target->GetRow(r);
-    for (size_t i = 0; i < set_cols.size(); ++i) {
-      DBSP_ASSIGN_OR_RETURN(
-          Value v, EvaluateExpr(*set_exprs[i], *joined,
-                                static_cast<size_t>(m)));
-      DBSP_ASSIGN_OR_RETURN(row[set_cols[i]],
-                            v.CastTo(schema.column(set_cols[i]).type));
-    }
-    if (track) {
-      delta_old->AppendRowFrom(*target, r);
-      delta_new->AppendRow(row);
-    }
-    updated->AppendRow(row);
-    ++affected;
-  }
-  DBSP_RETURN_NOT_OK(
-      PersistUpsert(stmt.table_name, entry->primary_key_col, updated));
-  DBSP_RETURN_NOT_OK(catalog_.ReplaceContents(stmt.table_name, updated));
-  if (track && affected > 0) {
-    CaptureDelta(ss, stmt.table_name, std::move(delta_new),
-                 std::move(delta_old));
-  }
-  QueryResult result;
+  DBSP_RETURN_NOT_OK(CommitWrite(ss, stmt.table_name, *entry,
+                                 std::move(updated), std::move(inserts),
+                                 std::move(deletes)));
   result.table = Table::Make(Schema());
-  result.rows_affected = affected;
-  result.stats = exec_ctx.stats;
+  result.rows_affected = static_cast<int64_t>(hits.size());
   return result;
 }
 
 Result<QueryResult> Database::ExecuteDelete(SessionState& ss,
                                             const Statement& stmt) {
   DBSP_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Get(stmt.table_name));
-  TablePtr target = entry->table;
-  const Schema& schema = target->schema();
-
-  BoundExprPtr where;
-  if (stmt.where) {
-    Binder binder(&catalog_);
-    Binder::BindContext ctx;
-    ctx.schema = schema;
-    ctx.entries = {
-        Binder::ScopeEntry{"", stmt.table_name, 0, schema.num_columns()}};
-    DBSP_ASSIGN_OR_RETURN(where, binder.BindScalarExpr(*stmt.where, ctx));
+  const TablePtr target = entry->table;
+  DBSP_ASSIGN_OR_RETURN(QueryResult result, RunRowIdQuery(ss, stmt, *target));
+  std::vector<char> hit(target->num_rows(), 0);
+  const ColumnVector& ids = result.table->column(0);
+  for (size_t r = 0; r < ids.size(); ++r) hit[ids.Int64At(r)] = 1;
+  std::vector<uint32_t> keep, gone;
+  for (uint32_t r = 0; r < target->num_rows(); ++r) {
+    (hit[r] ? gone : keep).push_back(r);
   }
-
-  const bool track = views_.DependsOn(stmt.table_name);
-  TablePtr removed;
-  if (track) removed = Table::Make(schema);
-  std::vector<uint32_t> keep;
-  int64_t deleted = 0;
-  for (size_t r = 0; r < target->num_rows(); ++r) {
-    bool hit = true;
-    if (where) {
-      DBSP_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*where, *target, r));
-      hit = !v.is_null() && v.bool_value();
-    }
-    if (hit) {
-      if (track) removed->AppendRowFrom(*target, r);
-      ++deleted;
-    } else {
-      keep.push_back(static_cast<uint32_t>(r));
-    }
-  }
-  TablePtr remaining = target->Gather(keep);
-  DBSP_RETURN_NOT_OK(
-      PersistUpsert(stmt.table_name, entry->primary_key_col, remaining));
-  DBSP_RETURN_NOT_OK(catalog_.ReplaceContents(stmt.table_name, remaining));
-  if (track && deleted > 0) {
-    CaptureDelta(ss, stmt.table_name, nullptr, std::move(removed));
-  }
-  QueryResult result;
+  TablePtr deletes =
+      views_.DependsOn(stmt.table_name) ? target->Gather(gone) : nullptr;
+  DBSP_RETURN_NOT_OK(CommitWrite(ss, stmt.table_name, *entry,
+                                 target->Gather(keep), nullptr,
+                                 std::move(deletes)));
   result.table = Table::Make(Schema());
-  result.rows_affected = deleted;
+  result.rows_affected = static_cast<int64_t>(gone.size());
   return result;
 }
 
@@ -1388,6 +1248,17 @@ void Database::MaintainViews(SessionState& ss, ExecStats* stats) {
   Status st = gate ? gate(ss.cancel, drain) : drain();
   (void)st;
   if (stats != nullptr) MergeIvmCounters(local, stats);
+}
+
+Status Database::CommitWrite(SessionState& ss, const std::string& name,
+                             const CatalogEntry& entry, TablePtr updated,
+                             TablePtr inserts, TablePtr deletes) {
+  DBSP_RETURN_NOT_OK(PersistUpsert(name, entry.primary_key_col, updated));
+  DBSP_RETURN_NOT_OK(catalog_.ReplaceContents(name, std::move(updated)));
+  if (views_.DependsOn(name)) {
+    CaptureDelta(ss, name, std::move(inserts), std::move(deletes));
+  }
+  return Status::OK();
 }
 
 void Database::CaptureDelta(SessionState& ss, const std::string& table,

@@ -236,14 +236,25 @@ class Database {
 
  private:
   /// Snapshot-consistent contents of every registered view a statement's
-  /// queries reference, keyed by view name. Bound as CTE overlays so view
-  /// scans compose with the ordinary morsel pipeline.
+  /// queries reference, keyed by view name (and, for UPDATE and DELETE, the
+  /// target table with its row ids, keyed by table name). Bound as CTE
+  /// overlays so their scans compose with the ordinary morsel pipeline.
   using ViewBindings = std::vector<std::pair<std::string, TablePtr>>;
 
   Result<QueryResult> ExecuteStatement(SessionState& ss,
                                        const Statement& stmt);
-  Result<QueryResult> ExecuteSelect(SessionState& ss, Catalog* cat,
-                                    const Statement& stmt);
+  /// Collects the views `stmt` reads into `views` (after the bindings
+  /// already there) and prepares `query` under `stmt`'s CTEs against the
+  /// catalog view `cat`.
+  Result<Program> PrepareQuery(SessionState& ss, Catalog* cat,
+                               const Statement& stmt, const QueryNode& query,
+                               ViewBindings* views);
+  /// PrepareQuery, then RunProgramToResult: the one path of SELECT, the
+  /// sources of CTAS and INSERT ... SELECT, and RunRowIdQuery. Writers pass
+  /// a snapshot pinned under the writer slot they hold.
+  Result<QueryResult> RunQuery(SessionState& ss, Catalog* cat,
+                               const Statement& stmt, const QueryNode& query,
+                               ViewBindings views = {});
   Result<QueryResult> ExecuteExplain(SessionState& ss, Catalog* cat,
                                      const Statement& stmt);
   Result<QueryResult> ExecuteCreateTable(SessionState& ss,
@@ -252,6 +263,22 @@ class Database {
   Result<QueryResult> ExecuteUpdate(SessionState& ss, const Statement& stmt);
   Result<QueryResult> ExecuteDelete(SessionState& ss, const Statement& stmt);
   Result<QueryResult> ExecuteDrop(SessionState& ss, const Statement& stmt);
+
+  /// The one query an UPDATE or DELETE runs: `SELECT <t>.__rowid, <set
+  /// expressions> FROM <t> [CROSS JOIN <update_from>] WHERE <where>`, with
+  /// <t> bound, like a view overlay, to `target` plus an INT64 __rowid
+  /// column holding each row's position. Each output row names a hit row
+  /// and (for UPDATE) its new SET values.
+  Result<QueryResult> RunRowIdQuery(SessionState& ss, const Statement& stmt,
+                                    const Table& target);
+
+  /// The commit of every table write (COPY FROM, INSERT, UPDATE, DELETE):
+  /// WAL-logs `updated` as table `name`'s new version, publishes it, and
+  /// queues the statement's (inserts, deletes) for the views that depend on
+  /// `name`. Commit lock held; `entry` is the version the write read.
+  Status CommitWrite(SessionState& ss, const std::string& name,
+                     const CatalogEntry& entry, TablePtr updated,
+                     TablePtr inserts, TablePtr deletes);
 
   // --- incremental view maintenance (src/ivm/, DESIGN.md §14) -------------
 
@@ -282,8 +309,8 @@ class Database {
   void MaintainViews(SessionState& ss, ExecStats* stats);
 
   /// Captures one committed statement's (inserts, deletes) against `table`
-  /// for dependent views. Commit lock held; called after the catalog
-  /// publish so the pinned snapshot includes the mutation.
+  /// for dependent views. Commit lock held; called by CommitWrite after the
+  /// catalog publish so the pinned snapshot includes the mutation.
   void CaptureDelta(SessionState& ss, const std::string& table,
                     TablePtr inserts, TablePtr deletes);
 
@@ -308,8 +335,9 @@ class Database {
   /// Builds + optimizes a Program via `build` against the catalog view
   /// `cat`, running the static verifier (src/verify/) after binding, after
   /// each optimizer rule, and after the whole optimization pipeline, per
-  /// the session's verify options. All query paths (SELECT, EXPLAIN, CTAS,
-  /// INSERT ... SELECT) funnel through here.
+  /// the session's verify options. Every query path funnels through here:
+  /// SELECT, EXPLAIN, CTAS, INSERT ... SELECT, view maintenance, and the
+  /// row-id query of UPDATE [... FROM] and DELETE (RunRowIdQuery).
   Result<Program> PrepareProgram(
       SessionState& ss, Catalog* cat,
       const std::function<Result<Program>(class ProgramBuilder&)>& build);

@@ -84,6 +84,16 @@ bool TypeAgrees(TypeId have, TypeId want) {
   return have == want || have == TypeId::kNull || want == TypeId::kNull;
 }
 
+/// Join-key agreement: TypeAgrees, or an INT64/DOUBLE pair, which the row
+/// index hashes and compares by numeric value (DESIGN.md §11, "Row index").
+/// BOOL and STRING keys match only their own type.
+bool KeyTypesAgree(TypeId a, TypeId b) {
+  auto number = [](TypeId t) {
+    return t == TypeId::kInt64 || t == TypeId::kDouble;
+  };
+  return TypeAgrees(a, b) || (number(a) && number(b));
+}
+
 /// Exact positional type equality (names ignored; rewrites relabel freely).
 bool SameTypes(const Schema& a, const Schema& b) {
   if (a.num_columns() != b.num_columns()) return false;
@@ -373,7 +383,7 @@ class PipelineChecker {
                            right.num_columns()));
           break;
         }
-        if (!TypeAgrees(left.column(lk).type, right.column(rk).type)) {
+        if (!KeyTypesAgree(left.column(lk).type, right.column(rk).type)) {
           Add(DefectCode::kV204, op,
               StringPrintf("join key pair %zu compares %s against %s", i,
                            TypeName(left.column(lk).type),

@@ -317,6 +317,22 @@ TEST_F(IvmTest, RefreshRebuildsFromScratch) {
   ExpectViewMatches("v", kAggBody);
 }
 
+// UPDATE ... FROM reads a view like any other FROM item; a view that is a
+// join input of the write must be bound, not looked up in the catalog.
+TEST_F(IvmTest, UpdateFromReadsMaterializedView) {
+  Run("CREATE MATERIALIZED VIEW mv AS "
+      "SELECT node, status + 10 AS ns FROM vertexstatus");
+  Result<QueryResult> r = db_.Execute(
+      "UPDATE edges SET weight = mv.ns FROM mv WHERE edges.dst = mv.node");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows_affected, 5);
+  ExpectSameRows(MustQuery(&db_, "SELECT src, dst, weight FROM edges"),
+                 MustQuery(&db_,
+                           "SELECT e.src, e.dst, vs.status + 10 "
+                           "FROM edges AS e JOIN vertexstatus AS vs "
+                           "ON vs.node = e.dst"));
+}
+
 // --- durability --------------------------------------------------------------
 
 class IvmDurabilityTest : public ::testing::Test {

@@ -343,6 +343,109 @@ TEST_F(SqlTest, InsertDoesNotMutatePriorResults) {
   EXPECT_EQ(MustQuery(&db_, "SELECT * FROM t")->num_rows(), rows_before + 1);
 }
 
+/// Renders a table as "v,v;v,v" rows for compact expectations.
+std::string RenderRows(const Table& table) {
+  std::string out;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (r > 0) out += ";";
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (c > 0) out += ",";
+      out += table.GetValue(r, c).ToString();
+    }
+  }
+  return out;
+}
+
+// The semantics every write statement keeps, checked with the verifier
+// enforcing: a failed statement must leave `t` as the fixture loaded it.
+TEST_F(SqlTest, DmlSemanticsTable) {
+  struct Case {
+    const char* name;
+    std::vector<std::string> before;  ///< run first, must succeed
+    std::string sql;
+    StatusCode code;        ///< expected status of `sql`
+    int64_t rows_affected;  ///< checked when `code` is kOk
+    std::vector<std::string> after;  ///< run next, must succeed
+    std::string check;      ///< query rendered with RenderRows
+    std::string expected;
+  };
+  const std::string kAll = "SELECT a, b FROM t ORDER BY a";
+  const std::string kFixture = "1,1.5;2,2.5;3,NULL;4,4.5";
+  const std::vector<Case> cases = {
+      {"null-where-hits-nothing", {}, "UPDATE t SET a = 0 WHERE NULL",
+       StatusCode::kOk, 0, {}, kAll, kFixture},
+      {"null-comparison-hits-nothing", {}, "DELETE FROM t WHERE b = NULL",
+       StatusCode::kOk, 0, {}, kAll, kFixture},
+      {"null-column-skipped", {}, "UPDATE t SET a = a * 10 WHERE b > 2",
+       StatusCode::kOk, 2, {}, kAll, "1,1.5;3,NULL;20,2.5;40,4.5"},
+      {"set-error-leaves-table", {}, "UPDATE t SET b = a / 0 WHERE a = 1",
+       StatusCode::kExecutionError, 0, {}, kAll, kFixture},
+      {"filter-runs-before-set", {},
+       "UPDATE t SET b = 1 / (a - 2) WHERE a <> 2", StatusCode::kOk, 3, {},
+       kAll, "1,-1.0;2,2.5;3,1.0;4,0.0"},
+      {"set-rounds-to-bigint", {}, "UPDATE t SET a = 2.7 WHERE a = 1",
+       StatusCode::kOk, 1, {}, kAll, "2,2.5;3,1.5;3,NULL;4,4.5"},
+      {"insert-casts-string", {}, "INSERT INTO t (a) SELECT '12'",
+       StatusCode::kOk, 1, {}, kAll, kFixture + ";12,NULL"},
+      {"insert-bad-cast-fails", {}, "INSERT INTO t (a) SELECT 'x'",
+       StatusCode::kTypeError, 0, {}, kAll, kFixture},
+      {"update-from-two-matches",
+       {"CREATE TABLE w (a BIGINT, nb DOUBLE)",
+        "INSERT INTO w VALUES (1, 10.0), (1, 20.0), (3, 30.0)"},
+       "UPDATE t SET b = w.nb FROM w WHERE t.a = w.a", StatusCode::kOk, 2,
+       {},
+       "SELECT a, CASE WHEN b IN (10.0, 20.0) THEN 'w' "
+       "ELSE CAST(b AS VARCHAR) END FROM t ORDER BY a",
+       "1,w;2,2.5;3,30.0;4,4.5"},
+      {"update-from-self-join", {},
+       "UPDATE t SET b = t2.b FROM t AS t2 WHERE t.a = t2.a + 1",
+       StatusCode::kOk, 3, {}, kAll, "1,1.5;2,1.5;3,2.5;4,NULL"},
+      {"delete-without-where", {}, "DELETE FROM t", StatusCode::kOk, 4, {},
+       kAll, ""},
+      {"update-rolled-back", {"BEGIN"}, "UPDATE t SET b = 0",
+       StatusCode::kOk, 4, {"ROLLBACK"}, kAll, kFixture},
+      // The row-id query's own column name cannot be a target column.
+      {"rowid-column-rejected",
+       {"CREATE TABLE r (__rowid BIGINT)", "INSERT INTO r VALUES (7)"},
+       "DELETE FROM r", StatusCode::kNotImplemented, 0, {},
+       "SELECT * FROM r", "7"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Database db;
+    db.options().verify.enforce = true;
+    MustExecute(&db, "CREATE TABLE t (a BIGINT, b DOUBLE, s VARCHAR)");
+    MustExecute(&db,
+                "INSERT INTO t VALUES (1, 1.5, 'x'), (2, 2.5, 'y'), "
+                "(3, NULL, 'x'), (4, 4.5, NULL)");
+    for (const std::string& sql : c.before) MustExecute(&db, sql);
+    Result<QueryResult> result = db.Execute(c.sql);
+    EXPECT_EQ(result.status().code(), c.code) << result.status().ToString();
+    if (result.ok()) {
+      EXPECT_EQ(result->rows_affected, c.rows_affected);
+    }
+    for (const std::string& sql : c.after) MustExecute(&db, sql);
+    EXPECT_EQ(RenderRows(*MustQuery(&db, c.check)), c.expected);
+  }
+}
+
+// A write statement reports the execution counters of the query it ran,
+// like the SELECT it reads from does.
+TEST_F(SqlTest, DmlReturnsProgramStats) {
+  MustExecute(&db_, "CREATE TABLE u (a BIGINT, b DOUBLE, s VARCHAR)");
+  const char* statements[] = {
+      "INSERT INTO u SELECT * FROM t",
+      "UPDATE u SET b = 0 WHERE a > 1",
+      "UPDATE u SET b = t.b FROM t WHERE u.a = t.a",
+      "DELETE FROM u WHERE a = 4",
+  };
+  for (const char* sql : statements) {
+    Result<QueryResult> result = db_.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString() << "\nSQL: " << sql;
+    EXPECT_GT(result->stats.pipeline_rows_in, 0) << sql;
+  }
+}
+
 TEST_F(SqlTest, DropTable) {
   MustExecute(&db_, "DROP TABLE t");
   EXPECT_FALSE(db_.Query("SELECT * FROM t").ok());

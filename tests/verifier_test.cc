@@ -490,6 +490,32 @@ TEST(VerifierDefects, CleanCompiledPhysicalPlanProducesEmptyReport) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+// V204 on hash-join keys: the row index joins INT64 with DOUBLE by numeric
+// value, so that pair is legal; a number against a STRING or BOOL key is
+// still a chunk-type defect.
+TEST(VerifierDefects, JoinKeyTypesV204) {
+  struct Case {
+    TypeId left, right;
+    bool legal;
+  };
+  const Case cases[] = {
+      {TypeId::kInt64, TypeId::kDouble, true},
+      {TypeId::kDouble, TypeId::kInt64, true},
+      {TypeId::kInt64, TypeId::kString, false},
+      {TypeId::kDouble, TypeId::kBool, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(TypeName(c.left)) + " = " + TypeName(c.right));
+    PhysicalHashJoin op(Schema({{"x", c.left}, {"y", c.right}}),
+                        JoinType::kInner, {0}, {0}, nullptr);
+    op.AddChild(PhysValues(Schema({{"x", c.left}})));
+    op.AddChild(PhysValues(Schema({{"y", c.right}})));
+    VerifyReport report = VerifyPhysicalPlan(op);
+    EXPECT_EQ(HasCode(report, DefectCode::kV204), !c.legal)
+        << report.ToString();
+  }
+}
+
 // A step that consumes its own target before rebinding it (append/merge/
 // dedupe) must NOT be flagged as a dead store of the previous binding —
 // the regression behind the verifier's own first field bug.
