@@ -99,18 +99,15 @@ int Value::Compare(const Value& other) const {
   if (other.is_null_) return 1;
   if (IsNumeric(type_) && IsNumeric(other.type_)) {
     if (type_ == TypeId::kInt64 && other.type_ == TypeId::kInt64) {
-      return int_ < other.int_ ? -1 : (int_ > other.int_ ? 1 : 0);
+      return CompareScalars(int_, other.int_);
     }
-    double a = AsDouble();
-    double b = other.AsDouble();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    return CompareScalars(AsDouble(), other.AsDouble());
   }
   if (type_ == TypeId::kString && other.type_ == TypeId::kString) {
-    int c = string_.compare(other.string_);
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    return CompareScalars(string_, other.string_);
   }
   if (type_ == TypeId::kBool && other.type_ == TypeId::kBool) {
-    return int_ < other.int_ ? -1 : (int_ > other.int_ ? 1 : 0);
+    return CompareScalars(int_, other.int_);
   }
   // Heterogeneous non-numeric: order by type id for determinism.
   return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
@@ -126,7 +123,7 @@ size_t Value::Hash() const {
       // and DOUBLE (1 and 1.0, 2^53 + 1 and 2^53) hashes alike.
       return std::hash<double>()(static_cast<double>(int_));
     case TypeId::kDouble:
-      return std::hash<double>()(double_);
+      return HashDouble(double_);
     case TypeId::kString:
       return std::hash<std::string>()(string_);
     case TypeId::kNull:

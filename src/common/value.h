@@ -6,13 +6,40 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
 #include "common/types.h"
 
 namespace dbspinner {
+
+/// Three-way order of two non-NULL scalars of one type, as Value::Compare,
+/// ORDER BY, MIN/MAX and grouping use it. Returns <0, 0, >0.
+inline int CompareScalars(int64_t a, int64_t b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+/// Doubles: IEEE order, except that NaN equals itself and sorts above every
+/// number (as in PostgreSQL), which makes the order total. -0.0 equals 0.0.
+inline int CompareScalars(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
+inline int CompareScalars(const std::string& a, const std::string& b) {
+  int c = a.compare(b);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
+/// Hash of a double under which every NaN hashes alike, so grouping can
+/// put all NaNs in one group.
+inline size_t HashDouble(double d) {
+  return std::isnan(d) ? size_t{0x7ff8000000000000ULL}
+                       : std::hash<double>()(d);
+}
 
 /// A nullable scalar of one of the supported TypeIds.
 class Value {
@@ -82,7 +109,8 @@ class Value {
   /// Numerics compare cross-type (1 == 1.0).
   bool Equals(const Value& other) const;
 
-  /// Total ordering for ORDER BY / joins; NULLs sort first. Returns <0,0,>0.
+  /// Total ordering for ORDER BY / joins; NULLs sort first, NaN sorts
+  /// above every number and equals itself. Returns <0,0,>0.
   int Compare(const Value& other) const;
 
   /// Hash compatible with Equals (1 and 1.0 hash identically).
@@ -98,5 +126,9 @@ class Value {
   double double_ = 0;
   std::string string_;
 };
+
+inline int CompareScalars(const Value& a, const Value& b) {
+  return a.Compare(b);
+}
 
 }  // namespace dbspinner

@@ -1,66 +1,367 @@
 #include "exec/hash_aggregate.h"
 
+#include <cmath>
+#include <type_traits>
+
 namespace dbspinner {
 
 namespace {
 
-KeyColumns Raw(const std::vector<ColumnVectorPtr>& cols) {
-  KeyColumns out;
-  out.reserve(cols.size());
-  for (const auto& col : cols) out.push_back(col.get());
-  return out;
+using AggColumn = GroupedAggregator::AggColumn;
+
+/// One input column of a chunk: chunk position i is row sel[i] of `col`,
+/// or row begin + i when there is no selection.
+struct Input {
+  const ColumnVector* col = nullptr;
+  const uint32_t* sel = nullptr;
+  uint32_t begin = 0;
+};
+
+/// Position i of `chunk` in one of its base columns.
+Input BaseInput(const DataChunk& chunk, size_t column) {
+  return Input{&chunk.table().column(column),
+               chunk.contiguous() ? nullptr : chunk.selection().data(),
+               chunk.contiguous() ? chunk.begin() : 0};
+}
+
+/// A plain reference to a base column of the expression's own type: read
+/// in place, as EvaluateExprBatch's zero-copy path would.
+bool IsBaseColumn(const BoundExpr& expr, const DataChunk& chunk) {
+  return expr.kind == BoundExprKind::kColumnRef &&
+         chunk.table().column(expr.column_index).type() == expr.type;
+}
+
+/// Calls fn(i, row) for every chunk position i with its row in `in`.
+template <typename Fn>
+void ForEachRow(const Input& in, size_t n, Fn&& fn) {
+  if (in.sel != nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i, in.sel[i]);
+  } else {
+    for (uint32_t i = 0; i < n; ++i) fn(i, in.begin + i);
+  }
+}
+
+/// Calls fn(group, row) for every chunk row whose value in `in` is not
+/// NULL.
+template <typename Fn>
+void ForEachValue(const Input& in, const std::vector<uint32_t>& gids,
+                  Fn&& fn) {
+  const uint8_t* nulls = in.col->nulls().data();
+  ForEachRow(in, gids.size(), [&](size_t i, uint32_t r) {
+    if (!nulls[r]) fn(gids[i], r);
+  });
+}
+
+// The MIN/MAX extremes of `s` for inputs of type T.
+template <typename T>
+auto& Extremes(AggColumn* s) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return s->iext;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return s->dext;
+  } else {
+    return s->sext;
+  }
+}
+// The DISTINCT seen-sets of `s` for inputs of type T.
+template <typename T>
+auto& Seen(AggColumn* s) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return s->iseen;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return s->dseen;
+  } else {
+    return s->sseen;
+  }
+}
+
+/// Folds non-NULL input `v` into group `g` of `s` with the kind's fold
+/// step (expr/aggregate_functions.h). False when an integer SUM overflows.
+template <AggKind K, typename T>
+bool FoldInto(AggColumn* s, uint32_t g, const T& v) {
+  if constexpr (K == AggKind::kCount) {
+    ++s->count[g];
+  } else if constexpr (K == AggKind::kMin || K == AggKind::kMax) {
+    std::vector<T>& ext = Extremes<T>(s);
+    if (!s->has[g] || ReplacesExtreme(K, v, ext[g])) {
+      ext[g] = v;
+      s->has[g] = 1;
+    }
+  } else if constexpr (K == AggKind::kSum && std::is_same_v<T, int64_t>) {
+    ++s->count[g];
+    return AddToIntSum(&s->isum[g], v);
+  } else {
+    ++s->count[g];
+    AddToSum(&s->sum[g], static_cast<double>(v));
+    if constexpr (K == AggKind::kStdDev || K == AggKind::kVariance) {
+      AddToSumOfSquares(&s->sumsq[g], static_cast<double>(v));
+    }
+  }
+  return true;
+}
+
+/// Calls fn.template operator()<K>() for `kind` (not kCountStar). STRING
+/// inputs fold only into COUNT, MIN and MAX; the binder rejects the rest.
+template <typename T, typename Fn>
+Status WithKind(AggKind kind, Fn&& fn) {
+  switch (kind) {
+    case AggKind::kCount:
+      return fn.template operator()<AggKind::kCount>();
+    case AggKind::kMin:
+      return fn.template operator()<AggKind::kMin>();
+    case AggKind::kMax:
+      return fn.template operator()<AggKind::kMax>();
+    default:
+      break;
+  }
+  if constexpr (std::is_arithmetic_v<T>) {
+    switch (kind) {
+      case AggKind::kSum:
+        return fn.template operator()<AggKind::kSum>();
+      case AggKind::kAvg:
+        return fn.template operator()<AggKind::kAvg>();
+      case AggKind::kStdDev:
+        return fn.template operator()<AggKind::kStdDev>();
+      case AggKind::kVariance:
+        return fn.template operator()<AggKind::kVariance>();
+      default:
+        break;
+    }
+  }
+  return Status::Internal(std::string("no typed fold for ") +
+                          AggKindName(kind));
+}
+
+/// Calls fn(data) with the typed values of `col`: ints() for INT64 and
+/// BOOL, doubles(), or strings(). A NULL-typed column has no values.
+template <typename Fn>
+Status WithData(const ColumnVector& col, Fn&& fn) {
+  switch (col.type()) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+      return fn(col.ints().data());
+    case TypeId::kDouble:
+      return fn(col.doubles().data());
+    case TypeId::kString:
+      return fn(col.strings().data());
+    case TypeId::kNull:
+      break;
+  }
+  return Status::OK();
+}
+
+/// The typed update loop of one non-DISTINCT aggregate over a chunk.
+Status FoldColumn(AggColumn* s, const Input& in,
+                  const std::vector<uint32_t>& gids) {
+  return WithData(*in.col, [&](const auto* data) {
+    using T = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
+    return WithKind<T>(s->kind, [&]<AggKind K>() {
+      bool ok = true;
+      ForEachValue(in, gids, [&](uint32_t g, uint32_t r) {
+        ok &= FoldInto<K>(s, g, data[r]);
+      });
+      return ok ? Status::OK() : IntegerOverflow();
+    });
+  });
+}
+
+/// DISTINCT: adds a chunk's non-NULL inputs to the groups' seen sets.
+Status InsertDistinct(AggColumn* s, const Input& in,
+                      const std::vector<uint32_t>& gids) {
+  return WithData(*in.col, [&](const auto* data) {
+    using T = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
+    std::vector<DistinctFilter<T>>& seen = Seen<T>(s);
+    ForEachValue(in, gids, [&](uint32_t g, uint32_t r) {
+      seen[g].Insert(data[r]);
+    });
+    return Status::OK();
+  });
+}
+
+/// DISTINCT: folds every group's merged seen set into its state, once.
+template <typename T>
+Status FoldDistinct(AggColumn* s) {
+  std::vector<DistinctFilter<T>>& seen = Seen<T>(s);
+  return WithKind<T>(s->kind, [&]<AggKind K>() {
+    bool ok = true;
+    for (uint32_t g = 0; g < seen.size(); ++g) {
+      seen[g].ForEach([&](const T& v) { ok &= FoldInto<K>(s, g, v); });
+    }
+    return ok ? Status::OK() : IntegerOverflow();
+  });
+}
+
+/// Folds every group o of `from` into group gmap[o] of `into`.
+Status MergeColumn(AggColumn* into, const AggColumn& from,
+                   const std::vector<uint32_t>& gmap) {
+  const size_t n = gmap.size();
+  if (into->distinct) {
+    auto merge_seen = [&](auto& seen, const auto& other) {
+      if (other.empty()) return;
+      for (uint32_t o = 0; o < n; ++o) seen[gmap[o]].MergeFrom(other[o]);
+    };
+    merge_seen(into->iseen, from.iseen);
+    merge_seen(into->dseen, from.dseen);
+    merge_seen(into->sseen, from.sseen);
+    return Status::OK();
+  }
+  if (into->kind == AggKind::kMin || into->kind == AggKind::kMax) {
+    auto merge_extremes = [&](const auto& other) {
+      for (uint32_t o = 0; o < other.size(); ++o) {
+        if (!from.has[o]) continue;
+        if (into->kind == AggKind::kMin) {
+          FoldInto<AggKind::kMin>(into, gmap[o], other[o]);
+        } else {
+          FoldInto<AggKind::kMax>(into, gmap[o], other[o]);
+        }
+      }
+    };
+    merge_extremes(from.iext);
+    merge_extremes(from.dext);
+    merge_extremes(from.sext);
+    return Status::OK();
+  }
+  bool ok = true;
+  for (uint32_t o = 0; o < n; ++o) {
+    const uint32_t g = gmap[o];
+    if (!from.count.empty()) into->count[g] += from.count[o];
+    if (!from.isum.empty()) ok &= AddToIntSum(&into->isum[g], from.isum[o]);
+    if (!from.sum.empty()) into->sum[g] += from.sum[o];
+    if (!from.sumsq.empty()) into->sumsq[g] += from.sumsq[o];
+  }
+  return ok ? Status::OK() : IntegerOverflow();
+}
+
+/// The finalized values of one aggregate, one per group, typed
+/// `result_type`.
+ColumnVectorPtr EmitColumn(const AggColumn& s, size_t groups,
+                           TypeId result_type) {
+  auto col = std::make_shared<ColumnVector>(result_type);
+  col->Reserve(groups);
+  for (size_t g = 0; g < groups; ++g) {
+    switch (s.kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        col->AppendInt64(s.count[g]);
+        break;
+      case AggKind::kSum:
+        if (s.count[g] == 0) {
+          col->AppendNull();
+        } else if (!s.isum.empty()) {
+          col->AppendInt64(s.isum[g]);
+        } else {
+          col->AppendDouble(s.sum[g]);
+        }
+        break;
+      case AggKind::kAvg:
+        if (s.count[g] == 0) {
+          col->AppendNull();
+        } else {
+          col->AppendDouble(s.sum[g] / static_cast<double>(s.count[g]));
+        }
+        break;
+      case AggKind::kStdDev:
+      case AggKind::kVariance: {
+        // Sample statistics (n - 1); NULL for fewer than two inputs.
+        if (s.count[g] < 2) {
+          col->AppendNull();
+          break;
+        }
+        double variance = SampleVariance(s.count[g], s.sum[g], s.sumsq[g]);
+        col->AppendDouble(s.kind == AggKind::kVariance ? variance
+                                                       : std::sqrt(variance));
+        break;
+      }
+      case AggKind::kMin:
+      case AggKind::kMax:
+        if (!s.has[g]) {
+          col->AppendNull();
+        } else if (!s.iext.empty()) {
+          col->AppendInt64(s.iext[g]);
+        } else if (!s.dext.empty()) {
+          col->AppendDouble(s.dext[g]);
+        } else {
+          col->AppendString(s.sext[g]);
+        }
+        break;
+    }
+  }
+  return col;
+}
+
+/// `col` as a column of `type` (itself when it already is).
+ColumnVectorPtr CastColumn(ColumnVectorPtr col, TypeId type) {
+  if (col->type() == type) return col;
+  auto cast = std::make_shared<ColumnVector>(type);
+  cast->AppendAll(*col);
+  return cast;
 }
 
 }  // namespace
 
-GroupedAggregator::Group GroupedAggregator::MakeGroup() const {
-  Group g;
-  g.states.reserve(aggregates_->size());
+void GroupedAggregator::AggColumn::Grow(size_t groups) {
+  const bool sums = kind == AggKind::kSum || kind == AggKind::kAvg ||
+                    kind == AggKind::kStdDev || kind == AggKind::kVariance;
+  const bool extremes = kind == AggKind::kMin || kind == AggKind::kMax;
+  const bool ints = arg_type == TypeId::kInt64 || arg_type == TypeId::kBool;
+  auto grow = [groups](auto& v, bool used) {
+    if (used) v.resize(groups);
+  };
+  grow(count, kind == AggKind::kCountStar || kind == AggKind::kCount || sums);
+  grow(isum, kind == AggKind::kSum && ints);
+  grow(sum, sums && !(kind == AggKind::kSum && ints));
+  grow(sumsq, kind == AggKind::kStdDev || kind == AggKind::kVariance);
+  grow(has, extremes);
+  grow(iext, extremes && ints);
+  grow(dext, extremes && arg_type == TypeId::kDouble);
+  grow(sext, extremes && arg_type == TypeId::kString);
+  grow(iseen, distinct && ints);
+  grow(dseen, distinct && arg_type == TypeId::kDouble);
+  grow(sseen, distinct && arg_type == TypeId::kString);
+}
+
+GroupedAggregator::GroupedAggregator(
+    const std::vector<BoundExprPtr>* group_exprs,
+    const std::vector<AggregateSpec>* aggregates, const Schema* output_schema)
+    : group_exprs_(group_exprs),
+      aggregates_(aggregates),
+      output_schema_(output_schema) {
+  states_.reserve(aggregates_->size());
   for (const AggregateSpec& spec : *aggregates_) {
-    g.states.emplace_back(spec.kind);
-  }
-  g.distincts.resize(aggregates_->size());
-  return g;
-}
-
-void GroupedAggregator::UpdateGroup(
-    Group* g, const std::vector<ColumnVectorPtr>& arg_cols, size_t row) {
-  const std::vector<AggregateSpec>& aggs = *aggregates_;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    Value v = aggs[a].arg ? arg_cols[a]->GetValue(row) : Value();
-    if (aggs[a].distinct) {
-      // Distinct aggregates fold at Finalize, after partials merge: the
-      // state update is deferred and only the seen-set grows here. NULLs
-      // are dropped outright — Update(NULL) is a no-op for every kind that
-      // can carry DISTINCT, so this matches the legacy row loop.
-      if (!v.is_null()) g->distincts[a].Insert(v);
-      continue;
-    }
-    g->states[a].Update(v);
+    AggColumn s;
+    s.kind = spec.kind;
+    s.arg_type = spec.arg ? spec.arg->type : TypeId::kNull;
+    s.distinct = spec.distinct;
+    states_.push_back(std::move(s));
   }
 }
 
-void GroupedAggregator::EnsureKeyStore(
-    const std::vector<ColumnVectorPtr>& key_cols) {
-  if (key_cols.empty()) return;
+void GroupedAggregator::GrowStates() {
+  for (AggColumn& s : states_) s.Grow(num_groups_);
+}
+
+void GroupedAggregator::EnsureKeyStore(const KeyColumns& keys) {
+  if (keys.empty()) return;
   if (key_store_.empty()) {
-    key_store_.reserve(key_cols.size());
-    for (const auto& col : key_cols) {
+    key_store_.reserve(keys.size());
+    for (const ColumnVector* col : keys) {
       key_store_.push_back(std::make_shared<ColumnVector>(col->type()));
     }
   }
-  std::vector<TypeId> types = KeyTypes(Raw(key_cols));
+  std::vector<TypeId> types = KeyTypes(keys);
   if (!index_.Accepts(types)) {
-    index_ = RowIndex::Build(Raw(key_store_), types, RowIndex::Nulls::kMatch);
+    KeyColumns store;
+    for (const auto& col : key_store_) store.push_back(col.get());
+    index_ = RowIndex::Build(std::move(store), types, RowIndex::Nulls::kMatch);
   }
 }
 
-size_t GroupedAggregator::FindOrCreateGroup(const KeyColumns& keys,
-                                            size_t row) {
-  const uint32_t fresh = static_cast<uint32_t>(groups_.size());
+uint32_t GroupedAggregator::FindOrCreateGroup(const KeyColumns& keys,
+                                              size_t row) {
+  const uint32_t fresh = static_cast<uint32_t>(num_groups_);
   const uint32_t gid = index_.FindOrInsert(keys, row, fresh);
   if (gid == fresh) {
-    groups_.push_back(MakeGroup());
+    ++num_groups_;
     for (size_t k = 0; k < key_store_.size(); ++k) {
       key_store_[k]->AppendFrom(*keys[k], row);
     }
@@ -68,112 +369,129 @@ size_t GroupedAggregator::FindOrCreateGroup(const KeyColumns& keys,
   return gid;
 }
 
-Status GroupedAggregator::Consume(const Table& input) {
-  size_t n = input.num_rows();
-  size_t ng = group_exprs_->size();
-  size_t na = aggregates_->size();
+Status GroupedAggregator::Consume(const DataChunk& chunk) {
+  const size_t n = chunk.size();
+  const size_t ng = group_exprs_->size();
   rows_consumed_ += static_cast<int64_t>(n);
 
-  if (ng == 0 && groups_.empty()) {
-    groups_.push_back(MakeGroup());  // global aggregate: exactly one group
+  if (ng == 0 && num_groups_ == 0) {
+    num_groups_ = 1;  // global aggregate: exactly one group
+    GrowStates();
   }
   if (n == 0) return Status::OK();
 
-  std::vector<ColumnVectorPtr> key_cols;
-  key_cols.reserve(ng);
-  for (const auto& g : *group_exprs_) {
-    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExprBatch(*g, input));
-    key_cols.push_back(std::move(col));
-  }
-  std::vector<ColumnVectorPtr> arg_cols(na);
-  for (size_t a = 0; a < na; ++a) {
-    if ((*aggregates_)[a].arg) {
-      DBSP_ASSIGN_OR_RETURN(
-          arg_cols[a], EvaluateExprBatch(*(*aggregates_)[a].arg, input));
+  // Computed keys and arguments are evaluated over one dense copy of the
+  // chunk's rows (the base itself when the chunk spans all of it);
+  // `evaluated` keeps their columns alive.
+  TablePtr dense;
+  std::vector<ColumnVectorPtr> evaluated;
+  auto evaluate = [&](const BoundExpr& expr) -> Result<Input> {
+    if (dense == nullptr) {
+      const bool whole = chunk.contiguous() && chunk.begin() == 0 &&
+                         n == chunk.table().num_rows();
+      dense = whole ? chunk.base() : chunk.Materialize();
     }
+    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                          EvaluateExprBatch(expr, *dense));
+    evaluated.push_back(col);
+    return Input{col.get(), nullptr, 0};
+  };
+  auto resolve = [&](const BoundExpr& expr) -> Result<Input> {
+    if (IsBaseColumn(expr, chunk)) return BaseInput(chunk, expr.column_index);
+    return evaluate(expr);
+  };
+
+  gids_.assign(n, 0);
+  if (ng > 0) {
+    // The keys share one row mapping: all base columns, or all evaluated.
+    bool all_base = true;
+    for (const auto& g : *group_exprs_) all_base &= IsBaseColumn(*g, chunk);
+    KeyColumns keys;
+    Input rows;
+    for (const auto& g : *group_exprs_) {
+      DBSP_ASSIGN_OR_RETURN(rows, all_base ? resolve(*g) : evaluate(*g));
+      keys.push_back(rows.col);
+    }
+    EnsureKeyStore(keys);
+    ForEachRow(rows, n, [&](size_t i, uint32_t r) {
+      gids_[i] = FindOrCreateGroup(keys, r);
+    });
+    GrowStates();
   }
 
-  if (ng == 0) {
-    for (size_t i = 0; i < n; ++i) UpdateGroup(&groups_[0], arg_cols, i);
-    return Status::OK();
-  }
-
-  EnsureKeyStore(key_cols);
-  const KeyColumns keys = Raw(key_cols);
-  for (size_t i = 0; i < n; ++i) {
-    UpdateGroup(&groups_[FindOrCreateGroup(keys, i)], arg_cols, i);
+  for (size_t a = 0; a < states_.size(); ++a) {
+    AggColumn* s = &states_[a];
+    if (s->kind == AggKind::kCountStar) {
+      for (uint32_t g : gids_) ++s->count[g];
+      continue;
+    }
+    DBSP_ASSIGN_OR_RETURN(Input in, resolve(*(*aggregates_)[a].arg));
+    // Distinct aggregates fold at Finalize, after partials merge: only the
+    // seen-sets grow here. NULLs are dropped outright, as no kind that
+    // can carry DISTINCT folds a NULL.
+    DBSP_RETURN_NOT_OK(s->distinct ? InsertDistinct(s, in, gids_)
+                                   : FoldColumn(s, in, gids_));
   }
   return Status::OK();
 }
 
 Status GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
-  size_t na = aggregates_->size();
   rows_consumed_ += other.rows_consumed_;
+  if (other.num_groups_ == 0) return Status::OK();
 
-  auto merge_group = [na](Group* into, const Group& from) {
-    for (size_t a = 0; a < na; ++a) {
-      into->states[a].MergeFrom(from.states[a]);
-      into->distincts[a].MergeFrom(from.distincts[a]);
-    }
-  };
-
+  // gmap[o]: this aggregator's group for the other's group o.
+  std::vector<uint32_t> gmap(other.num_groups_, 0);
   if (group_exprs_->empty()) {
-    if (other.groups_.empty()) return Status::OK();
-    if (groups_.empty()) groups_.push_back(MakeGroup());
-    merge_group(&groups_[0], other.groups_[0]);
-    return Status::OK();
+    num_groups_ = 1;
+  } else {
+    KeyColumns keys;
+    for (const auto& col : other.key_store_) keys.push_back(col.get());
+    EnsureKeyStore(keys);
+    for (uint32_t o = 0; o < other.num_groups_; ++o) {
+      gmap[o] = FindOrCreateGroup(keys, o);
+    }
   }
-
-  EnsureKeyStore(other.key_store_);
-  const KeyColumns keys = Raw(other.key_store_);
-  for (size_t o = 0; o < other.groups_.size(); ++o) {
-    merge_group(&groups_[FindOrCreateGroup(keys, o)], other.groups_[o]);
+  GrowStates();
+  for (size_t a = 0; a < states_.size(); ++a) {
+    DBSP_RETURN_NOT_OK(MergeColumn(&states_[a], other.states_[a], gmap));
   }
   return Status::OK();
 }
 
 Result<TablePtr> GroupedAggregator::Finalize() {
-  size_t ng = group_exprs_->size();
-  size_t na = aggregates_->size();
+  const size_t ng = group_exprs_->size();
   const std::vector<AggregateSpec>& aggs = *aggregates_;
 
   // A zero-input global aggregate still emits its single row.
-  if (ng == 0 && groups_.empty()) groups_.push_back(MakeGroup());
-
-  auto finalize_agg = [&](const Group& g, size_t a) {
-    if (aggs[a].distinct) {
-      // Fold the merged distinct set exactly once, now that every partial
-      // has contributed its values.
-      AggState s(aggs[a].kind);
-      g.distincts[a].ForEach([&s](const Value& v) { s.Update(v); });
-      return s.Finalize(aggs[a].result_type);
-    }
-    return g.states[a].Finalize(aggs[a].result_type);
-  };
+  if (ng == 0 && num_groups_ == 0) {
+    num_groups_ = 1;
+    GrowStates();
+  }
 
   std::vector<ColumnVectorPtr> out_cols;
-  out_cols.reserve(ng + na);
+  out_cols.reserve(ng + aggs.size());
   for (size_t k = 0; k < ng; ++k) {
     // A grouped aggregate that never consumed a row has no key store;
     // it emits zero groups through empty columns of the output types.
-    ColumnVectorPtr col =
-        k < key_store_.size()
-            ? key_store_[k]
-            : std::make_shared<ColumnVector>(output_schema_->column(k).type);
-    if (col->type() != output_schema_->column(k).type) {
-      auto cast =
-          std::make_shared<ColumnVector>(output_schema_->column(k).type);
-      cast->AppendAll(*col);
-      col = std::move(cast);
-    }
-    out_cols.push_back(std::move(col));
+    const TypeId type = output_schema_->column(k).type;
+    out_cols.push_back(k < key_store_.size()
+                           ? CastColumn(key_store_[k], type)
+                           : std::make_shared<ColumnVector>(type));
   }
-  for (size_t a = 0; a < na; ++a) {
-    auto col =
-        std::make_shared<ColumnVector>(output_schema_->column(ng + a).type);
-    col->Reserve(groups_.size());
-    for (const Group& g : groups_) col->Append(finalize_agg(g, a));
-    out_cols.push_back(std::move(col));
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    AggColumn* s = &states_[a];
+    if (s->distinct) {
+      // Fold the merged distinct sets exactly once, now that every partial
+      // has contributed its values.
+      if (!s->iseen.empty()) DBSP_RETURN_NOT_OK(FoldDistinct<int64_t>(s));
+      if (!s->dseen.empty()) DBSP_RETURN_NOT_OK(FoldDistinct<double>(s));
+      if (!s->sseen.empty()) {
+        DBSP_RETURN_NOT_OK(FoldDistinct<std::string>(s));
+      }
+    }
+    out_cols.push_back(
+        CastColumn(EmitColumn(*s, num_groups_, aggs[a].result_type),
+                   output_schema_->column(ng + a).type));
   }
   return Table::FromColumns(*output_schema_, std::move(out_cols));
 }

@@ -1,17 +1,21 @@
 // Streaming grouped aggregation with mergeable partials.
 //
 // GroupedAggregator is the hash-aggregation kernel behind the pipeline
-// executor's aggregate sink (DESIGN.md §11): each pipeline worker folds its
-// morsels into a private partial table, and the partials are merged once at
-// the breaker. Merging is exact: every AggState is a commutative
-// monoid, and DISTINCT aggregates defer state updates until Finalize so
+// executor's aggregate sink (DESIGN.md §11, "Typed breakers"): each pipeline
+// worker folds its morsels into a private partial, and the partials are
+// merged once at the breaker. State is flat: per aggregate, one array per
+// running quantity, indexed by group id, updated by one typed loop per
+// (kind, argument type). Merging is exact: every state is a commutative
+// monoid, and DISTINCT aggregates defer their folds until Finalize so
 // unioned distinct sets count each value exactly once.
 
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "exec/data_chunk.h"
 #include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
@@ -25,42 +29,60 @@ class GroupedAggregator {
   /// aggregator (they belong to the PhysicalHashAggregate driving it).
   GroupedAggregator(const std::vector<BoundExprPtr>* group_exprs,
                     const std::vector<AggregateSpec>* aggregates,
-                    const Schema* output_schema)
-      : group_exprs_(group_exprs),
-        aggregates_(aggregates),
-        output_schema_(output_schema) {}
+                    const Schema* output_schema);
 
-  /// Evaluates the group-key and aggregate-argument expressions over
-  /// `input` and folds every row into the hash table.
-  Status Consume(const Table& input);
+  /// Folds every row of `chunk` into the groups. Plain column references
+  /// read the chunk's base columns in place; other expressions are
+  /// evaluated over the chunk's rows, materialized once. Fails when an
+  /// integer SUM overflows.
+  Status Consume(const DataChunk& chunk);
 
   /// Folds another partial (built over the same operator) into this one.
   Status MergeFrom(const GroupedAggregator& other);
 
   /// Emits the output table: group keys (first-occurrence values, cast to
   /// the output schema) then finalized aggregates. A global aggregate (no
-  /// GROUP BY) emits exactly one row even when nothing was consumed.
+  /// GROUP BY) emits exactly one row even when nothing was consumed. Call
+  /// once: it folds the DISTINCT sets into the state. Fails when an
+  /// integer SUM DISTINCT overflows.
   Result<TablePtr> Finalize();
 
-  size_t num_groups() const { return groups_.size(); }
+  size_t num_groups() const { return num_groups_; }
   int64_t rows_consumed() const { return rows_consumed_; }
 
- private:
-  struct Group {
-    std::vector<AggState> states;
-    std::vector<DistinctFilter> distincts;
+  /// One aggregate's running state over every group: flat arrays indexed by
+  /// group id. Only the arrays its kind and argument type use are sized.
+  struct AggColumn {
+    AggKind kind = AggKind::kCountStar;
+    TypeId arg_type = TypeId::kNull;
+    bool distinct = false;
+    std::vector<int64_t> count;  ///< COUNT; non-NULL inputs of SUM..VARIANCE
+    std::vector<int64_t> isum;   ///< SUM over INT64
+    std::vector<double> sum;     ///< SUM over DOUBLE, AVG, STDDEV, VARIANCE
+    std::vector<double> sumsq;   ///< STDDEV, VARIANCE
+    std::vector<uint8_t> has;    ///< MIN/MAX: the group saw a value
+    std::vector<int64_t> iext;   ///< MIN/MAX extreme over INT64/BOOL
+    std::vector<double> dext;    ///< MIN/MAX extreme over DOUBLE
+    std::vector<std::string> sext;  ///< MIN/MAX extreme over STRING
+    /// DISTINCT only: each group's distinct inputs, by argument type.
+    std::vector<DistinctFilter<int64_t>> iseen;
+    std::vector<DistinctFilter<double>> dseen;
+    std::vector<DistinctFilter<std::string>> sseen;
+
+    /// Sizes the used arrays for `groups` groups (new groups start empty).
+    void Grow(size_t groups);
   };
 
-  Group MakeGroup() const;
-  void UpdateGroup(Group* g, const std::vector<ColumnVectorPtr>& arg_cols,
-                   size_t row);
-  /// Lazily creates the per-group key storage with the evaluated key
-  /// column types (stable across chunks for a fixed expression), and
-  /// makes sure the group index takes probes of those types.
-  void EnsureKeyStore(const std::vector<ColumnVectorPtr>& key_cols);
+ private:
+  /// Lazily creates the per-group key storage with the key column types
+  /// (stable across chunks for a fixed expression), and makes sure the
+  /// group index takes probes of those types.
+  void EnsureKeyStore(const KeyColumns& keys);
   /// Finds the group whose stored key equals row `row` of `keys`, or
   /// creates it (appending the key values to the store).
-  size_t FindOrCreateGroup(const KeyColumns& keys, size_t row);
+  uint32_t FindOrCreateGroup(const KeyColumns& keys, size_t row);
+  /// Sizes every aggregate's arrays for num_groups_.
+  void GrowStates();
 
   const std::vector<BoundExprPtr>* group_exprs_;
   const std::vector<AggregateSpec>* aggregates_;
@@ -69,9 +91,12 @@ class GroupedAggregator {
   /// One column per group expression, one entry per group (in group order):
   /// the first-occurrence key values, also the equality side of the probe.
   std::vector<ColumnVectorPtr> key_store_;
-  std::vector<Group> groups_;
+  std::vector<AggColumn> states_;  ///< one per aggregate
+  size_t num_groups_ = 0;
   /// Over key_store_: a group's id is its key's row in the store.
   RowIndex index_;
+  /// Consume scratch: the group id of each chunk row.
+  std::vector<uint32_t> gids_;
   int64_t rows_consumed_ = 0;
 };
 

@@ -440,7 +440,9 @@ class PhysicalSetDifference final : public PhysicalOp {
   bool intersect_;
 };
 
-/// ORDER BY. Stable sort; NULLs first.
+/// ORDER BY. A stable order on typed per-key comparators (DESIGN.md §11,
+/// "Typed breakers"): NULLs first before the DESC flip, NaN above every
+/// number, ties in input order.
 class PhysicalSort final : public PhysicalOp {
  public:
   struct Key {
@@ -451,9 +453,15 @@ class PhysicalSort final : public PhysicalOp {
       : PhysicalOp(std::move(schema)), keys_(std::move(keys)) {}
   Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "Sort"; }
+  std::string Describe() const override;
+
+  /// Emits only the first `rows` rows of the order (a top-N selection);
+  /// the planner sets offset + limit when a LIMIT sits on the sort.
+  void set_top_n(int64_t rows) { top_n_ = rows; }
 
  private:
   std::vector<Key> keys_;
+  int64_t top_n_ = -1;  ///< -1: every row
 };
 
 /// Semi-join filter against the key set in column 0 of a named intermediate

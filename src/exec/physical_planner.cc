@@ -131,6 +131,16 @@ Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical,
       break;
     }
     case LogicalOpKind::kLimit:
+      // ORDER BY ... LIMIT: the sort only needs the first offset + limit
+      // rows of its order; the limit still slices them.
+      if (auto* sort = dynamic_cast<PhysicalSort*>(children[0].get());
+          sort != nullptr && logical.limit >= 0) {
+        int64_t rows = 0;
+        if (__builtin_add_overflow(logical.offset, logical.limit, &rows)) {
+          rows = INT64_MAX;
+        }
+        sort->set_top_n(rows);
+      }
       op = std::make_unique<PhysicalLimit>(logical.output_schema,
                                            logical.limit, logical.offset);
       break;

@@ -311,8 +311,9 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
 // aggregate never sees a materialized input table. Each morsel streams
 // through the compiled stages and folds directly into a GroupedAggregator —
 // one private partial per worker slot under MPP, merged once at the breaker
-// (exact: AggState is a commutative monoid and DISTINCT defers to Finalize),
-// so a parallel GROUP BY never repartitions its input on the group key.
+// (exact: every aggregate state is a commutative monoid and DISTINCT defers
+// to Finalize), so a parallel GROUP BY never repartitions its input on the
+// group key.
 Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
                                       ExecContext& ctx) {
   const auto& agg = static_cast<const PhysicalHashAggregate&>(top);
@@ -329,16 +330,6 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
       SplitIntoMorsels(source, ctx.options->morsel_size);
 
   LocalStats total;
-  auto consume = [](GroupedAggregator* into, const DataChunk& chunk) {
-    // Feed the sink a dense table; a chunk that still spans its whole base
-    // unchanged is consumed in place (the zero-copy analogue of the
-    // streaming sink's passthrough).
-    if (chunk.contiguous() && chunk.begin() == 0 && chunk.base() &&
-        chunk.size() == chunk.base()->num_rows()) {
-      return into->Consume(*chunk.base());
-    }
-    return into->Consume(*chunk.Materialize());
-  };
 
   GroupedAggregator merged(&agg.group_exprs(), &agg.aggregates(),
                            &agg.output_schema());
@@ -359,7 +350,7 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
           DBSP_ASSIGN_OR_RETURN(DataChunk chunk,
                                 RunChunk(stages, morsels[m], &lstats[slot]));
           if (chunk.empty()) return Status::OK();
-          return consume(&partials[slot], chunk);
+          return partials[slot].Consume(chunk);
         },
         ctx.faults, "exec.pipeline.morsel", &ctx.cancel,
         &ctx.stats.morsels_stolen);
@@ -378,7 +369,7 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
       DBSP_ASSIGN_OR_RETURN(DataChunk chunk,
                             RunChunk(stages, std::move(morsel), &total));
       if (chunk.empty()) continue;
-      DBSP_RETURN_NOT_OK(consume(&merged, chunk));
+      DBSP_RETURN_NOT_OK(merged.Consume(chunk));
     }
   }
 

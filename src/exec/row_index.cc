@@ -1,6 +1,7 @@
 #include "exec/row_index.h"
 
 #include <bit>
+#include <cmath>
 
 namespace dbspinner {
 
@@ -11,6 +12,15 @@ bool RowHasNullKey(const KeyColumns& keys, size_t row) {
     if (k->IsNull(row)) return true;
   }
   return false;
+}
+
+// Whether row i of `a` and row j of `b` are both NaN: one group under
+// kMatch, though NaN = NaN is false for a join.
+bool BothNaN(const ColumnVector& a, size_t i, const ColumnVector& b,
+             size_t j) {
+  return a.type() == TypeId::kDouble && b.type() == TypeId::kDouble &&
+         !a.IsNull(i) && !b.IsNull(j) && std::isnan(a.DoubleAt(i)) &&
+         std::isnan(b.DoubleAt(j));
 }
 
 }  // namespace
@@ -91,7 +101,8 @@ bool RowIndex::KeysEqual(const KeyColumns& keys, size_t row,
         probe_types_[i] == TypeId::kDouble && !a.IsNull(row) &&
         !b.IsNull(e)) {
       if (a.NumericAt(row) != b.NumericAt(e)) return false;
-    } else if (!a.EqualsAt(row, b, e)) {
+    } else if (!a.EqualsAt(row, b, e) &&
+               !(nulls_ == Nulls::kMatch && BothNaN(a, row, b, e))) {
       return false;
     }
   }

@@ -35,7 +35,8 @@ class RowIndex {
   /// How NULL keys behave. An equi-join never matches a NULL key, so
   /// kSkip leaves NULL-keyed build rows out and makes NULL probes miss.
   /// Grouping, DISTINCT, set operations and merges treat NULL as a value
-  /// equal to itself (kMatch), as ColumnVector::EqualsAt does.
+  /// equal to itself (kMatch), as ColumnVector::EqualsAt does, and all
+  /// NaNs as one value.
   enum class Nulls { kSkip, kMatch };
 
   /// An index with no build columns; assign a real one before use.

@@ -80,44 +80,42 @@ AggregateSpec AggregateSpec::Clone() const {
   return s;
 }
 
-void AggState::Update(const Value& v) {
+Status IntegerOverflow() { return Status::ExecutionError("integer overflow"); }
+
+Status AggState::Update(const Value& v) {
   switch (kind_) {
     case AggKind::kCountStar:
       ++count_;
-      return;
+      return Status::OK();
     case AggKind::kCount:
       if (!v.is_null()) ++count_;
-      return;
+      return Status::OK();
     case AggKind::kSum:
     case AggKind::kAvg:
     case AggKind::kStdDev:
     case AggKind::kVariance:
-      if (v.is_null()) return;
+      if (v.is_null()) return Status::OK();
       has_value_ = true;
       ++count_;
-      if (v.type() == TypeId::kInt64) {
-        isum_ += v.int64_value();
-        sum_ += static_cast<double>(v.int64_value());
-      } else {
+      if (v.type() != TypeId::kInt64) {
         all_int_ = false;
-        sum_ += v.AsDouble();
+      } else if (kind_ == AggKind::kSum &&
+                 !AddToIntSum(&isum_, v.int64_value())) {
+        return IntegerOverflow();
       }
-      sum_squares_ += v.AsDouble() * v.AsDouble();
-      return;
+      AddToSum(&sum_, v.AsDouble());
+      AddToSumOfSquares(&sum_squares_, v.AsDouble());
+      return Status::OK();
     case AggKind::kMin:
     case AggKind::kMax:
-      if (v.is_null()) return;
-      if (!has_value_) {
+      if (v.is_null()) return Status::OK();
+      if (!has_value_ || ReplacesExtreme(kind_, v, extreme_)) {
         extreme_ = v;
         has_value_ = true;
-        return;
       }
-      if (kind_ == AggKind::kMin ? v.Compare(extreme_) < 0
-                                 : v.Compare(extreme_) > 0) {
-        extreme_ = v;
-      }
-      return;
+      return Status::OK();
   }
+  return Status::OK();
 }
 
 Value AggState::Finalize(TypeId result_type) const {
@@ -138,9 +136,7 @@ Value AggState::Finalize(TypeId result_type) const {
     case AggKind::kVariance: {
       // Sample statistics (n - 1); NULL for fewer than two inputs.
       if (count_ < 2) return Value::Null(TypeId::kDouble);
-      double n = static_cast<double>(count_);
-      double variance =
-          std::max(0.0, (sum_squares_ - sum_ * sum_ / n) / (n - 1));
+      double variance = SampleVariance(count_, sum_, sum_squares_);
       return Value::Double(kind_ == AggKind::kVariance
                                ? variance
                                : std::sqrt(variance));
@@ -170,13 +166,12 @@ bool AggState::Retract(const Value& v) {
     case AggKind::kVariance:
       if (v.is_null()) return true;
       if (count_ == 0) return false;
-      --count_;
-      if (v.type() == TypeId::kInt64) {
-        isum_ -= v.int64_value();
-        sum_ -= static_cast<double>(v.int64_value());
-      } else {
-        sum_ -= v.AsDouble();
+      if (v.type() == TypeId::kInt64 && kind_ == AggKind::kSum &&
+          __builtin_sub_overflow(isum_, v.int64_value(), &isum_)) {
+        return false;
       }
+      --count_;
+      sum_ -= v.AsDouble();
       sum_squares_ -= v.AsDouble() * v.AsDouble();
       if (count_ == 0) {
         // Reset exactly so integer SUMs stay drift-free across full
@@ -189,46 +184,44 @@ bool AggState::Retract(const Value& v) {
       }
       return true;
     case AggKind::kMin:
-    case AggKind::kMax:
+    case AggKind::kMax: {
       if (v.is_null()) return true;
       if (!has_value_) return false;
       // Retracting a value that ties or beats the running extreme may expose
       // a different survivor we never kept; only strictly-dominated values
       // can leave without a recompute.
-      if (kind_ == AggKind::kMin) return v.Compare(extreme_) > 0;
-      return v.Compare(extreme_) < 0;
+      int c = CompareScalars(v, extreme_);
+      return kind_ == AggKind::kMin ? c > 0 : c < 0;
+    }
   }
   return false;
 }
 
-void AggState::MergeFrom(const AggState& other) {
+Status AggState::MergeFrom(const AggState& other) {
   switch (kind_) {
     case AggKind::kCountStar:
     case AggKind::kCount:
       count_ += other.count_;
-      return;
+      return Status::OK();
     case AggKind::kSum:
     case AggKind::kAvg:
     case AggKind::kStdDev:
     case AggKind::kVariance:
+      if (kind_ == AggKind::kSum && !AddToIntSum(&isum_, other.isum_)) {
+        return IntegerOverflow();
+      }
       count_ += other.count_;
       sum_ += other.sum_;
       sum_squares_ += other.sum_squares_;
-      isum_ += other.isum_;
       all_int_ = all_int_ && other.all_int_;
       has_value_ = has_value_ || other.has_value_;
-      return;
+      return Status::OK();
     case AggKind::kMin:
     case AggKind::kMax:
-      if (other.has_value_) Update(other.extreme_);
-      return;
+      if (other.has_value_) return Update(other.extreme_);
+      return Status::OK();
   }
-}
-
-bool DistinctFilter::Insert(const Value& v) { return seen_.insert(v).second; }
-
-void DistinctFilter::MergeFrom(const DistinctFilter& other) {
-  seen_.insert(other.seen_.begin(), other.seen_.end());
+  return Status::OK();
 }
 
 }  // namespace dbspinner

@@ -2,6 +2,10 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -45,20 +49,60 @@ struct AggregateSpec {
   AggregateSpec Clone() const;
 };
 
+// --- fold steps ------------------------------------------------------------
+//
+// How one input folds into an aggregate's running state, defined once per
+// kind. AggState (boxed, kept for IVM retraction) and GroupedAggregator's
+// typed column loops (exec/hash_aggregate.cc) both call these, so the two
+// produce bit-identical results for the same inputs in the same order.
+
+/// MIN/MAX: whether input `v` replaces the running extreme `cur`, in the
+/// ORDER BY order (CompareScalars: NaN is the largest double). Of equal
+/// inputs the first one seen is kept.
+template <typename T>
+inline bool ReplacesExtreme(AggKind kind, const T& v, const T& cur) {
+  int c = CompareScalars(v, cur);
+  return kind == AggKind::kMin ? c < 0 : c > 0;
+}
+
+/// SUM over INT64: adds `v` to the exact running sum. False when the sum
+/// leaves the INT64 range (the caller fails with IntegerOverflow()).
+inline bool AddToIntSum(int64_t* isum, int64_t v) {
+  return !__builtin_add_overflow(*isum, v, isum);
+}
+
+/// SUM over DOUBLE, AVG, STDDEV, VARIANCE: the running sum of the inputs.
+inline void AddToSum(double* sum, double v) { *sum += v; }
+
+/// STDDEV, VARIANCE: the running sum of squares.
+inline void AddToSumOfSquares(double* sumsq, double v) { *sumsq += v * v; }
+
+/// Sample variance (n - 1 denominator) of `count` >= 2 inputs with the
+/// given sum and sum of squares; never negative.
+inline double SampleVariance(int64_t count, double sum, double sumsq) {
+  double n = static_cast<double>(count);
+  return std::max(0.0, (sumsq - sum * sum / n) / (n - 1));
+}
+
+/// The status an integer SUM fails with when it leaves the INT64 range.
+Status IntegerOverflow();
+
 /// Running state of one aggregate within one group.
 class AggState {
  public:
   explicit AggState(AggKind kind) : kind_(kind) {}
 
-  /// Folds one input value (already NULL-filtered for kCountStar).
-  void Update(const Value& v);
+  /// Folds one input value (already NULL-filtered for kCountStar). Fails
+  /// when an integer SUM overflows.
+  Status Update(const Value& v);
 
   /// Folds another partial state of the same kind into this one, as if every
   /// value `other` saw had been fed to Update() here. Every kind's state is
   /// a commutative monoid (counts and sums add, extremes compare, variance
   /// merges via sum-of-squares), which is what makes per-worker partial
-  /// aggregation with a single merge at the breaker exact.
-  void MergeFrom(const AggState& other);
+  /// aggregation with a single merge at the breaker exact. Fails when an
+  /// integer SUM overflows.
+  Status MergeFrom(const AggState& other);
 
   /// Produces the aggregate result. SUM/MIN/MAX/AVG of zero non-NULL inputs
   /// is NULL; COUNT is 0.
@@ -67,9 +111,9 @@ class AggState {
   /// Unfolds one previously-Update()ed value (incremental view maintenance
   /// retraction). Counts and sums subtract exactly; MIN/MAX can only drop a
   /// value strictly inside the current extreme. Returns false when the state
-  /// cannot retract exactly (the value ties or beats the running extreme, or
-  /// nothing was accumulated) — the caller must fall back to a full
-  /// recompute of the group.
+  /// cannot retract exactly (the value ties or beats the running extreme,
+  /// nothing was accumulated, or an integer SUM would leave the INT64
+  /// range) — the caller must fall back to a full recompute of the group.
   bool Retract(const Value& v);
 
  private:
@@ -77,43 +121,60 @@ class AggState {
   int64_t count_ = 0;
   double sum_ = 0;
   double sum_squares_ = 0;  ///< STDDEV/VARIANCE
-  int64_t isum_ = 0;
+  int64_t isum_ = 0;        ///< SUM over INT64
   bool all_int_ = true;
   bool has_value_ = false;
   Value extreme_;  ///< MIN/MAX running value
 };
 
-/// Tracks DISTINCT inputs of one group (for COUNT/SUM/AVG DISTINCT).
+/// The distinct non-NULL inputs of one group of a DISTINCT aggregate,
+/// unboxed: T is int64_t (INT64 and BOOL inputs), double or std::string.
+/// One aggregate's inputs all have one type. NaN is one value. Partial
+/// DISTINCT aggregation defers every fold until the partials are merged,
+/// then folds the merged set exactly once.
+template <typename T>
 class DistinctFilter {
  public:
   /// Returns true the first time a value is seen.
-  bool Insert(const Value& v);
+  bool Insert(const T& v) { return seen_.insert(v).second; }
 
   /// Unions another filter's seen set into this one (partial-aggregate
   /// merge). Values already present are dropped, so folding this filter's
   /// contents after the merge still counts each distinct value once.
-  void MergeFrom(const DistinctFilter& other);
+  void MergeFrom(const DistinctFilter& other) {
+    seen_.insert(other.seen_.begin(), other.seen_.end());
+  }
 
   size_t size() const { return seen_.size(); }
 
-  /// Iterates the distinct values seen so far. Partial DISTINCT aggregation
-  /// defers AggState updates until all partials are merged, then folds the
-  /// merged set exactly once via this visitor.
+  /// Iterates the distinct values seen so far.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Value& v : seen_) fn(v);
+    for (const T& v : seen_) fn(v);
   }
 
  private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  struct ValueEq {
-    bool operator()(const Value& a, const Value& b) const {
-      return a.Equals(b);
+  // Value::Hash's hashes (an INT64 hashes by its double image), so the
+  // iteration order matches that of a set of boxed Values.
+  struct Hash {
+    size_t operator()(int64_t v) const {
+      return std::hash<double>()(static_cast<double>(v));
+    }
+    size_t operator()(double v) const { return HashDouble(v); }
+    size_t operator()(const std::string& v) const {
+      return std::hash<std::string>()(v);
     }
   };
-  std::unordered_set<Value, ValueHash, ValueEq> seen_;
+  struct Eq {
+    bool operator()(double a, double b) const {
+      return CompareScalars(a, b) == 0;
+    }
+    bool operator()(int64_t a, int64_t b) const { return a == b; }
+    bool operator()(const std::string& a, const std::string& b) const {
+      return a == b;
+    }
+  };
+  std::unordered_set<T, Hash, Eq> seen_;
 };
 
 }  // namespace dbspinner

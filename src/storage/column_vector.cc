@@ -260,7 +260,7 @@ size_t ColumnVector::HashAt(size_t i) const {
       // The double image: EqualsAt compares INT64 with DOUBLE as doubles.
       return std::hash<double>()(static_cast<double>(ints_[i]));
     case TypeId::kDouble:
-      return std::hash<double>()(doubles_[i]);
+      return HashDouble(doubles_[i]);
     case TypeId::kString:
       return std::hash<std::string>()(strings_[i]);
     case TypeId::kNull:

@@ -98,7 +98,7 @@ class ColumnVector {
 
   /// Hash of row i compatible with Value::Hash and with EqualsAt: numeric
   /// values hash by their double image, so equal INT64 and DOUBLE values
-  /// hash alike.
+  /// hash alike, and every NaN hashes alike.
   size_t HashAt(size_t i) const;
 
   /// Value equality between row i of this and row j of other.

@@ -152,6 +152,26 @@ bool RowLess(const std::vector<Value>& a, const std::vector<Value>& b) {
   return a.size() < b.size();
 }
 
+// The first oracle result in `outcomes` that breaks its ORDER BY,
+// described; "" when all keep theirs. The "ordered" oracle keeps
+// `appended`, the others the query's top-level ORDER BY. The reference
+// oracle's rows come unordered from the C++ algorithms and are skipped.
+std::string CheckOracleOrders(const QuerySpec& spec,
+                              const std::vector<OracleOutcome>& outcomes,
+                              const std::vector<OrderKey>& appended = {}) {
+  for (const OracleOutcome& o : outcomes) {
+    if (!o.status.ok() || o.table == nullptr || o.name == "reference") {
+      continue;
+    }
+    std::string bad = CheckOrder(
+        *o.table, o.name == "ordered"
+                      ? appended
+                      : TopLevelOrder(spec, o.table->num_columns()));
+    if (!bad.empty()) return "[" + o.name + "] " + bad;
+  }
+  return "";
+}
+
 std::string RowToString(const std::vector<Value>& row) {
   std::string s = "(";
   for (size_t i = 0; i < row.size(); ++i) {
@@ -171,6 +191,27 @@ bool CellsMatch(const Value& a, const Value& b, double eps) {
 }
 
 }  // namespace
+
+std::string CheckOrder(const Table& t, const std::vector<OrderKey>& keys) {
+  for (size_t r = 1; r < t.num_rows(); ++r) {
+    for (const OrderKey& k : keys) {
+      if (k.column >= t.num_columns()) break;
+      Value prev = t.GetValue(r - 1, k.column);
+      Value cur = t.GetValue(r, k.column);
+      int cmp = prev.Compare(cur);
+      if (k.descending) cmp = -cmp;
+      if (cmp < 0) break;
+      if (cmp > 0) {
+        return StringPrintf("rows %zu and %zu break the ORDER BY on column "
+                            "%zu%s: %s before %s",
+                            r - 1, r, k.column + 1,
+                            k.descending ? " DESC" : "",
+                            prev.ToString().c_str(), cur.ToString().c_str());
+      }
+    }
+  }
+  return "";
+}
 
 std::vector<std::vector<Value>> TableRows(const Table& t) {
   std::vector<std::vector<Value>> rows;
@@ -318,6 +359,19 @@ DiffReport RunDifferential(const FuzzCase& c,
   if (HasProcedureLowering(c.query)) {
     report.outcomes.push_back(RunProcedureOracle(c, opts));
   }
+  // A query without a top-level ORDER BY also runs with one appended on
+  // every output column ("ordered"), so every case that returns rows
+  // exercises the sort kernel and the row-order check below.
+  std::vector<OrderKey> appended;
+  if (report.outcomes[0].status.ok()) {
+    const size_t num_columns = report.outcomes[0].table->num_columns();
+    if (TopLevelOrder(c.query, num_columns).empty()) {
+      appended = OrderByAllColumns(c.query, num_columns);
+      report.outcomes.push_back(RunSqlOracle(
+          c, "ordered", BaseOptions(opts),
+          report.sql + RenderOrderBy(appended)));
+    }
+  }
   std::vector<std::vector<Value>> reference_rows;
   bool have_reference = c.query.family == QueryFamily::kCanonicalPR ||
                         c.query.family == QueryFamily::kCanonicalSSSP ||
@@ -351,6 +405,13 @@ DiffReport RunDifferential(const FuzzCase& c,
     return report;
   }
 
+  std::string misordered =
+      CheckOracleOrders(c.query, report.outcomes, appended);
+  if (!misordered.empty()) {
+    report.ok = false;
+    report.failure = misordered;
+    return report;
+  }
   std::vector<std::vector<Value>> expected = TableRows(*baseline.table);
   for (size_t i = 1; i < report.outcomes.size(); ++i) {
     const OracleOutcome& o = report.outcomes[i];
@@ -485,6 +546,12 @@ DiffReport RunConcurrentSessions(const FuzzCase& c, int sessions,
         return report;
       }
     }
+    return report;
+  }
+  std::string misordered = CheckOracleOrders(c.query, report.outcomes);
+  if (!misordered.empty()) {
+    report.ok = false;
+    report.failure = misordered;
     return report;
   }
   std::vector<std::vector<Value>> expected = TableRows(*serial.table);

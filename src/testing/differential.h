@@ -11,7 +11,13 @@
 //   - lowering:    the iterative-CTE plan vs. the statement-at-a-time
 //                  Procedure rendering of the same spec (Fig 11 baseline);
 //   - ground truth: canonical workload queries vs. the C++ reference
-//                  implementations in graph/reference_algorithms.
+//                  implementations in graph/reference_algorithms;
+//   - row order:   when the query ends in an ORDER BY, every oracle's rows
+//                  must be non-decreasing under its keys and directions,
+//                  judged with Value::Compare (the diff compares multisets,
+//                  and every oracle runs the same sort kernel); any other
+//                  query also runs with an ORDER BY on every output column
+//                  appended ("ordered"), whose rows must keep it.
 //
 // Status classification: a query may legitimately fail (user-level rejection
 // such as BindError), but then every oracle must reject it too, and no oracle
@@ -138,6 +144,12 @@ DiffReport RunIvmDifferential(const FuzzCase& c,
 /// equivalent, else a description of the first difference.
 std::string DiffRowSets(const std::vector<std::vector<Value>>& a,
                         const std::vector<std::vector<Value>>& b, double eps);
+
+/// "" when the rows of `t` are non-decreasing under `keys` (each key's
+/// Value::Compare in its direction), else the first pair out of order. It
+/// judges an ORDER BY independently of PhysicalSort, which every oracle
+/// runs, and which DiffRowSets cannot see.
+std::string CheckOrder(const Table& t, const std::vector<OrderKey>& keys);
 
 /// All rows of `t` as Values (helper shared with tests).
 std::vector<std::vector<Value>> TableRows(const Table& t);

@@ -83,6 +83,11 @@ std::vector<Mutation> ShrinkMoves() {
     return true;
   });
   add([](FuzzCase* c) {
+    if (c->query.order_desc == 0) return false;
+    c->query.order_desc = 0;
+    return true;
+  });
+  add([](FuzzCase* c) {
     if (c->query.limit <= 1) return false;
     c->query.limit = 1;
     return true;
@@ -229,6 +234,7 @@ std::string EmitGtestRepro(const FuzzCase& c, const DiffReport& report) {
   EmitBool(&out, "vs_join", c.query.vs_join);
   EmitBool(&out, "qf_filter", c.query.qf_filter);
   EmitBool(&out, "qf_aggregate", c.query.qf_aggregate);
+  out += StringPrintf("  c.query.order_desc = %uu;\n", c.query.order_desc);
   out += StringPrintf("  c.query.limit = %d;\n", c.query.limit);
   out += StringPrintf("  c.query.filter_mod = %lld;\n",
                       static_cast<long long>(c.query.filter_mod));

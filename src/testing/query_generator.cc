@@ -188,11 +188,7 @@ std::string RenderScalarSelect(const QuerySpec& spec) {
     sql += arm;
   }
   if (spec.use_order_limit) {
-    sql += "\nORDER BY ";
-    for (size_t i = 0; i < num_cols; ++i) {
-      if (i) sql += ", ";
-      sql += std::to_string(i + 1);
-    }
+    sql += RenderOrderBy(TopLevelOrder(spec, num_cols));
     sql += "\nLIMIT " + std::to_string(spec.limit);
   }
   return sql;
@@ -476,6 +472,36 @@ std::string RenderQuery(const QuerySpec& spec) {
   return "";
 }
 
+std::vector<OrderKey> TopLevelOrder(const QuerySpec& spec,
+                                    size_t num_columns) {
+  if (spec.family == QueryFamily::kScalarSelect && spec.use_order_limit) {
+    return OrderByAllColumns(spec, num_columns);
+  }
+  if (spec.family == QueryFamily::kCanonicalFF && num_columns == 2) {
+    return {{1, true}};  // FFQuery: ORDER BY friends DESC
+  }
+  return {};
+}
+
+std::vector<OrderKey> OrderByAllColumns(const QuerySpec& spec,
+                                        size_t num_columns) {
+  std::vector<OrderKey> keys;
+  for (size_t i = 0; i < num_columns; ++i) {
+    keys.push_back({i, i < 32 && ((spec.order_desc >> i) & 1) != 0});
+  }
+  return keys;
+}
+
+std::string RenderOrderBy(const std::vector<OrderKey>& keys) {
+  std::string sql = "\nORDER BY ";
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i) sql += ", ";
+    sql += std::to_string(keys[i].column + 1);
+    if (keys[i].descending) sql += " DESC";
+  }
+  return sql;
+}
+
 bool HasProcedureLowering(const QuerySpec& spec) {
   switch (spec.family) {
     case QueryFamily::kIterativeChain:
@@ -638,6 +664,7 @@ QuerySpec QueryGenerator::NextSpec(QueryFamily family, uint64_t expr_seed,
       spec.filter_mod = rng.Range(2, 10);
       break;
   }
+  spec.order_desc = static_cast<uint32_t>(rng.Range(0, 7));
   return spec;
 }
 

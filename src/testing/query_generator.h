@@ -58,6 +58,9 @@ struct QuerySpec {
   bool union_all = false;
   bool use_case = false;           ///< CASE expression in the select list
   bool use_order_limit = false;    ///< ORDER BY all columns + LIMIT
+  /// Bit i set: ORDER BY key i is DESC, in the query's own ORDER BY or in
+  /// the one the differential "ordered" oracle appends.
+  uint32_t order_desc = 0;
   int limit = 10;
 
   // --- iterative knobs -----------------------------------------------------
@@ -92,6 +95,26 @@ struct FuzzCase {
 
 /// Renders the spec to SQL. Deterministic.
 std::string RenderQuery(const QuerySpec& spec);
+
+/// One key of a query's top-level ORDER BY: an output column and its
+/// direction.
+struct OrderKey {
+  size_t column = 0;
+  bool descending = false;
+};
+
+/// The top-level ORDER BY of the rendered query over its `num_columns`
+/// output columns; empty when the query has none.
+std::vector<OrderKey> TopLevelOrder(const QuerySpec& spec,
+                                    size_t num_columns);
+
+/// An ORDER BY on every one of `num_columns` output columns in order, key
+/// i DESC when bit i of spec.order_desc is set.
+std::vector<OrderKey> OrderByAllColumns(const QuerySpec& spec,
+                                        size_t num_columns);
+
+/// The clause "\nORDER BY 1, 2 DESC, ..." for `keys`.
+std::string RenderOrderBy(const std::vector<OrderKey>& keys);
 
 /// True when the spec has a statement-at-a-time lowering (iterative families
 /// with a counted UNTIL; data/delta conditions cannot be expressed as a

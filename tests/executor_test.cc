@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
+
+#include "exec/data_chunk.h"
+#include "exec/hash_aggregate.h"
 #include "exec/merge_update.h"
 #include "exec/physical_plan.h"
 #include "exec/physical_planner.h"
+#include "exec/pipeline.h"
 #include "exec/program_executor.h"
 #include "test_util.h"
 
@@ -184,6 +195,390 @@ TEST(SortExecTest, StableMultiKey) {
   EXPECT_EQ(result->GetValue(0, 0).int64_value(), 1);
   EXPECT_EQ(result->GetValue(0, 1).int64_value(), 3);
   EXPECT_EQ(result->GetValue(3, 1).int64_value(), 1);
+}
+
+// --- typed sort kernel against the row-wise reference ----------------------
+
+// `n` rows: id (the input row), then INT64, DOUBLE, STRING and BOOL keys
+// with NULLs and many ties (the DOUBLE one with NaNs of both signs, signed
+// zeros and infinities), and an INT64 key without NULLs.
+TablePtr MakeSortInput(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  Schema schema;
+  schema.AddColumn("id", TypeId::kInt64);
+  schema.AddColumn("i", TypeId::kInt64);
+  schema.AddColumn("d", TypeId::kDouble);
+  schema.AddColumn("s", TypeId::kString);
+  schema.AddColumn("b", TypeId::kBool);
+  schema.AddColumn("nn", TypeId::kInt64);
+  const double kDoubles[] = {-0.0,
+                             0.0,
+                             0.5,
+                             -1.5,
+                             2.0,
+                             1e300,
+                             -std::numeric_limits<double>::infinity(),
+                             std::nan(""),
+                             -std::nan("")};
+  const char* kStrings[] = {"", "a", "ab", "b", "B"};
+  auto t = Table::Make(schema);
+  for (size_t r = 0; r < n; ++r) {
+    auto null = [&](int one_in) { return rng() % one_in == 0; };
+    t->AppendRow(
+        {Value::Int64(static_cast<int64_t>(r)),
+         null(8) ? Value::Null(TypeId::kInt64)
+                 : Value::Int64(static_cast<int64_t>(rng() % 7) - 3),
+         null(8) ? Value::Null(TypeId::kDouble)
+                 : Value::Double(kDoubles[rng() % 9]),
+         null(8) ? Value::Null(TypeId::kString)
+                 : Value::String(kStrings[rng() % 5]),
+         null(5) ? Value::Null(TypeId::kBool) : Value::Bool(rng() % 2),
+         Value::Int64(static_cast<int64_t>(rng() % 5))});
+  }
+  return t;
+}
+
+struct SortCase {
+  std::vector<std::pair<size_t, bool>> keys;  // (column, descending)
+  int64_t limit = -1;
+  int64_t offset = 0;
+};
+
+// The ids of `t` ordered by a std::stable_sort on Value::Compare, sliced.
+std::vector<int64_t> ReferenceSort(const Table& t, const SortCase& c) {
+  std::vector<uint32_t> order(t.num_rows());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (const auto& [col, desc] : c.keys) {
+      int cmp = t.GetValue(a, col).Compare(t.GetValue(b, col));
+      if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+    }
+    return false;
+  });
+  size_t begin = std::min<size_t>(c.offset, order.size());
+  size_t end = c.limit < 0
+                   ? order.size()
+                   : std::min<size_t>(order.size(), begin + c.limit);
+  std::vector<int64_t> ids;
+  for (size_t i = begin; i < end; ++i) {
+    ids.push_back(t.GetValue(order[i], 0).int64_value());
+  }
+  return ids;
+}
+
+// The ids PhysicalSort (under a top-N PhysicalLimit when c.limit >= 0)
+// emits for `t`, planned as the physical planner plans ORDER BY ... LIMIT.
+std::vector<int64_t> EngineSort(const TablePtr& t, const SortCase& c) {
+  Env env;
+  env.registry.Put("t", t);
+  const Schema& schema = t->schema();
+  std::vector<PhysicalSort::Key> keys;
+  for (const auto& [col, desc] : c.keys) {
+    keys.push_back(PhysicalSort::Key{
+        MakeBoundColumnRef(col, schema.column(col).type,
+                           schema.column(col).name),
+        desc});
+  }
+  auto sort = std::make_unique<PhysicalSort>(schema, std::move(keys));
+  sort->AddChild(std::make_unique<PhysicalScan>(schema, false, "t"));
+  PhysicalOpPtr top = std::move(sort);
+  if (c.limit >= 0) {
+    static_cast<PhysicalSort*>(top.get())->set_top_n(c.offset + c.limit);
+    auto limit = std::make_unique<PhysicalLimit>(schema, c.limit, c.offset);
+    limit->AddChild(std::move(top));
+    top = std::move(limit);
+  }
+  Result<TablePtr> out = ExecuteOp(*top, env.ctx);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  std::vector<int64_t> ids;
+  if (!out.ok()) return ids;
+  for (size_t r = 0; r < (*out)->num_rows(); ++r) {
+    ids.push_back((*out)->GetValue(r, 0).int64_value());
+  }
+  return ids;
+}
+
+TEST(SortExecTest, MatchesRowWiseReference) {
+  enum { kId, kI, kD, kS, kB, kNn };
+  const std::vector<SortCase> cases = {
+      {{{kI, false}}},
+      {{{kI, true}}},
+      {{{kD, false}}},
+      {{{kD, true}}},
+      {{{kS, false}}},
+      {{{kS, true}}},
+      {{{kB, false}}},
+      {{{kB, true}}},
+      {{{kNn, false}}},
+      {{{kNn, true}}},
+      {{{kD, true}, {kI, false}}},
+      {{{kS, false}, {kD, true}}},
+      {{{kB, true}, {kS, true}}},
+      {{{kI, false}, {kB, false}}},
+      {{{kNn, true}, {kD, false}, {kS, true}}},
+      {{{kD, false}}, 10},
+      {{{kD, true}}, 25, 290},
+      {{{kI, true}, {kS, false}}, 7, 5},
+      {{{kS, true}}, 0},
+      {{{kB, false}, {kD, true}}, 1000, 3},
+      {{{kNn, false}, {kI, true}}, 40, 17},
+      {{{kId, true}}, 5},
+  };
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    TablePtr t = MakeSortInput(320, seed);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " case " +
+                   std::to_string(i));
+      EXPECT_EQ(EngineSort(t, cases[i]), ReferenceSort(*t, cases[i]));
+    }
+  }
+}
+
+// --- typed aggregate kernel against the row-wise AggState fold --------------
+
+// `n` rows of (key, xi, xd, xs): a few INT64 group keys and NULL, and
+// INT64, DOUBLE (with NaN) and STRING arguments with NULLs and repeats.
+TablePtr MakeAggInput(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  Schema schema;
+  schema.AddColumn("key", TypeId::kInt64);
+  schema.AddColumn("xi", TypeId::kInt64);
+  schema.AddColumn("xd", TypeId::kDouble);
+  schema.AddColumn("xs", TypeId::kString);
+  const char* kStrings[] = {"", "x", "xy", "y", "Y", "zz"};
+  auto t = Table::Make(schema);
+  for (size_t r = 0; r < n; ++r) {
+    auto null = [&](int one_in) { return rng() % one_in == 0; };
+    double d = static_cast<double>(static_cast<int>(rng() % 2001) - 1000) /
+               static_cast<double>(1 + rng() % 7);
+    t->AppendRow(
+        {null(9) ? Value::Null(TypeId::kInt64)
+                 : Value::Int64(static_cast<int64_t>(rng() % 6)),
+         null(6) ? Value::Null(TypeId::kInt64)
+                 : Value::Int64(static_cast<int64_t>(rng() % 101) - 50),
+         null(6)    ? Value::Null(TypeId::kDouble)
+         : null(40) ? Value::Double(std::nan(""))
+                    : Value::Double(d),
+         null(6) ? Value::Null(TypeId::kString)
+                 : Value::String(kStrings[rng() % 6])});
+  }
+  return t;
+}
+
+// Identical values: same NULL-ness, bit-identical doubles (NaN equals
+// NaN), or within `rel` of each other when `rel` > 0.
+bool SameResult(const Value& a, const Value& b, double rel) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type() == TypeId::kDouble && b.type() == TypeId::kDouble) {
+    double x = a.double_value(), y = b.double_value();
+    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+    if (rel > 0) return std::fabs(x - y) <= rel * (1 + std::fabs(y));
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  return a.type() == b.type() && a.Compare(b) == 0;
+}
+
+TEST(GroupedAggregatorTest, MatchesRowWiseAggStateFold) {
+  const AggKind kKinds[] = {AggKind::kCount,  AggKind::kSum,
+                            AggKind::kMin,    AggKind::kMax,
+                            AggKind::kAvg,    AggKind::kStdDev,
+                            AggKind::kVariance};
+  std::vector<AggregateSpec> aggs;
+  auto add = [&](AggKind kind, bool distinct, BoundExprPtr arg) {
+    AggregateSpec spec;
+    spec.kind = kind;
+    spec.distinct = distinct;
+    TypeId in = arg ? arg->type : TypeId::kInt64;
+    spec.result_type = *AggResultType(kind, in);
+    spec.arg = std::move(arg);
+    aggs.push_back(std::move(spec));
+  };
+  add(AggKind::kCountStar, false, nullptr);
+  for (bool distinct : {false, true}) {
+    for (size_t col : {1, 2, 3}) {
+      for (AggKind kind : kKinds) {
+        TypeId type = col == 1   ? TypeId::kInt64
+                      : col == 2 ? TypeId::kDouble
+                                 : TypeId::kString;
+        if (type == TypeId::kString && kind != AggKind::kCount &&
+            kind != AggKind::kMin && kind != AggKind::kMax) {
+          continue;
+        }
+        add(kind, distinct, MakeBoundColumnRef(col, type, "x"));
+      }
+    }
+  }
+  // A computed argument, evaluated over the chunk rather than read in place.
+  add(AggKind::kSum, false,
+      MakeBoundBinary(BinaryOp::kAdd,
+                      MakeBoundColumnRef(1, TypeId::kInt64, "xi"),
+                      MakeBoundConstant(Value::Int64(1)), TypeId::kInt64));
+
+  // Group by nothing, by the key column, or by a computed key.
+  for (int grouping : {0, 1, 2}) {
+    std::vector<BoundExprPtr> groups;
+    if (grouping == 1) {
+      groups.push_back(MakeBoundColumnRef(0, TypeId::kInt64, "key"));
+    } else if (grouping == 2) {
+      groups.push_back(MakeBoundBinary(
+          BinaryOp::kMul, MakeBoundColumnRef(0, TypeId::kInt64, "key"),
+          MakeBoundConstant(Value::Int64(1)), TypeId::kInt64));
+    }
+    Schema out_schema;
+    if (grouping != 0) out_schema.AddColumn("key", TypeId::kInt64);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      out_schema.AddColumn("a" + std::to_string(a), aggs[a].result_type);
+    }
+    for (uint32_t seed : {1u, 2u, 3u}) {
+      for (size_t width : {1, 2, 4}) {
+        SCOPED_TRACE("grouping " + std::to_string(grouping) + " seed " +
+                     std::to_string(seed) + " width " +
+                     std::to_string(width));
+        TablePtr input = MakeAggInput(600, seed);
+        std::mt19937 rng(seed * 7 + width);
+        std::vector<GroupedAggregator> partials;
+        for (size_t p = 0; p < width; ++p) {
+          partials.emplace_back(&groups, &aggs, &out_schema);
+        }
+        // Reference: per partial and group, one AggState per aggregate fed
+        // row by row (DISTINCT ones keep their distinct inputs instead).
+        using GroupStates = std::map<std::string, std::vector<AggState>>;
+        using GroupSeen =
+            std::map<std::string, std::vector<std::vector<Value>>>;
+        std::vector<GroupStates> ref(width);
+        GroupSeen seen;
+        auto group_of = [&](size_t row) {
+          return grouping == 0 ? std::string()
+                               : input->GetValue(row, 0).ToString();
+        };
+        auto fold_row = [&](size_t p, size_t row) {
+          std::string g = group_of(row);
+          auto [it, fresh] = ref[p].try_emplace(g);
+          if (fresh) {
+            for (const AggregateSpec& spec : aggs) {
+              it->second.emplace_back(spec.kind);
+            }
+          }
+          std::vector<std::vector<Value>>& distinct = seen[g];
+          distinct.resize(aggs.size());
+          for (size_t a = 0; a < aggs.size(); ++a) {
+            Value v;
+            if (a == aggs.size() - 1) {
+              Value xi = input->GetValue(row, 1);
+              v = xi.is_null() ? xi : Value::Int64(xi.int64_value() + 1);
+            } else if (aggs[a].arg) {
+              v = input->GetValue(row, aggs[a].arg->column_index);
+            }
+            if (!aggs[a].distinct) {
+              ASSERT_TRUE(it->second[a].Update(v).ok());
+              continue;
+            }
+            if (v.is_null()) continue;
+            bool dup = false;
+            for (const Value& s : distinct[a]) {
+              dup |= s.Compare(v) == 0;
+            }
+            if (!dup) distinct[a].push_back(v);
+          }
+        };
+        // Random morsels, each a contiguous window or a random selection
+        // within one, consumed by a random partial.
+        for (size_t begin = 0; begin < input->num_rows();) {
+          size_t count = std::min<size_t>(1 + rng() % 60,
+                                          input->num_rows() - begin);
+          size_t p = rng() % width;
+          DataChunk chunk(input, begin, count);
+          if (rng() % 3 == 0) {
+            std::vector<uint32_t> sel;
+            for (size_t r = begin; r < begin + count; ++r) {
+              if (rng() % 2) sel.push_back(static_cast<uint32_t>(r));
+            }
+            chunk.SetSelection(sel);
+          }
+          for (size_t i = 0; i < chunk.size(); ++i) {
+            fold_row(p, chunk.RowAt(i));
+          }
+          ASSERT_TRUE(partials[p].Consume(chunk).ok());
+          begin += count;
+        }
+        GroupedAggregator merged(&groups, &aggs, &out_schema);
+        GroupStates expected;
+        for (size_t p = 0; p < width; ++p) {
+          ASSERT_TRUE(merged.MergeFrom(partials[p]).ok());
+          for (auto& [g, states] : ref[p]) {
+            auto [it, fresh] = expected.try_emplace(g);
+            if (fresh) {
+              for (const AggregateSpec& spec : aggs) {
+                it->second.emplace_back(spec.kind);
+              }
+            }
+            for (size_t a = 0; a < aggs.size(); ++a) {
+              ASSERT_TRUE(it->second[a].MergeFrom(states[a]).ok());
+            }
+          }
+        }
+        Result<TablePtr> out = merged.Finalize();
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        const Table& t = **out;
+        const size_t first_agg = grouping == 0 ? 0 : 1;
+        ASSERT_EQ(t.num_rows(), grouping == 0 ? 1 : expected.size());
+        for (size_t r = 0; r < t.num_rows(); ++r) {
+          std::string g = grouping == 0 ? "" : t.GetValue(r, 0).ToString();
+          ASSERT_TRUE(expected.count(g)) << g;
+          for (size_t a = 0; a < aggs.size(); ++a) {
+            Value want;
+            double rel = 0;
+            if (aggs[a].distinct) {
+              // The distinct set folds in its own order: sums may round
+              // differently.
+              AggState s(aggs[a].kind);
+              for (const Value& v : seen[g][a]) {
+                ASSERT_TRUE(s.Update(v).ok());
+              }
+              want = s.Finalize(aggs[a].result_type);
+              rel = 1e-9;
+            } else {
+              want = expected[g][a].Finalize(aggs[a].result_type);
+            }
+            Value got = t.GetValue(r, first_agg + a);
+            EXPECT_TRUE(SameResult(got, want, rel))
+                << "group " << g << " agg " << a << " ("
+                << AggKindName(aggs[a].kind)
+                << (aggs[a].distinct ? " distinct" : "") << "): got "
+                << got.ToString() << ", want " << want.ToString();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupedAggregatorTest, IntegerSumOverflowsAtMerge) {
+  Schema in_schema;
+  in_schema.AddColumn("x", TypeId::kInt64);
+  std::vector<BoundExprPtr> groups;
+  std::vector<AggregateSpec> aggs(1);
+  aggs[0].kind = AggKind::kSum;
+  aggs[0].arg = MakeBoundColumnRef(0, TypeId::kInt64, "x");
+  Schema out_schema;
+  out_schema.AddColumn("sum", TypeId::kInt64);
+  auto one_row = [&](int64_t v) {
+    auto t = Table::Make(in_schema);
+    t->AppendRow({Value::Int64(v)});
+    return t;
+  };
+  GroupedAggregator a(&groups, &aggs, &out_schema);
+  GroupedAggregator b(&groups, &aggs, &out_schema);
+  ASSERT_TRUE(a.Consume(DataChunk(one_row(INT64_MAX), 0, 1)).ok());
+  ASSERT_TRUE(b.Consume(DataChunk(one_row(1), 0, 1)).ok());
+  GroupedAggregator merged(&groups, &aggs, &out_schema);
+  ASSERT_TRUE(merged.MergeFrom(a).ok());
+  Status st = merged.MergeFrom(b);
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(st.message(), "integer overflow");
+  // Within one partial, Consume fails the same way.
+  EXPECT_EQ(a.Consume(DataChunk(one_row(1), 0, 1)).code(),
+            StatusCode::kExecutionError);
 }
 
 TEST(StatsTest, MaterializedRowsTracked) {

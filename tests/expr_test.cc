@@ -1,6 +1,8 @@
 // Unit tests for the bound-expression evaluator, SQL NULL semantics, the
 // scalar/aggregate function registries, and null-rejection analysis.
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "expr/aggregate_functions.h"
@@ -182,11 +184,17 @@ TEST(AggregateTest, Avg) {
 }
 
 TEST(AggregateTest, DistinctFilter) {
-  DistinctFilter f;
-  EXPECT_TRUE(f.Insert(Value::Int64(1)));
-  EXPECT_FALSE(f.Insert(Value::Int64(1)));
-  EXPECT_FALSE(f.Insert(Value::Double(1.0)));  // cross-type equality
-  EXPECT_TRUE(f.Insert(Value::Int64(2)));
+  DistinctFilter<int64_t> f;
+  EXPECT_TRUE(f.Insert(1));
+  EXPECT_FALSE(f.Insert(1));
+  EXPECT_TRUE(f.Insert(2));
+  // Every NaN is one value, and -0.0 equals 0.0.
+  DistinctFilter<double> d;
+  EXPECT_TRUE(d.Insert(std::nan("")));
+  EXPECT_FALSE(d.Insert(-std::nan("")));
+  EXPECT_TRUE(d.Insert(0.0));
+  EXPECT_FALSE(d.Insert(-0.0));
+  EXPECT_EQ(d.size(), 2u);
 }
 
 TEST(AggregateTest, ResolveKinds) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "engine/options.h"
 #include "testing/differential.h"
 #include "testing/minimizer.h"
@@ -136,6 +138,37 @@ TEST(DiffRowSetsTest, ReportsCardinalityAndNullMismatches) {
                                               {Value::Int64(2)}};
   EXPECT_NE(fuzz::DiffRowSets(two, one, 1e-6), "");
   EXPECT_NE(fuzz::DiffRowSets(two, null_row, 1e-6), "");
+}
+
+TEST(CheckOrderTest, FlagsRowsOutOfOrderPerDirection) {
+  Schema schema;
+  schema.AddColumn("a", TypeId::kInt64);
+  schema.AddColumn("b", TypeId::kDouble);
+  auto t = Table::Make(schema);
+  t->AppendRow({Value::Null(TypeId::kInt64), Value::Double(1)});
+  t->AppendRow({Value::Int64(1), Value::Double(std::nan(""))});
+  t->AppendRow({Value::Int64(1), Value::Double(2)});
+  t->AppendRow({Value::Int64(3), Value::Double(0)});
+  EXPECT_EQ(fuzz::CheckOrder(*t, {{0, false}, {1, true}}), "");
+  EXPECT_EQ(fuzz::CheckOrder(*t, {}), "");
+  EXPECT_NE(fuzz::CheckOrder(*t, {{0, false}, {1, false}}), "");
+  EXPECT_NE(fuzz::CheckOrder(*t, {{0, true}}), "");
+}
+
+TEST(QueryGeneratorTest, OrderByKeysFollowTheSpec) {
+  fuzz::QuerySpec spec;
+  spec.use_order_limit = true;
+  spec.order_desc = 5;  // keys 1 and 3 DESC
+  std::vector<fuzz::OrderKey> keys = fuzz::TopLevelOrder(spec, 3);
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_TRUE(keys[0].descending);
+  EXPECT_FALSE(keys[1].descending);
+  EXPECT_TRUE(keys[2].descending);
+  spec.use_order_limit = false;
+  EXPECT_TRUE(fuzz::TopLevelOrder(spec, 3).empty());
+  spec.family = fuzz::QueryFamily::kCanonicalFF;
+  ASSERT_EQ(fuzz::TopLevelOrder(spec, 2).size(), 1u);
+  EXPECT_TRUE(fuzz::TopLevelOrder(spec, 2)[0].descending);
 }
 
 TEST(OptimizerTogglesTest, RegistryCoversEveryRule) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -270,6 +272,95 @@ TEST(IntegerOverflowTest, MinInt64DivModMinusOneOverColumns) {
   }
   TablePtr div = MustQuery(&db, "SELECT a / b FROM t WHERE b = 2");
   EXPECT_EQ(div->GetValue(0, 0).int64_value(), -3);
+}
+
+// SUM over BIGINT fails on overflow instead of wrapping: inside one
+// partial at width 1, and at width 4 with one-row morsels, where each
+// partial holds one addend and the overflow happens only at the merge.
+TEST(IntegerOverflowTest, SumFailsInPartialAndAtMerge) {
+  const std::string sum =
+      "SELECT SUM(i) FROM (SELECT 9223372036854775807 AS i "
+      "UNION ALL SELECT 1 AS i) s";
+  for (int workers : {1, 4}) {
+    EngineOptions options;
+    options.num_workers = workers;
+    if (workers > 1) {
+      options.mpp_min_rows_per_task = 1;
+      options.morsel_size = 1;
+    }
+    Database db(options);
+    ExpectOverflow(&db, sum);
+    ExpectOverflow(&db, sum + " GROUP BY i % 1");
+    // The largest sums that fit still come back exactly.
+    TablePtr fits = MustQuery(
+        &db,
+        "SELECT SUM(i) FROM (SELECT 9223372036854775806 AS i "
+        "UNION ALL SELECT 1 AS i UNION ALL SELECT -1 AS i "
+        "UNION ALL SELECT 1 AS i) s");
+    EXPECT_EQ(fits->GetValue(0, 0).int64_value(),
+              std::numeric_limits<int64_t>::max())
+        << "workers=" << workers;
+  }
+}
+
+// NaN is one value, equal to itself and above every number (as in
+// PostgreSQL): in ORDER BY, in top-N, in MIN/MAX and in grouping. sqrt of a
+// negative number is NaN.
+class NanOrderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExecute(&db_, "CREATE TABLE n (i BIGINT, x DOUBLE)");
+    MustExecute(&db_,
+                "INSERT INTO n VALUES (1, 3), (2, -1), (3, 1), (4, -4), "
+                "(5, 2), (6, 0.5)");
+  }
+  std::vector<int64_t> Ids(const TablePtr& t) {
+    std::vector<int64_t> ids;
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      ids.push_back(t->GetValue(r, 0).int64_value());
+    }
+    return ids;
+  }
+  Database db_;
+};
+
+TEST_F(NanOrderTest, OrderBySortsNanLast) {
+  EXPECT_EQ(Ids(MustQuery(&db_, "SELECT i FROM n ORDER BY sqrt(x)")),
+            (std::vector<int64_t>{6, 3, 5, 1, 2, 4}));
+  EXPECT_EQ(Ids(MustQuery(&db_, "SELECT i FROM n ORDER BY sqrt(x) DESC")),
+            (std::vector<int64_t>{2, 4, 1, 5, 3, 6}));
+}
+
+TEST_F(NanOrderTest, TopNOverNan) {
+  EXPECT_EQ(
+      Ids(MustQuery(&db_, "SELECT i FROM n ORDER BY sqrt(x), i LIMIT 3")),
+      (std::vector<int64_t>{6, 3, 5}));
+  EXPECT_EQ(Ids(MustQuery(
+                &db_, "SELECT i FROM n ORDER BY sqrt(x) DESC, i LIMIT 3")),
+            (std::vector<int64_t>{2, 4, 1}));
+}
+
+TEST_F(NanOrderTest, GroupByAndDistinctMakeOneNanGroup) {
+  TablePtr groups = MustQuery(
+      &db_,
+      "SELECT COUNT(*) FROM n GROUP BY sqrt(x) HAVING COUNT(*) > 1");
+  ASSERT_EQ(groups->num_rows(), 1u);
+  EXPECT_EQ(groups->GetValue(0, 0).int64_value(), 2);
+  EXPECT_EQ(MustQuery(&db_, "SELECT sqrt(x) FROM n GROUP BY sqrt(x)")
+                ->num_rows(),
+            5u);
+  EXPECT_EQ(MustQuery(&db_, "SELECT DISTINCT sqrt(x) FROM n")->num_rows(), 5u);
+  TablePtr agg = MustQuery(
+      &db_,
+      "SELECT COUNT(DISTINCT sqrt(x)), MIN(sqrt(x)), MAX(sqrt(x)) FROM n");
+  EXPECT_EQ(agg->GetValue(0, 0).int64_value(), 5);
+  EXPECT_DOUBLE_EQ(agg->GetValue(0, 1).double_value(), std::sqrt(0.5));
+  EXPECT_TRUE(std::isnan(agg->GetValue(0, 2).double_value()));
+  // Equality stays IEEE: NaN joins nothing, itself included.
+  EXPECT_EQ(MustQuery(&db_,
+                      "SELECT a.i FROM n a JOIN n b ON sqrt(a.x) = sqrt(b.x)")
+                ->num_rows(),
+            4u);
 }
 
 }  // namespace
