@@ -123,6 +123,27 @@ TEST_F(IvmTest, AggregateRetractionsFoldIncrementally) {
   EXPECT_EQ(tally.fulls, 0);
 }
 
+// NaN keys form one group in the maintained view, as in GROUP BY.
+TEST_F(IvmTest, NanKeysFoldIntoOneGroup) {
+  MustExecute(&db_, "CREATE TABLE t (x DOUBLE, y BIGINT)");
+  Run("CREATE MATERIALIZED VIEW vn AS "
+      "SELECT x, COUNT(*) AS c, SUM(y) AS s FROM t GROUP BY x");
+  IvmTally tally;
+  Run("INSERT INTO t VALUES (sqrt(-1.0), 1), (2.0, 5)", &tally);
+  Run("INSERT INTO t VALUES (sqrt(-4.0), 2)", &tally);
+  Run("DELETE FROM t WHERE y = 1", &tally);
+  Run("INSERT INTO t VALUES (sqrt(-9.0), 4)", &tally);
+  EXPECT_GE(tally.deltas, 4);
+  EXPECT_EQ(tally.fulls, 0);
+  TablePtr view = MustQuery(&db_, "SELECT c, s FROM vn ORDER BY x");
+  ASSERT_EQ(view->num_rows(), 2u);
+  EXPECT_EQ(view->GetValue(1, 0).int64_value(), 2);  // NaN sorts last
+  EXPECT_EQ(view->GetValue(1, 1).int64_value(), 6);
+  ExpectSameRows(view, MustQuery(&db_,
+                                 "SELECT COUNT(*) AS c, SUM(y) AS s FROM t "
+                                 "GROUP BY x ORDER BY x"));
+}
+
 TEST_F(IvmTest, MinRetractionEscalatesToFullRefresh) {
   const std::string body =
       "SELECT src, MIN(weight) AS mn FROM edges GROUP BY src";
