@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -7,6 +8,36 @@
 #include "common/string_util.h"
 
 namespace dbspinner {
+
+bool ParseInt64(const std::string& s, int64_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseDouble(const std::string& s, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseBool(const std::string& s, bool* out) {
+  if (EqualsIgnoreCase(s, "true")) {
+    *out = true;
+    return true;
+  }
+  if (EqualsIgnoreCase(s, "false")) {
+    *out = false;
+    return true;
+  }
+  return false;
+}
 
 Result<Value> Value::CastTo(TypeId target) const {
   if (is_null_) return Value::Null(target);
@@ -19,10 +50,8 @@ Result<Value> Value::CastTo(TypeId target) const {
         case TypeId::kBool:
           return Value::Int64(int_);
         case TypeId::kString: {
-          errno = 0;
-          char* end = nullptr;
-          long long v = std::strtoll(string_.c_str(), &end, 10);
-          if (end == string_.c_str() || *end != '\0' || errno == ERANGE) {
+          int64_t v = 0;
+          if (!ParseInt64(string_, &v)) {
             return Status::TypeError("cannot cast '" + string_ + "' to BIGINT");
           }
           return Value::Int64(v);
@@ -38,10 +67,8 @@ Result<Value> Value::CastTo(TypeId target) const {
         case TypeId::kBool:
           return Value::Double(static_cast<double>(int_));
         case TypeId::kString: {
-          errno = 0;
-          char* end = nullptr;
-          double v = std::strtod(string_.c_str(), &end);
-          if (end == string_.c_str() || *end != '\0' || errno == ERANGE) {
+          double v = 0;
+          if (!ParseDouble(string_, &v)) {
             return Status::TypeError("cannot cast '" + string_ + "' to DOUBLE");
           }
           return Value::Double(v);
@@ -58,10 +85,14 @@ Result<Value> Value::CastTo(TypeId target) const {
           return Value::Bool(int_ != 0);
         case TypeId::kDouble:
           return Value::Bool(double_ != 0);
-        case TypeId::kString:
-          if (EqualsIgnoreCase(string_, "true")) return Value::Bool(true);
-          if (EqualsIgnoreCase(string_, "false")) return Value::Bool(false);
-          return Status::TypeError("cannot cast '" + string_ + "' to BOOLEAN");
+        case TypeId::kString: {
+          bool v = false;
+          if (!ParseBool(string_, &v)) {
+            return Status::TypeError("cannot cast '" + string_ +
+                                     "' to BOOLEAN");
+          }
+          return Value::Bool(v);
+        }
         default:
           break;
       }

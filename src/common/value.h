@@ -41,6 +41,12 @@ inline size_t HashDouble(double d) {
                        : std::hash<double>()(d);
 }
 
+/// The string conversions of CAST: the whole string must parse, integers
+/// in base 10 and in range, booleans as `true`/`false` in any case.
+bool ParseInt64(const std::string& s, int64_t* out);
+bool ParseDouble(const std::string& s, double* out);
+bool ParseBool(const std::string& s, bool* out);
+
 /// A nullable scalar of one of the supported TypeIds.
 class Value {
  public:

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "expr/vector_eval.h"
 #include "storage/table.h"
 
 namespace dbspinner {
@@ -43,6 +44,12 @@ class DataChunk {
 
   /// The absolute selection (valid only when !contiguous()).
   const std::vector<uint32_t>& selection() const { return sel_; }
+
+  /// The chunk's rows of base(), for the expression evaluator (valid
+  /// until the selection changes).
+  RowSet rows() const {
+    return has_sel_ ? RowSet::Of(sel_) : RowSet::Window(begin_, count_);
+  }
 
   /// Replaces the view with an absolute selection into base().
   void SetSelection(std::vector<uint32_t> sel) {

@@ -25,7 +25,7 @@ Input BaseInput(const DataChunk& chunk, size_t column) {
 }
 
 /// A plain reference to a base column of the expression's own type: read
-/// in place, as EvaluateExprBatch's zero-copy path would.
+/// in place.
 bool IsBaseColumn(const BoundExpr& expr, const DataChunk& chunk) {
   return expr.kind == BoundExprKind::kColumnRef &&
          chunk.table().column(expr.column_index).type() == expr.type;
@@ -326,6 +326,7 @@ GroupedAggregator::GroupedAggregator(
     : group_exprs_(group_exprs),
       aggregates_(aggregates),
       output_schema_(output_schema) {
+  for (const auto& g : *group_exprs_) group_evals_.emplace_back(*g);
   states_.reserve(aggregates_->size());
   for (const AggregateSpec& spec : *aggregates_) {
     AggColumn s;
@@ -333,6 +334,8 @@ GroupedAggregator::GroupedAggregator(
     s.arg_type = spec.arg ? spec.arg->type : TypeId::kNull;
     s.distinct = spec.distinct;
     states_.push_back(std::move(s));
+    arg_evals_.push_back(spec.arg ? std::make_unique<CompiledExpr>(*spec.arg)
+                                  : nullptr);
   }
 }
 
@@ -380,25 +383,19 @@ Status GroupedAggregator::Consume(const DataChunk& chunk) {
   }
   if (n == 0) return Status::OK();
 
-  // Computed keys and arguments are evaluated over one dense copy of the
-  // chunk's rows (the base itself when the chunk spans all of it);
-  // `evaluated` keeps their columns alive.
-  TablePtr dense;
+  // Computed keys and arguments are evaluated over the chunk's rows into
+  // dense columns, which `evaluated` keeps alive.
+  const EvalInput in(chunk.table(), chunk.rows());
   std::vector<ColumnVectorPtr> evaluated;
-  auto evaluate = [&](const BoundExpr& expr) -> Result<Input> {
-    if (dense == nullptr) {
-      const bool whole = chunk.contiguous() && chunk.begin() == 0 &&
-                         n == chunk.table().num_rows();
-      dense = whole ? chunk.base() : chunk.Materialize();
-    }
-    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                          EvaluateExprBatch(expr, *dense));
+  auto evaluate = [&](const CompiledExpr& expr) -> Result<Input> {
+    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col, expr.Evaluate(in));
     evaluated.push_back(col);
     return Input{col.get(), nullptr, 0};
   };
-  auto resolve = [&](const BoundExpr& expr) -> Result<Input> {
+  auto resolve = [&](const BoundExpr& expr,
+                     const CompiledExpr& compiled) -> Result<Input> {
     if (IsBaseColumn(expr, chunk)) return BaseInput(chunk, expr.column_index);
-    return evaluate(expr);
+    return evaluate(compiled);
   };
 
   gids_.assign(n, 0);
@@ -408,8 +405,10 @@ Status GroupedAggregator::Consume(const DataChunk& chunk) {
     for (const auto& g : *group_exprs_) all_base &= IsBaseColumn(*g, chunk);
     KeyColumns keys;
     Input rows;
-    for (const auto& g : *group_exprs_) {
-      DBSP_ASSIGN_OR_RETURN(rows, all_base ? resolve(*g) : evaluate(*g));
+    for (size_t k = 0; k < ng; ++k) {
+      const CompiledExpr& g = group_evals_[k];
+      DBSP_ASSIGN_OR_RETURN(
+          rows, all_base ? resolve(*(*group_exprs_)[k], g) : evaluate(g));
       keys.push_back(rows.col);
     }
     EnsureKeyStore(keys);
@@ -425,7 +424,8 @@ Status GroupedAggregator::Consume(const DataChunk& chunk) {
       for (uint32_t g : gids_) ++s->count[g];
       continue;
     }
-    DBSP_ASSIGN_OR_RETURN(Input in, resolve(*(*aggregates_)[a].arg));
+    DBSP_ASSIGN_OR_RETURN(Input in,
+                          resolve(*(*aggregates_)[a].arg, *arg_evals_[a]));
     // Distinct aggregates fold at Finalize, after partials merge: only the
     // seen-sets grow here. NULLs are dropped outright, as no kind that
     // can carry DISTINCT folds a NULL.

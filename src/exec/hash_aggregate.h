@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
+#include "expr/vector_eval.h"
 #include "storage/table.h"
 
 namespace dbspinner {
@@ -33,8 +35,8 @@ class GroupedAggregator {
 
   /// Folds every row of `chunk` into the groups. Plain column references
   /// read the chunk's base columns in place; other expressions are
-  /// evaluated over the chunk's rows, materialized once. Fails when an
-  /// integer SUM overflows.
+  /// evaluated over the chunk's rows. Fails when an integer SUM overflows
+  /// or an expression fails.
   Status Consume(const DataChunk& chunk);
 
   /// Folds another partial (built over the same operator) into this one.
@@ -87,6 +89,9 @@ class GroupedAggregator {
   const std::vector<BoundExprPtr>* group_exprs_;
   const std::vector<AggregateSpec>* aggregates_;
   const Schema* output_schema_;
+  std::vector<CompiledExpr> group_evals_;
+  /// One per aggregate; null for COUNT(*).
+  std::vector<std::unique_ptr<CompiledExpr>> arg_evals_;
 
   /// One column per group expression, one entry per group (in group order):
   /// the first-occurrence key values, also the equality side of the probe.

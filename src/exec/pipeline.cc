@@ -7,7 +7,6 @@
 #include "exec/data_chunk.h"
 #include "exec/hash_aggregate.h"
 #include "exec/physical_planner.h"
-#include "exec/pipeline_kernels.h"
 #include "exec/row_index.h"
 
 namespace dbspinner {
@@ -26,7 +25,9 @@ std::vector<TypeId> SchemaKeyTypes(const Schema& schema,
 // Per-morsel counters, accumulated thread-locally and merged by the driver
 // (ctx.stats must not be mutated from parallel morsel tasks).
 struct LocalStats {
-  KernelCounters kernels;
+  int64_t filter_rows = 0;   ///< rows filter conjuncts ran on unboxed
+  int64_t project_rows = 0;  ///< rows projections evaluated unboxed
+  int64_t probe_rows = 0;
   int64_t delta_probe_rows = 0;
 };
 
@@ -35,8 +36,8 @@ struct Stage {
   const PhysicalOp* op = nullptr;
   PipelineRole role = PipelineRole::kBreaker;
 
-  std::unique_ptr<ChunkFilter> filter;        // kFilter
-  std::unique_ptr<ChunkProjector> projector;  // kProject
+  std::unique_ptr<CompiledExpr> filter;    // kFilter
+  std::vector<CompiledExpr> projections;   // kProject
 
   // kHashProbe: fully materialized build side + shared index.
   TablePtr right;
@@ -115,15 +116,14 @@ Result<std::vector<Stage>> CompileStages(
     s.role = op->pipeline_role();
     switch (s.role) {
       case PipelineRole::kFilter:
-        s.filter = std::make_unique<ChunkFilter>(
-            &static_cast<const PhysicalFilter*>(op)->predicate());
+        s.filter = std::make_unique<CompiledExpr>(
+            static_cast<const PhysicalFilter*>(op)->predicate());
         break;
-      case PipelineRole::kProject: {
-        const auto* proj = static_cast<const PhysicalProject*>(op);
-        s.projector = std::make_unique<ChunkProjector>(&proj->exprs(),
-                                                       &proj->output_schema());
+      case PipelineRole::kProject:
+        for (const auto& e : static_cast<const PhysicalProject*>(op)->exprs()) {
+          s.projections.emplace_back(*e);
+        }
         break;
-      }
       case PipelineRole::kHashProbe: {
         const auto* join = static_cast<const PhysicalHashJoin*>(op);
         DBSP_ASSIGN_OR_RETURN(s.right,
@@ -155,6 +155,29 @@ Result<std::vector<Stage>> CompileStages(
   return stages;
 }
 
+// Evaluates a projection stage over `chunk` into a new dense chunk of the
+// stage's output schema.
+Result<DataChunk> Project(const Stage& s, const DataChunk& chunk,
+                          LocalStats* ls) {
+  const Schema& schema = s.op->output_schema();
+  const EvalInput in(chunk.table(), chunk.rows());
+  std::vector<ColumnVectorPtr> cols;
+  cols.reserve(s.projections.size());
+  for (size_t c = 0; c < s.projections.size(); ++c) {
+    DBSP_ASSIGN_OR_RETURN(
+        ColumnVectorPtr col,
+        s.projections[c].Evaluate(in, &ls->project_rows));
+    if (col->type() != schema.column(c).type) {
+      auto cast = std::make_shared<ColumnVector>(schema.column(c).type);
+      cast->AppendAll(*col);
+      col = std::move(cast);
+    }
+    cols.push_back(std::move(col));
+  }
+  return DataChunk(Table::FromColumns(schema, std::move(cols)), 0,
+                   chunk.size());
+}
+
 // Streams one chunk through every compiled stage.
 Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
                            LocalStats* ls) {
@@ -162,15 +185,19 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
     if (chunk.empty()) break;
     switch (s.role) {
       case PipelineRole::kFilter: {
-        DBSP_RETURN_NOT_OK(s.filter->Apply(&chunk, &ls->kernels));
+        std::vector<uint32_t> sel;
+        sel.reserve(chunk.size());
+        DBSP_RETURN_NOT_OK(s.filter->Filter(
+            EvalInput(chunk.table(), chunk.rows()), &sel, &ls->filter_rows));
+        chunk.SetSelection(std::move(sel));
         break;
       }
       case PipelineRole::kProject: {
-        DBSP_ASSIGN_OR_RETURN(chunk, s.projector->Apply(chunk, &ls->kernels));
+        DBSP_ASSIGN_OR_RETURN(chunk, Project(s, chunk, ls));
         break;
       }
       case PipelineRole::kHashProbe: {
-        ls->kernels.probe_rows += static_cast<int64_t>(chunk.size());
+        ls->probe_rows += static_cast<int64_t>(chunk.size());
         const auto* join = static_cast<const PhysicalHashJoin*>(s.op);
         DBSP_ASSIGN_OR_RETURN(chunk, join->Probe(chunk, *s.right, *s.build));
         break;
@@ -189,16 +216,16 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
 }
 
 void MergeLocalStats(const LocalStats& ls, LocalStats* total) {
-  total->kernels.filter_rows += ls.kernels.filter_rows;
-  total->kernels.project_rows += ls.kernels.project_rows;
-  total->kernels.probe_rows += ls.kernels.probe_rows;
+  total->filter_rows += ls.filter_rows;
+  total->project_rows += ls.project_rows;
+  total->probe_rows += ls.probe_rows;
   total->delta_probe_rows += ls.delta_probe_rows;
 }
 
 void FlushLocalStats(const LocalStats& total, ExecContext& ctx) {
-  ctx.stats.kernel_rows_filter += total.kernels.filter_rows;
-  ctx.stats.kernel_rows_project += total.kernels.project_rows;
-  ctx.stats.kernel_rows_probe += total.kernels.probe_rows;
+  ctx.stats.kernel_rows_filter += total.filter_rows;
+  ctx.stats.kernel_rows_project += total.project_rows;
+  ctx.stats.kernel_rows_probe += total.probe_rows;
   ctx.stats.delta_probe_rows += total.delta_probe_rows;
 }
 

@@ -8,6 +8,7 @@
 
 #include "exec/merge_update.h"
 #include "exec/row_index.h"
+#include "expr/vector_eval.h"
 
 namespace dbspinner {
 
@@ -15,12 +16,10 @@ namespace {
 
 // Rows of the loop's CTE currently satisfying a kAny/kAll condition.
 Result<int64_t> CountSatisfiedRows(const LoopSpec& spec, const Table& cte) {
-  int64_t satisfied = 0;
-  for (size_t i = 0; i < cte.num_rows(); ++i) {
-    DBSP_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*spec.expr, cte, i));
-    if (!v.is_null() && v.bool_value()) ++satisfied;
-  }
-  return satisfied;
+  std::vector<uint32_t> rows;
+  DBSP_RETURN_NOT_OK(CompiledExpr(*spec.expr).Filter(
+      EvalInput(cte, RowSet::Window(0, cte.num_rows())), &rows));
+  return static_cast<int64_t>(rows.size());
 }
 
 // Decides whether the loop body should run at all, evaluated at kInitLoop

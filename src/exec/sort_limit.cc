@@ -5,6 +5,7 @@
 
 #include "exec/physical_plan.h"
 #include "exec/pipeline.h"
+#include "expr/vector_eval.h"
 
 namespace dbspinner {
 
@@ -147,7 +148,8 @@ Result<TablePtr> PhysicalSort::Execute(ExecContext& ctx) const {
   key_cols.reserve(keys_.size());
   for (const auto& k : keys_) {
     DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                          EvaluateExprBatch(*k.expr, *input));
+                          CompiledExpr(*k.expr).Evaluate(
+                              EvalInput(*input, RowSet::Window(0, n))));
     if (col->type() == TypeId::kNull) continue;
     keys.push_back(MakeSortKey(*col, k.descending));
     key_cols.push_back(std::move(col));

@@ -93,19 +93,19 @@ BoundExprPtr MakeBoundColumnRef(size_t index, TypeId type, std::string name);
 BoundExprPtr MakeBoundBinary(BinaryOp op, BoundExprPtr l, BoundExprPtr r,
                              TypeId type);
 
-/// Evaluates `expr` on row `row` of `input`.
+/// Evaluates `expr` on row `row` of `input`: the row-wise reference
+/// semantics. Batch callers use CompiledExpr (expr/vector_eval.h), which
+/// returns the same values and fails on the same rows; this stays for
+/// constant folding, one-row callers and as the differential oracle.
+/// A column reference and a function call yield values of the node's
+/// static type (converted as Value::CastTo converts), and INT64 `+`, `-`,
+/// `*`, unary `-` and abs() fail with "integer overflow" instead of
+/// wrapping.
 Result<Value> EvaluateExpr(const BoundExpr& expr, const Table& input,
                            size_t row);
 
-/// Evaluates `expr` for every row of `input` into a new ColumnVector of
-/// `expr.type`.
-Result<ColumnVectorPtr> EvaluateExprBatch(const BoundExpr& expr,
-                                          const Table& input);
-
-/// Evaluates a predicate for every row; emits the passing row indices.
-/// NULL and false both fail the predicate (SQL WHERE semantics).
-Result<std::vector<uint32_t>> EvaluatePredicate(const BoundExpr& expr,
-                                                const Table& input);
+/// SQL LIKE with % (any run) and _ (any one char).
+bool LikeMatch(const std::string& s, const std::string& pattern);
 
 /// Structural equality of bound expressions.
 bool BoundExprEquals(const BoundExpr& a, const BoundExpr& b);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -113,6 +114,9 @@ const std::unordered_map<std::string, ScalarFunction>& Registry() {
          [](const std::vector<Value>& a) -> Result<Value> {
            if (AnyNull(a)) return Value::Null();
            if (a[0].type() == TypeId::kInt64) {
+             if (a[0].int64_value() == std::numeric_limits<int64_t>::min()) {
+               return Status::ExecutionError("integer overflow");
+             }
              return Value::Int64(std::llabs(a[0].int64_value()));
            }
            return Value::Double(std::fabs(Num(a[0])));
@@ -171,6 +175,8 @@ const std::unordered_map<std::string, ScalarFunction>& Registry() {
              if (a[1].int64_value() == 0) {
                return Status::ExecutionError("MOD by zero");
              }
+             // x % -1 is 0; computing it for INT64_MIN traps.
+             if (a[1].int64_value() == -1) return Value::Int64(0);
              return Value::Int64(a[0].int64_value() % a[1].int64_value());
            }
            double d = Num(a[1]);

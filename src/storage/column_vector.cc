@@ -137,16 +137,17 @@ ColumnVectorPtr ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
   return out;
 }
 
-void ColumnVector::AppendGathered(const ColumnVector& src,
-                                  const std::vector<uint32_t>& sel) {
+void ColumnVector::AppendGathered(const ColumnVector& src, const uint32_t* sel,
+                                  size_t n) {
   if (src.type_ != type_) {
     // Coercing path (e.g. INT64 source into DOUBLE column).
-    Reserve(size_ + sel.size());
-    for (uint32_t i : sel) i == kNoMatch ? AppendNull() : AppendFrom(src, i);
+    Reserve(size_ + n);
+    for (size_t k = 0; k < n; ++k) {
+      sel[k] == kNoMatch ? AppendNull() : AppendFrom(src, sel[k]);
+    }
     return;
   }
   size_t base = size_;
-  size_t n = sel.size();
   nulls_.resize(base + n);
   for (size_t i = 0; i < n; ++i) {
     nulls_[base + i] = sel[i] == kNoMatch ? 1 : src.nulls_[sel[i]];
@@ -180,6 +181,36 @@ void ColumnVector::AppendGathered(const ColumnVector& src,
       }
       break;
     }
+    case TypeId::kNull:
+      break;
+  }
+  size_ = base + n;
+}
+
+void ColumnVector::AppendRaw(const int64_t* ints, const double* doubles,
+                             const std::string* strings, const uint8_t* nulls,
+                             size_t n) {
+  size_t base = size_;
+  nulls_.resize(base + n);
+  for (size_t i = 0; i < n; ++i) nulls_[base + i] = nulls[i] != 0;
+  // NULL slots hold 0 / "" as AppendNull leaves them.
+  switch (type_) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+      ints_.resize(base + n);
+      for (size_t i = 0; i < n; ++i) ints_[base + i] = nulls[i] ? 0 : ints[i];
+      break;
+    case TypeId::kDouble:
+      doubles_.resize(base + n);
+      for (size_t i = 0; i < n; ++i) {
+        doubles_[base + i] = nulls[i] ? 0 : doubles[i];
+      }
+      break;
+    case TypeId::kString:
+      for (size_t i = 0; i < n; ++i) {
+        strings_.push_back(nulls[i] ? std::string() : strings[i]);
+      }
+      break;
     case TypeId::kNull:
       break;
   }

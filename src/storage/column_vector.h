@@ -82,7 +82,17 @@ class ColumnVector {
   /// like Gather, but into an existing vector, coercing like AppendFrom
   /// when the types differ).
   void AppendGathered(const ColumnVector& src,
-                      const std::vector<uint32_t>& sel);
+                      const std::vector<uint32_t>& sel) {
+    AppendGathered(src, sel.data(), sel.size());
+  }
+  void AppendGathered(const ColumnVector& src, const uint32_t* sel, size_t n);
+
+  /// Appends n rows from raw arrays of this vector's type: `ints` for
+  /// BOOL/INT64, `doubles` for DOUBLE, `strings` for STRING (the others
+  /// are not read). Row i is NULL when nulls[i] != 0, whatever its value
+  /// slot holds.
+  void AppendRaw(const int64_t* ints, const double* doubles,
+                 const std::string* strings, const uint8_t* nulls, size_t n);
 
   /// Overwrites row rows[k] with row src_rows[k] of `src`, for every k
   /// (coercing like AppendFrom when the types differ).

@@ -8,6 +8,7 @@
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
 #include "expr/scalar_functions.h"
+#include "expr/vector_eval.h"
 
 namespace dbspinner {
 namespace {
@@ -82,15 +83,18 @@ TEST(ExprEvalTest, PredicateTreatsNullAsFalse) {
   auto t = OneRowTable();
   auto e = MakeBoundBinary(BinaryOp::kLt, Col(2, TypeId::kInt64),
                            Lit(Value::Int64(100)), TypeId::kBool);
-  auto sel = EvaluatePredicate(*e, *t);
-  ASSERT_TRUE(sel.ok());
-  EXPECT_TRUE(sel->empty());
+  std::vector<uint32_t> sel;
+  ASSERT_TRUE(CompiledExpr(*e)
+                  .Filter(EvalInput(*t, RowSet::Window(0, t->num_rows())), &sel)
+                  .ok());
+  EXPECT_TRUE(sel.empty());
 }
 
 TEST(ExprEvalTest, BatchFastPathSharesColumn) {
   auto t = OneRowTable();
   auto e = Col(0, TypeId::kInt64);
-  auto col = EvaluateExprBatch(*e, *t);
+  auto col = CompiledExpr(*e).Evaluate(
+      EvalInput(*t, RowSet::Window(0, t->num_rows())));
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(col->get(), &t->column(0));
 }

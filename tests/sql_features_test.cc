@@ -274,6 +274,55 @@ TEST(IntegerOverflowTest, MinInt64DivModMinusOneOverColumns) {
   EXPECT_EQ(div->GetValue(0, 0).int64_value(), -3);
 }
 
+// BIGINT +, -, *, unary - and ABS fail with "integer overflow" instead of
+// wrapping: on constants (which the folder leaves to run time), and on
+// columns at widths 1 and 4, where the vectorized evaluator is the one
+// that fails.
+TEST(IntegerOverflowTest, ArithmeticFailsInsteadOfWrapping) {
+  {
+    Database db;
+    ExpectOverflow(&db, "SELECT 9223372036854775807 + 1");
+    ExpectOverflow(&db, "SELECT -9223372036854775807 - 2");
+    ExpectOverflow(&db, "SELECT 4611686018427387904 * 4");
+    ExpectOverflow(&db, "SELECT -(-9223372036854775807 - 1)");
+    ExpectOverflow(&db, "SELECT ABS(-9223372036854775807 - 1)");
+  }
+  for (int workers : {1, 4}) {
+    EngineOptions options;
+    options.num_workers = workers;
+    if (workers > 1) {
+      options.mpp_min_rows_per_task = 1;
+      options.morsel_size = 1;
+    }
+    Database db(options);
+    MustExecute(&db, "CREATE TABLE t (i BIGINT)");
+    MustExecute(&db,
+                "INSERT INTO t VALUES (1), (2), (9223372036854775807), "
+                "(-9223372036854775807 - 1)");
+    ExpectOverflow(&db, "SELECT i * 4611686018427387904 FROM t");
+    ExpectOverflow(&db, "SELECT i + 1 FROM t");
+    ExpectOverflow(&db, "SELECT i - 1 FROM t");
+    ExpectOverflow(&db, "SELECT -i FROM t");
+    ExpectOverflow(&db, "SELECT ABS(i) FROM t");
+    ExpectOverflow(&db, "SELECT i FROM t WHERE i + 1 > 0");
+    // MOD by -1 is 0 for every value, INT64_MIN included.
+    TablePtr mod = MustQuery(&db, "SELECT MOD(i, -1) FROM t");
+    ASSERT_EQ(mod->num_rows(), 4u);
+    for (size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(mod->GetValue(r, 0).int64_value(), 0);
+    }
+    // Rows that fit still compute.
+    TablePtr fits = MustQuery(
+        &db, "SELECT i * 2, -i, ABS(-i) FROM t WHERE i > 0 AND i < 3");
+    ASSERT_EQ(fits->num_rows(), 2u) << "workers=" << workers;
+    for (size_t r = 0; r < 2; ++r) {
+      const int64_t i = fits->GetValue(r, 2).int64_value();
+      EXPECT_EQ(fits->GetValue(r, 0).int64_value(), 2 * i);
+      EXPECT_EQ(fits->GetValue(r, 1).int64_value(), -i);
+    }
+  }
+}
+
 // SUM over BIGINT fails on overflow instead of wrapping: inside one
 // partial at width 1, and at width 4 with one-row morsels, where each
 // partial holds one addend and the overflow happens only at the merge.
@@ -361,6 +410,75 @@ TEST_F(NanOrderTest, GroupByAndDistinctMakeOneNanGroup) {
                       "SELECT a.i FROM n a JOIN n b ON sqrt(a.x) = sqrt(b.x)")
                 ->num_rows(),
             4u);
+}
+
+// A comparison with NaN gives one answer on every path: the filter on a
+// column against a constant, a filter behind another conjunct, and a
+// projection, alone or under OR. NaN sorts above every number.
+TEST_F(NanOrderTest, ComparisonsAgreeOnEveryPath) {
+  MustExecute(&db_, "CREATE TABLE t (i BIGINT, x DOUBLE)");
+  MustExecute(&db_, "INSERT INTO t VALUES (1, 4), (2, -1), (3, 9)");
+  MustExecute(&db_, "CREATE TABLE u AS SELECT i, sqrt(x) AS y FROM t");
+  EXPECT_EQ(Ids(MustQuery(&db_, "SELECT i FROM u WHERE y > 2.5 ORDER BY i")),
+            (std::vector<int64_t>{2, 3}));
+  EXPECT_EQ(Ids(MustQuery(&db_,
+                          "SELECT i FROM u WHERE i % 1 = 0 AND y > 2.5 "
+                          "ORDER BY i")),
+            (std::vector<int64_t>{2, 3}));
+  for (const char* sql : {"SELECT i, y > 2.5 FROM u ORDER BY i",
+                          "SELECT i, (y > 2.5) OR (i < 0) FROM u ORDER BY i"}) {
+    TablePtr t = MustQuery(&db_, sql);
+    ASSERT_EQ(t->num_rows(), 3u) << sql;
+    EXPECT_FALSE(t->GetValue(0, 1).bool_value()) << sql;
+    EXPECT_TRUE(t->GetValue(1, 1).bool_value()) << sql;
+    EXPECT_TRUE(t->GetValue(2, 1).bool_value()) << sql;
+  }
+}
+
+// Joins without an equality run as nested loops: the condition runs for
+// one left row against every right row. Pairs come out left-major, then
+// the unmatched LEFT rows, NULL-padded; a condition that fails on any
+// pair fails the statement, as row-wise evaluation of every pair does.
+class NestedLoopJoinTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExecute(&db_, "CREATE TABLE l (a BIGINT)");
+    MustExecute(&db_, "INSERT INTO l VALUES (1), (2), (NULL), (4)");
+    MustExecute(&db_, "CREATE TABLE r (c BIGINT)");
+    MustExecute(&db_, "INSERT INTO r VALUES (0), (2), (NULL), (3)");
+  }
+  // The rows of `sql` as "a:c" strings, in output order.
+  std::vector<std::string> Pairs(const std::string& sql) {
+    TablePtr t = MustQuery(&db_, sql);
+    std::vector<std::string> out;
+    for (size_t i = 0; i < t->num_rows(); ++i) {
+      out.push_back(t->GetValue(i, 0).ToString() + ":" +
+                    t->GetValue(i, 1).ToString());
+    }
+    return out;
+  }
+  Database db_;
+};
+
+TEST_F(NestedLoopJoinTest, InnerNonEquiWithNulls) {
+  EXPECT_EQ(Pairs("SELECT l.a, r.c FROM l JOIN r ON l.a < r.c"),
+            (std::vector<std::string>{"1:2", "1:3", "2:3"}));
+}
+
+TEST_F(NestedLoopJoinTest, LeftNonEquiPadsUnmatchedRows) {
+  EXPECT_EQ(Pairs("SELECT l.a, r.c FROM l LEFT JOIN r ON l.a < r.c"),
+            (std::vector<std::string>{"1:2", "1:3", "2:3", "NULL:NULL",
+                                      "4:NULL"}));
+}
+
+TEST_F(NestedLoopJoinTest, ConditionFailingOnSomePairsFailsStatement) {
+  auto r = db_.Execute("SELECT l.a FROM l JOIN r ON 10 / r.c > l.a");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  // Guarded, the division never sees the zero.
+  EXPECT_EQ(
+      Pairs("SELECT l.a, r.c FROM l JOIN r ON r.c <> 0 AND 10 / r.c > l.a"),
+      (std::vector<std::string>{"1:2", "1:3", "2:2", "2:3", "4:2"}));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // and recursive CTEs, canonical workloads) over generated graph schemas and
 // runs each under the full oracle matrix (per-optimization toggles, MPP
 // widths, procedure lowering, reference algorithms). Any disagreement is
-// minimized and printed as a ready-to-paste gtest regression test.
+// minimized and printed as a ready-to-paste gtest regression test. Each
+// case's tables also feed the expression oracle (testing/expr_oracle.h):
+// random expressions, vectorized against row-wise evaluation.
 //
 //   fuzz_sql --seed 1 --iterations 500
 //   fuzz_sql --seed 7 --time-budget 60
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "testing/differential.h"
+#include "testing/expr_oracle.h"
 #include "testing/minimizer.h"
 #include "testing/query_generator.h"
 
@@ -153,6 +156,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
   return true;
 }
 
+/// Random expressions the expression oracle checks per table per case.
+constexpr int kExprTreesPerTable = 8;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -227,6 +233,16 @@ int main(int argc, char** argv) {
     if (cli.verbose) {
       std::printf("[%lld] %s\n", static_cast<long long>(i),
                   c.Label().c_str());
+    }
+    // The expression oracle draws from a stream of its own, so the cases
+    // above stay what they were without it.
+    std::string expr_diff =
+        dbspinner::fuzz::CheckExprOracleOnCase(c, kExprTreesPerTable);
+    if (!expr_diff.empty()) {
+      std::printf("\n=== EXPRESSION ORACLE MISMATCH (case %lld) ===\n%s\n%s\n",
+                  static_cast<long long>(i), c.Label().c_str(),
+                  expr_diff.c_str());
+      return 1;
     }
     DiffReport report =
         cli.ivm ? dbspinner::fuzz::RunIvmDifferential(c, diff_opts)
