@@ -13,6 +13,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
+#include "expr/vector_eval.h"
 #include "mpp/thread_pool.h"
 #include "parser/ast.h"
 #include "storage/catalog.h"
@@ -319,7 +321,9 @@ class PhysicalHashJoin final : public PhysicalOp {
         type_(type),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)) {}
+        residual_(std::move(residual)) {
+    if (residual_) residual_eval_.emplace(*residual_);
+  }
   Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "HashJoin"; }
   std::string Describe() const override;
@@ -367,6 +371,7 @@ class PhysicalHashJoin final : public PhysicalOp {
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   BoundExprPtr residual_;  ///< over [left ++ right]; may be null
+  std::optional<CompiledExpr> residual_eval_;  ///< residual_, compiled
   double build_rows_estimate_ = -1.0;
 };
 
