@@ -1,10 +1,9 @@
 // Ablation: shared-nothing worker scaling.
 //
-// Runs the PR-VS query with 1/2/4/8 simulated nodes, plus a shuffle join
-// and a GROUP BY in SQL at the same widths. Not a paper figure — it
-// validates that the MPP substrate behaves like a shared-nothing engine
-// (join work scales down per node, shuffle volume appears as soon as
-// width > 1, pre-aggregation shuffles nothing).
+// Runs the PR-VS query with 1/2/4/8 simulated nodes, plus a join and a
+// GROUP BY in SQL at the same widths. Not a paper figure — it validates
+// that the MPP substrate scales (every worker probes one shared build, and
+// pre-aggregation merges per-worker partials; neither shuffles).
 
 #include "bench_util.h"
 
@@ -23,15 +22,13 @@ void MppPrVs(benchmark::State& state) {
 BENCHMARK(MppPrVs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 
-// Runs `sql` on the DBLP graph at the width in state.range(0), with the
-// partitioned-shuffle join forced (broadcast_build_rows = 0), and reports
-// the rows the shuffles moved and the morsels workers stole per query.
+// Runs `sql` on the DBLP graph at the width in state.range(0), and reports
+// the rows shuffled and the morsels workers stole per query.
 void RunMppSql(benchmark::State& state, const char* sql) {
   Database* db = GetDatabase(Dataset::kDblp);
   db->options().optimizer = OptimizerOptions{};
   db->options().num_workers = static_cast<int>(state.range(0));
   db->options().mpp_min_rows_per_task = 1024;
-  db->options().broadcast_build_rows = 0;
   ExecStats last;
   for (auto _ : state) {
     Result<QueryResult> result = db->Execute(sql);
@@ -47,14 +44,14 @@ void RunMppSql(benchmark::State& state, const char* sql) {
   state.counters["morsels_stolen"] = static_cast<double>(last.morsels_stolen);
 }
 
-// Co-partitioned join: both inputs are hash-partitioned on the join key as
-// soon as width > 1.
-void MppShuffleJoin(benchmark::State& state) {
+// Join: the build side is hashed once and every worker probes it with its
+// own morsels of the probe side.
+void MppJoin(benchmark::State& state) {
   RunMppSql(state,
             "SELECT e.src, v.status FROM edges e "
             "JOIN vertexstatus v ON e.dst = v.node");
 }
-BENCHMARK(MppShuffleJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(MppJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 // GROUP BY: per-worker partial aggregates merged at the breaker, so nothing

@@ -98,10 +98,11 @@ BENCHMARK(BM_PageRankDeltaVsNaive)
     ->Unit(benchmark::kMillisecond);
 
 // Parallel fusion's materialization/movement accounting: the SSSP loop at
-// width 8. Small builds broadcast (probes fuse, no join repartitioning) and
-// aggregates consume chunks straight into per-worker partials, so
-// rows_shuffled stays 0 while agg_rows_preaggregated accounts the
-// (post-filter) aggregate input that skipped the materializer entirely.
+// width 8. Every probe fuses against one shared build (no join
+// repartitioning) and aggregates consume chunks straight into per-worker
+// partials, so rows_shuffled counts only DISTINCT's partitioning, while
+// agg_rows_preaggregated accounts the (post-filter) aggregate input that
+// skipped the materializer entirely.
 void BM_SsspAggregateMaterialization(benchmark::State& state) {
   Database* db = bench::GetDatabase(bench::Dataset::kDblp);
   db->options().num_workers = 8;

@@ -145,25 +145,20 @@ void BM_MixedFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedFilter)->Unit(benchmark::kMillisecond);
 
-// --- broadcast-fused probe vs breaker at MPP width 8 (DESIGN.md §11) --------
+// --- fused scan→filter→probe at MPP width 8 (DESIGN.md §11) ---------------
 //
-// scan→filter→probe with a small (20k-row) build side at 8 workers. The
-// fused series broadcasts the build (one shared hash table, probes run
-// inside the stealing morsel dispatcher); the breaker series forces the
-// partitioned-shuffle join by setting broadcast_build_rows = 0. Compare
-// the two rows_per_sec counters in a JSON run — the acceptance bar is
-// fused >= 1.5x breaker.
+// A small (20k-row) build side at 8 workers: one shared hash table, probes
+// run inside the stealing morsel dispatcher.
 
 constexpr const char* kScanFilterProbeSql =
     "SELECT e.src, e.dst, v.status FROM edges e "
     "JOIN vertexstatus v ON e.dst = v.node WHERE e.weight > 0.05";
 
-void RunSqlMppProbe(benchmark::State& state, bool fuse) {
+void BM_ScanFilterProbeMpp8(benchmark::State& state) {
   Database* db = SetupDb(20000, kEdgeRows);
   db->options().num_workers = 8;
   db->options().mpp_min_rows_per_task = 1;
-  db->options().broadcast_build_rows = fuse ? (size_t{1} << 20) : 0;
-  int64_t runs = 0, probe_rows = 0, stolen = 0, shuffled = 0;
+  int64_t runs = 0, probe_rows = 0, stolen = 0;
   for (auto _ : state) {
     auto result = db->Execute(kScanFilterProbeSql);
     if (!result.ok()) {
@@ -174,11 +169,9 @@ void RunSqlMppProbe(benchmark::State& state, bool fuse) {
     ++runs;
     probe_rows += result->stats.kernel_rows_probe;
     stolen += result->stats.morsels_stolen;
-    shuffled += result->stats.rows_shuffled;
   }
   db->options().num_workers = 1;
   db->options().mpp_min_rows_per_task = 8192;
-  db->options().broadcast_build_rows = size_t{1} << 20;
   state.counters["rows_per_sec"] =
       benchmark::Counter(static_cast<double>(runs * kEdgeRows),
                          benchmark::Counter::kIsRate);
@@ -186,19 +179,8 @@ void RunSqlMppProbe(benchmark::State& state, bool fuse) {
       benchmark::Counter(static_cast<double>(probe_rows));
   state.counters["morsels_stolen"] =
       benchmark::Counter(static_cast<double>(stolen));
-  state.counters["rows_shuffled"] =
-      benchmark::Counter(static_cast<double>(shuffled));
 }
-
-void BM_ScanFilterProbeMpp8_Fused(benchmark::State& state) {
-  RunSqlMppProbe(state, /*fuse=*/true);
-}
-BENCHMARK(BM_ScanFilterProbeMpp8_Fused)->Unit(benchmark::kMillisecond);
-
-void BM_ScanFilterProbeMpp8_Breaker(benchmark::State& state) {
-  RunSqlMppProbe(state, /*fuse=*/false);
-}
-BENCHMARK(BM_ScanFilterProbeMpp8_Breaker)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanFilterProbeMpp8)->Unit(benchmark::kMillisecond);
 
 // --- ColumnVector batch gather microbench -----------------------------------
 //

@@ -1,11 +1,12 @@
 // Deterministic fault injection for the MPP and executor layers.
 //
-// A FaultInjector is consulted at named injection points ("exec.join.shuffle",
-// "exec.materialize", "mpp.dispatch", ...). Whether the Nth hit of a site
-// fires is a pure function of (seed, site, N), so a fixed seed reproduces the
-// same fault schedule even when hits race across pool threads: threads may
-// claim hit indices in any order, but the set of indices that fault — and
-// therefore the number of faults each site sees — is fixed by the seed.
+// A FaultInjector is consulted at named injection points
+// ("exec.distinct.shuffle", "exec.materialize", "exec.pipeline.morsel",
+// ...). Whether the Nth hit of a site fires is a pure function of (seed,
+// site, N), so a fixed seed reproduces the same fault schedule even when
+// hits race across pool threads: threads may claim hit indices in any
+// order, but the set of indices that fault — and therefore the number of
+// faults each site sees — is fixed by the seed.
 //
 // Injected faults are typed: most are Status::Unavailable (a transient loss —
 // retrying the step is enough), a configurable fraction are
@@ -34,7 +35,7 @@ struct FaultInjectionConfig {
   int64_t max_faults = -1;  ///< total faults to inject; -1 = unlimited
 
   /// When non-empty, only sites whose name contains this substring fault
-  /// (e.g. "shuffle" restricts the schedule to the shuffle paths).
+  /// (e.g. "shuffle" restricts the schedule to DISTINCT's shuffle).
   std::string site_filter;
 
   /// Fraction of injected faults that are kWorkerLost instead of the

@@ -417,9 +417,6 @@ Status Database::VerifyStage(SessionState& ss, Catalog* cat,
   verify::VerifyContext vctx;
   vctx.catalog = cat;
   vctx.require_physical = require_physical;
-  // The pipeline checker (V2xx) re-derives broadcast-fusion and morsel
-  // legality against the options this statement will execute under.
-  vctx.options = &ss.options;
   verify::VerifyReport report = verify::VerifyProgram(program, vctx);
   report.phase = phase;
   return verify::EnforceOrCount(report, ss.options.verify.enforce,
@@ -739,7 +736,6 @@ Result<QueryResult> Database::ExecuteExplain(SessionState& ss, Catalog* cat,
     verify::VerifyContext vctx;
     vctx.catalog = cat;
     vctx.require_physical = stmt.explain_analyze;
-    vctx.options = &ss.options;
     verify::VerifyReport report = verify::VerifyProgram(program, vctx);
     report.phase = "final program";
     result.explain += "\n" + report.ToString();

@@ -1,7 +1,6 @@
 #include "engine/options.h"
 
 #include "common/string_util.h"
-#include "exec/physical_planner.h"
 
 namespace dbspinner {
 
@@ -55,19 +54,6 @@ Status EngineOptions::Validate() const {
   if (ivm_max_delta_rows < 1) {
     return Status::InvalidArgument("ivm_max_delta_rows must be >= 1");
   }
-  // The broadcast-fusion predicate (BroadcastFusionLegal, shared by the
-  // pipeline executor and the V205 verifier check) compares the planner's
-  // double build estimate against this budget; past 2^53 the size_t→double
-  // conversion stops being exact and the boundary decision would depend on
-  // rounding. Reject budgets the predicate cannot decide exactly.
-  if (broadcast_build_rows > (size_t{1} << 53) ||
-      (broadcast_build_rows > 0 &&
-       !BroadcastFusionLegal(static_cast<double>(broadcast_build_rows),
-                             broadcast_build_rows))) {
-    return Status::InvalidArgument(
-        "broadcast_build_rows must be exactly representable as a double "
-        "(<= 2^53)");
-  }
   if (persistence.enabled) {
     if (persistence.path.empty()) {
       return Status::InvalidArgument(
@@ -91,7 +77,7 @@ std::string EngineOptions::ToString() const {
   return StringPrintf(
       "EngineOptions{workers=%d, fold=%d, join_simplify=%d, pushdown=%d, "
       "cte_pushdown=%d, common_result=%d, rename=%d, delta=%d, "
-      "build_cache=%d, morsel=%zu, broadcast=%zu, "
+      "build_cache=%d, morsel=%zu, "
       "faults=%d(seed=%llu, "
       "rate=%.3f), recovery=%d(k=%lld, "
       "retries=%d), verify=%d(enforce=%d), persist=%d, "
@@ -104,7 +90,7 @@ std::string EngineOptions::ToString() const {
       optimizer.enable_rename_optimization ? 1 : 0,
       optimizer.enable_delta_iteration ? 1 : 0,
       optimizer.enable_join_build_cache ? 1 : 0,
-      morsel_size, broadcast_build_rows,
+      morsel_size,
       fault_injection.enabled ? 1 : 0,
       static_cast<unsigned long long>(fault_injection.seed),
       fault_injection.rate, fault_tolerance.enable_recovery ? 1 : 0,

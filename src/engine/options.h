@@ -133,8 +133,8 @@ struct EngineOptions {
   /// scans. Off by default (pure in-memory engine).
   PersistenceOptions persistence;
 
-  /// Simulated shared-nothing width: number of worker "nodes" used by
-  /// partitioned joins/aggregations/filters. 1 = serial.
+  /// Simulated shared-nothing width: number of worker "nodes" that drain a
+  /// parallel pipeline's morsels and DISTINCT's partitions. 1 = serial.
   int num_workers = 1;
 
   /// Safety guard: a loop exceeding this many iterations fails the query.
@@ -147,14 +147,6 @@ struct EngineOptions {
   /// keep a chunk's working set cache-resident, large enough to amortize
   /// per-chunk dispatch. Tests sweep 1/7/16/1024 to shake out boundary bugs.
   size_t morsel_size = 1024;
-
-  /// Build sides at or below this many rows are broadcast to every pipeline
-  /// worker, which makes the hash-probe stage fusible under MPP (every
-  /// worker probes the same shared hash, no shuffle). Larger build sides
-  /// keep the partitioned-shuffle breaker join and its rows_shuffled
-  /// accounting. 0 forces the breaker path for every parallel join (the
-  /// benches use this to measure fused vs. breaker probes).
-  size_t broadcast_build_rows = 1u << 20;
 
   /// Incremental view maintenance: when off, registered materialized views
   /// stay correct but every captured delta downgrades to a full-refresh

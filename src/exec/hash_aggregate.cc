@@ -76,9 +76,9 @@ auto& Seen(AggColumn* s) {
 }
 
 /// Folds non-NULL input `v` into group `g` of `s` with the kind's fold
-/// step (expr/aggregate_functions.h). False when an integer SUM overflows.
+/// step (expr/aggregate_functions.h).
 template <AggKind K, typename T>
-bool FoldInto(AggColumn* s, uint32_t g, const T& v) {
+void FoldInto(AggColumn* s, uint32_t g, const T& v) {
   if constexpr (K == AggKind::kCount) {
     ++s->count[g];
   } else if constexpr (K == AggKind::kMin || K == AggKind::kMax) {
@@ -89,7 +89,7 @@ bool FoldInto(AggColumn* s, uint32_t g, const T& v) {
     }
   } else if constexpr (K == AggKind::kSum && std::is_same_v<T, int64_t>) {
     ++s->count[g];
-    return AddToIntSum(&s->isum[g], v);
+    AddToIntSum(&s->isum[g], v);
   } else {
     ++s->count[g];
     AddToSum(&s->sum[g], static_cast<double>(v));
@@ -97,7 +97,6 @@ bool FoldInto(AggColumn* s, uint32_t g, const T& v) {
       AddToSumOfSquares(&s->sumsq[g], static_cast<double>(v));
     }
   }
-  return true;
 }
 
 /// Calls fn.template operator()<K>() for `kind` (not kCountStar). STRING
@@ -156,11 +155,10 @@ Status FoldColumn(AggColumn* s, const Input& in,
   return WithData(*in.col, [&](const auto* data) {
     using T = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
     return WithKind<T>(s->kind, [&]<AggKind K>() {
-      bool ok = true;
       ForEachValue(in, gids, [&](uint32_t g, uint32_t r) {
-        ok &= FoldInto<K>(s, g, data[r]);
+        FoldInto<K>(s, g, data[r]);
       });
-      return ok ? Status::OK() : IntegerOverflow();
+      return Status::OK();
     });
   });
 }
@@ -183,17 +181,16 @@ template <typename T>
 Status FoldDistinct(AggColumn* s) {
   std::vector<DistinctFilter<T>>& seen = Seen<T>(s);
   return WithKind<T>(s->kind, [&]<AggKind K>() {
-    bool ok = true;
     for (uint32_t g = 0; g < seen.size(); ++g) {
-      seen[g].ForEach([&](const T& v) { ok &= FoldInto<K>(s, g, v); });
+      seen[g].ForEach([&](const T& v) { FoldInto<K>(s, g, v); });
     }
-    return ok ? Status::OK() : IntegerOverflow();
+    return Status::OK();
   });
 }
 
 /// Folds every group o of `from` into group gmap[o] of `into`.
-Status MergeColumn(AggColumn* into, const AggColumn& from,
-                   const std::vector<uint32_t>& gmap) {
+void MergeColumn(AggColumn* into, const AggColumn& from,
+                 const std::vector<uint32_t>& gmap) {
   const size_t n = gmap.size();
   if (into->distinct) {
     auto merge_seen = [&](auto& seen, const auto& other) {
@@ -203,7 +200,7 @@ Status MergeColumn(AggColumn* into, const AggColumn& from,
     merge_seen(into->iseen, from.iseen);
     merge_seen(into->dseen, from.dseen);
     merge_seen(into->sseen, from.sseen);
-    return Status::OK();
+    return;
   }
   if (into->kind == AggKind::kMin || into->kind == AggKind::kMax) {
     auto merge_extremes = [&](const auto& other) {
@@ -219,23 +216,21 @@ Status MergeColumn(AggColumn* into, const AggColumn& from,
     merge_extremes(from.iext);
     merge_extremes(from.dext);
     merge_extremes(from.sext);
-    return Status::OK();
+    return;
   }
-  bool ok = true;
   for (uint32_t o = 0; o < n; ++o) {
     const uint32_t g = gmap[o];
     if (!from.count.empty()) into->count[g] += from.count[o];
-    if (!from.isum.empty()) ok &= AddToIntSum(&into->isum[g], from.isum[o]);
+    if (!from.isum.empty()) into->isum[g] += from.isum[o];
     if (!from.sum.empty()) into->sum[g] += from.sum[o];
     if (!from.sumsq.empty()) into->sumsq[g] += from.sumsq[o];
   }
-  return ok ? Status::OK() : IntegerOverflow();
 }
 
 /// The finalized values of one aggregate, one per group, typed
-/// `result_type`.
-ColumnVectorPtr EmitColumn(const AggColumn& s, size_t groups,
-                           TypeId result_type) {
+/// `result_type`. Fails when an integer SUM leaves the INT64 range.
+Result<ColumnVectorPtr> EmitColumn(const AggColumn& s, size_t groups,
+                                   TypeId result_type) {
   auto col = std::make_shared<ColumnVector>(result_type);
   col->Reserve(groups);
   for (size_t g = 0; g < groups; ++g) {
@@ -248,7 +243,8 @@ ColumnVectorPtr EmitColumn(const AggColumn& s, size_t groups,
         if (s.count[g] == 0) {
           col->AppendNull();
         } else if (!s.isum.empty()) {
-          col->AppendInt64(s.isum[g]);
+          DBSP_ASSIGN_OR_RETURN(int64_t sum, IntSumResult(s.isum[g]));
+          col->AppendInt64(sum);
         } else {
           col->AppendDouble(s.sum[g]);
         }
@@ -435,9 +431,9 @@ Status GroupedAggregator::Consume(const DataChunk& chunk) {
   return Status::OK();
 }
 
-Status GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
+void GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
   rows_consumed_ += other.rows_consumed_;
-  if (other.num_groups_ == 0) return Status::OK();
+  if (other.num_groups_ == 0) return;
 
   // gmap[o]: this aggregator's group for the other's group o.
   std::vector<uint32_t> gmap(other.num_groups_, 0);
@@ -453,9 +449,8 @@ Status GroupedAggregator::MergeFrom(const GroupedAggregator& other) {
   }
   GrowStates();
   for (size_t a = 0; a < states_.size(); ++a) {
-    DBSP_RETURN_NOT_OK(MergeColumn(&states_[a], other.states_[a], gmap));
+    MergeColumn(&states_[a], other.states_[a], gmap);
   }
-  return Status::OK();
 }
 
 Result<TablePtr> GroupedAggregator::Finalize() {
@@ -489,9 +484,10 @@ Result<TablePtr> GroupedAggregator::Finalize() {
         DBSP_RETURN_NOT_OK(FoldDistinct<std::string>(s));
       }
     }
+    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                          EmitColumn(*s, num_groups_, aggs[a].result_type));
     out_cols.push_back(
-        CastColumn(EmitColumn(*s, num_groups_, aggs[a].result_type),
-                   output_schema_->column(ng + a).type));
+        CastColumn(std::move(col), output_schema_->column(ng + a).type));
   }
   return Table::FromColumns(*output_schema_, std::move(out_cols));
 }

@@ -35,18 +35,17 @@ class GroupedAggregator {
 
   /// Folds every row of `chunk` into the groups. Plain column references
   /// read the chunk's base columns in place; other expressions are
-  /// evaluated over the chunk's rows. Fails when an integer SUM overflows
-  /// or an expression fails.
+  /// evaluated over the chunk's rows. Fails when an expression fails.
   Status Consume(const DataChunk& chunk);
 
   /// Folds another partial (built over the same operator) into this one.
-  Status MergeFrom(const GroupedAggregator& other);
+  void MergeFrom(const GroupedAggregator& other);
 
   /// Emits the output table: group keys (first-occurrence values, cast to
   /// the output schema) then finalized aggregates. A global aggregate (no
   /// GROUP BY) emits exactly one row even when nothing was consumed. Call
   /// once: it folds the DISTINCT sets into the state. Fails when an
-  /// integer SUM DISTINCT overflows.
+  /// integer SUM leaves the INT64 range.
   Result<TablePtr> Finalize();
 
   size_t num_groups() const { return num_groups_; }
@@ -59,7 +58,7 @@ class GroupedAggregator {
     TypeId arg_type = TypeId::kNull;
     bool distinct = false;
     std::vector<int64_t> count;  ///< COUNT; non-NULL inputs of SUM..VARIANCE
-    std::vector<int64_t> isum;   ///< SUM over INT64
+    std::vector<IntSum> isum;    ///< SUM over INT64
     std::vector<double> sum;     ///< SUM over DOUBLE, AVG, STDDEV, VARIANCE
     std::vector<double> sumsq;   ///< STDDEV, VARIANCE
     std::vector<uint8_t> has;    ///< MIN/MAX: the group saw a value

@@ -4,7 +4,6 @@
 #include "exec/pipeline.h"
 #include "exec/row_index.h"
 #include "expr/vector_eval.h"
-#include "mpp/partition.h"
 
 namespace dbspinner {
 
@@ -79,25 +78,7 @@ Result<DataChunk> PhysicalHashJoin::Probe(const DataChunk& chunk,
   return DataChunk(out, 0, out->num_rows());
 }
 
-Result<TablePtr> PhysicalHashJoin::JoinPartition(
-    const TablePtr& left, const Table& right, const RowIndex* prebuilt) const {
-  RowIndex local;
-  if (prebuilt == nullptr) {
-    local = RowIndex::Build(KeyColumnsOf(right, right_keys_),
-                            KeyTypes(KeyColumnsOf(*left, left_keys_)),
-                            RowIndex::Nulls::kSkip);
-    prebuilt = &local;
-  }
-  DBSP_ASSIGN_OR_RETURN(
-      DataChunk out,
-      Probe(DataChunk(left, 0, left->num_rows()), right, *prebuilt));
-  if (out.contiguous() && out.size() == out.base()->num_rows()) {
-    return out.base();
-  }
-  return out.Materialize();
-}
-
-std::shared_ptr<const RowIndex> PhysicalHashJoin::GetOrBuildSerialHash(
+std::shared_ptr<const RowIndex> PhysicalHashJoin::GetOrBuildHash(
     ExecContext& ctx, const TablePtr& right,
     const std::vector<TypeId>& probe_types) const {
   const bool cache_enabled =
@@ -105,7 +86,7 @@ std::shared_ptr<const RowIndex> PhysicalHashJoin::GetOrBuildSerialHash(
   if (cache_enabled) {
     auto it = ctx.join_builds.find(this);
     if (it != ctx.join_builds.end() && it->second.table == right &&
-        it->second.map != nullptr && it->second.map->Accepts(probe_types)) {
+        it->second.map->Accepts(probe_types)) {
       ++ctx.stats.build_cache_hits;
       return it->second.map;
     }
@@ -116,78 +97,8 @@ std::shared_ptr<const RowIndex> PhysicalHashJoin::GetOrBuildSerialHash(
     ExecContext::JoinBuildState& slot = ctx.join_builds[this];
     slot.table = right;
     slot.map = build;
-    slot.partitions = nullptr;
-    slot.num_partitions = 0;
   }
   return build;
-}
-
-Result<TablePtr> PhysicalHashJoin::Execute(ExecContext& ctx) const {
-  DBSP_ASSIGN_OR_RETURN(TablePtr left, ExecuteOp(*children_[0], ctx));
-  DBSP_ASSIGN_OR_RETURN(TablePtr right, ExecuteOp(*children_[1], ctx));
-
-  // Loop-invariant build caching: when this operator re-executes (a loop
-  // body) with the identical build-side table version, reuse the previous
-  // build structure. Pointer identity is a sound validity check because the
-  // engine's results and catalog tables are copy-on-write — a reused
-  // TablePtr implies unchanged contents.
-  const bool cache_enabled =
-      ctx.options != nullptr && ctx.options->optimizer.enable_join_build_cache;
-
-  if (ctx.UseParallel(left->num_rows() + right->num_rows())) {
-    // Shared-nothing simulation: shuffle both inputs on the join key so
-    // co-partitioned pairs meet on the same simulated node. A cached build
-    // side is already resident on the nodes and is not re-shuffled. The
-    // shuffle can fail (injection point), always before any context state
-    // is touched, so the enclosing step can simply re-run.
-    DBSP_RETURN_NOT_OK(MaybeInjectFault(ctx.faults, "exec.join.shuffle"));
-    size_t parts = ctx.NumPartitions();
-    std::shared_ptr<const std::vector<TablePtr>> rparts;
-    if (cache_enabled) {
-      auto it = ctx.join_builds.find(this);
-      if (it != ctx.join_builds.end() && it->second.table == right &&
-          it->second.partitions != nullptr &&
-          it->second.num_partitions == parts) {
-        rparts = it->second.partitions;
-        ++ctx.stats.build_cache_hits;
-      }
-    }
-    std::vector<TablePtr> lparts = HashPartition(*left, left_keys_, parts);
-    ctx.stats.rows_shuffled += static_cast<int64_t>(left->num_rows());
-    if (rparts == nullptr) {
-      rparts = std::make_shared<const std::vector<TablePtr>>(
-          HashPartition(*right, right_keys_, parts));
-      ctx.stats.rows_shuffled += static_cast<int64_t>(right->num_rows());
-      if (cache_enabled) {
-        ExecContext::JoinBuildState& slot = ctx.join_builds[this];
-        slot.table = right;
-        slot.map = nullptr;
-        slot.partitions = rparts;
-        slot.num_partitions = parts;
-      }
-    }
-    std::vector<TablePtr> results(parts);
-    Status st = ctx.pool->ParallelForStatus(
-        parts,
-        [&](size_t p) -> Status {
-          DBSP_ASSIGN_OR_RETURN(
-              results[p],
-              JoinPartition(lparts[p], *(*rparts)[p], nullptr));
-          return Status::OK();
-        },
-        ctx.faults, "mpp.dispatch", &ctx.cancel);
-    DBSP_RETURN_NOT_OK(st);
-    TablePtr out = Gather(results);
-    ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
-    return out;
-  }
-
-  std::shared_ptr<const RowIndex> build = GetOrBuildSerialHash(
-      ctx, right, KeyTypes(KeyColumnsOf(*left, left_keys_)));
-  DBSP_ASSIGN_OR_RETURN(TablePtr out,
-                        JoinPartition(left, *right, build.get()));
-  ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
-  return out;
 }
 
 Result<TablePtr> PhysicalNestedLoopJoin::Execute(ExecContext& ctx) const {

@@ -183,8 +183,6 @@ struct ExecContext {
   struct JoinBuildState {
     TablePtr table;  ///< the build input version the entry was built from
     std::shared_ptr<const RowIndex> map;
-    std::shared_ptr<const std::vector<TablePtr>> partitions;  ///< MPP path
-    size_t num_partitions = 0;
   };
   std::map<const PhysicalOp*, JoinBuildState> join_builds;
 
@@ -308,11 +306,10 @@ class PhysicalProject final : public PhysicalOp {
 };
 
 /// Hash join on extracted equi-key pairs with an optional residual
-/// predicate over the combined row. Supports INNER and LEFT OUTER.
-/// Normally a fused pipeline probe stage. Under MPP, a join whose build
-/// side is too large to broadcast is a breaker instead: Execute
-/// hash-partitions both inputs (the MPP shuffle) and joins partitions
-/// independently.
+/// predicate over the combined row. Supports INNER and LEFT OUTER. Always a
+/// fused pipeline probe stage (exec/pipeline.cc): the build side is
+/// materialized once and every morsel worker probes the same read-only
+/// index.
 class PhysicalHashJoin final : public PhysicalOp {
  public:
   PhysicalHashJoin(Schema schema, JoinType type, std::vector<size_t> left_keys,
@@ -324,7 +321,6 @@ class PhysicalHashJoin final : public PhysicalOp {
         residual_(std::move(residual)) {
     if (residual_) residual_eval_.emplace(*residual_);
   }
-  Result<TablePtr> Execute(ExecContext& ctx) const override;
   const char* Name() const override { return "HashJoin"; }
   std::string Describe() const override;
   PipelineRole pipeline_role() const override {
@@ -336,43 +332,24 @@ class PhysicalHashJoin final : public PhysicalOp {
   const std::vector<size_t>& right_keys() const { return right_keys_; }
   const BoundExpr* residual() const { return residual_.get(); }
 
-  /// Planner-estimated build-side cardinality (exec/physical_planner.cc,
-  /// from the cost model). Negative when the plan was compiled without a
-  /// catalog — the probe then stays a breaker under MPP (conservative).
-  /// The pipeline executor fuses this probe in parallel pipelines only
-  /// when the estimate fits EngineOptions::broadcast_build_rows; larger
-  /// builds keep the partitioned shuffle path and its rows_shuffled /
-  /// partition-cache semantics.
-  double build_rows_estimate() const { return build_rows_estimate_; }
-  void set_build_rows_estimate(double rows) { build_rows_estimate_ = rows; }
-
-  /// Serial build side with the cross-iteration cache (pointer-identity
-  /// validated, counts build_cache_hits), for probes with key types
-  /// `probe_types`. Shared by the serial branch of Execute() and the
-  /// pipeline executor's fused probe stage.
-  std::shared_ptr<const RowIndex> GetOrBuildSerialHash(
+  /// Build side with the cross-iteration cache (pointer-identity validated,
+  /// counts build_cache_hits), for probes with key types `probe_types`.
+  std::shared_ptr<const RowIndex> GetOrBuildHash(
       ExecContext& ctx, const TablePtr& right,
       const std::vector<TypeId>& probe_types) const;
 
   /// Joins the probe rows of `chunk` with the build side `right`, indexed
   /// by `index`: the matching pairs that pass the residual, then for LEFT
-  /// each unmatched probe row padded with NULLs. Shared by the shuffle
-  /// join's partitions and the pipeline executor's fused probe stage.
+  /// each unmatched probe row padded with NULLs.
   Result<DataChunk> Probe(const DataChunk& chunk, const Table& right,
                           const RowIndex& index) const;
 
  private:
-  /// Joins one co-partitioned pair. `prebuilt` (optional) is a cached build
-  /// index over `right`; when null the build side is indexed locally.
-  Result<TablePtr> JoinPartition(const TablePtr& left, const Table& right,
-                                 const RowIndex* prebuilt) const;
-
   JoinType type_;
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   BoundExprPtr residual_;  ///< over [left ++ right]; may be null
   std::optional<CompiledExpr> residual_eval_;  ///< residual_, compiled
-  double build_rows_estimate_ = -1.0;
 };
 
 /// Fallback join for non-equi or missing conditions (cross join).

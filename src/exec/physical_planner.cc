@@ -37,12 +37,11 @@ void ExtractEquiKeys(const BoundExpr& condition, size_t num_left_cols,
 
 }  // namespace
 
-Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical,
-                                         const CostModel* cost) {
+Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical) {
   std::vector<PhysicalOpPtr> children;
   children.reserve(logical.children.size());
   for (const auto& c : logical.children) {
-    DBSP_ASSIGN_OR_RETURN(PhysicalOpPtr child, CreatePhysicalPlan(*c, cost));
+    DBSP_ASSIGN_OR_RETURN(PhysicalOpPtr child, CreatePhysicalPlan(*c));
     children.push_back(std::move(child));
   }
 
@@ -81,14 +80,9 @@ Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical,
       if (!lkeys.empty()) {
         BoundExprPtr res =
             residual.empty() ? nullptr : CombineConjuncts(std::move(residual));
-        auto join = std::make_unique<PhysicalHashJoin>(
+        op = std::make_unique<PhysicalHashJoin>(
             logical.output_schema, logical.join_type, std::move(lkeys),
             std::move(rkeys), std::move(res));
-        if (cost != nullptr) {
-          join->set_build_rows_estimate(
-              cost->EstimateCardinality(*logical.children[1]));
-        }
-        op = std::move(join);
       } else {
         BoundExprPtr cond = logical.join_condition
                                 ? logical.join_condition->Clone()
@@ -155,13 +149,10 @@ Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical,
   return op;
 }
 
-Status PlanProgram(Program* program, Catalog* catalog) {
-  CostModel cost(catalog);
-  const CostModel* cost_ptr = catalog != nullptr ? &cost : nullptr;
+Status PlanProgram(Program* program, Catalog* /*catalog*/) {
   for (Step& step : program->steps) {
     if (step.plan && !step.physical) {
-      DBSP_ASSIGN_OR_RETURN(step.physical,
-                            CreatePhysicalPlan(*step.plan, cost_ptr));
+      DBSP_ASSIGN_OR_RETURN(step.physical, CreatePhysicalPlan(*step.plan));
     }
   }
   return Status::OK();

@@ -4,40 +4,18 @@
 
 #include "common/status.h"
 #include "exec/physical_plan.h"
-#include "optimizer/cost_model.h"
 #include "plan/logical_plan.h"
 #include "plan/program.h"
 
 namespace dbspinner {
 
-/// Single source of truth for broadcast-probe fusion legality (DESIGN.md
-/// §11, §13). Under parallel vectorized execution a hash probe fuses into a
-/// morsel pipeline — one shared read-only build hash probed by every worker
-/// — iff its build-side estimate is known (negative is the "compiled without
-/// a catalog" sentinel; such joins conservatively stay breakers) and fits
-/// the broadcast budget. Shared by the pipeline executor (exec/pipeline.cc),
-/// the physical-plan verifier (verify/pipeline_checker.cc, V205) and
-/// EngineOptions::Validate so planner and checker cannot drift.
-inline bool BroadcastFusionLegal(double build_rows_estimate,
-                                 size_t broadcast_build_rows) {
-  return build_rows_estimate >= 0.0 && broadcast_build_rows > 0 &&
-         build_rows_estimate <= static_cast<double>(broadcast_build_rows);
-}
-
 /// Converts one logical plan to a physical operator tree. Join conditions are
 /// analyzed for equi-key conjuncts: hash join when at least one exists,
 /// nested-loop otherwise.
-///
-/// When `cost` is non-null, each hash join is annotated with the estimated
-/// cardinality of its build side; the pipeline executor uses the annotation
-/// to decide broadcast fusibility under MPP (exec/pipeline.cc). Plans
-/// compiled without a cost model carry no estimate and their joins
-/// conservatively stay pipeline breakers in parallel mode.
-Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical,
-                                         const CostModel* cost = nullptr);
+Result<PhysicalOpPtr> CreatePhysicalPlan(const LogicalOp& logical);
 
-/// Plans every step of a Program in place (fills Step::physical). `catalog`
-/// (when non-null) feeds the cost model used for join-build annotations.
+/// Plans every step of a Program in place (fills Step::physical). The
+/// catalog is not consulted; the parameter stays for existing callers.
 Status PlanProgram(Program* program, Catalog* catalog = nullptr);
 
 }  // namespace dbspinner

@@ -6,7 +6,6 @@
 
 #include "exec/data_chunk.h"
 #include "exec/hash_aggregate.h"
-#include "exec/physical_planner.h"
 #include "exec/row_index.h"
 
 namespace dbspinner {
@@ -49,28 +48,16 @@ struct Stage {
   RowIndex set_index;
 };
 
-/// True if `op` can be fused into a pipeline in this context.
-///
-/// Hash-probe fusibility is a per-join legality fact, not a global mode
-/// switch: a probe fuses under MPP when its build side is small enough to
-/// broadcast (one shared read-only hash table probed by every worker).
-/// The planner annotates each join with the build side's estimated
-/// cardinality; joins compiled without a catalog carry no estimate and
-/// conservatively stay breakers, as do builds above
-/// EngineOptions::broadcast_build_rows — those keep the partitioned
-/// shuffle path and its rows_shuffled / partition-cache semantics.
-bool Fusible(const PhysicalOp& op, const ExecContext& ctx) {
+/// True if `op` streams inside a pipeline. A hash probe always does: its
+/// build side materializes once at CompileStages, and under MPP every
+/// morsel worker probes that one shared read-only index.
+bool Fusible(const PhysicalOp& op) {
   switch (op.pipeline_role()) {
     case PipelineRole::kFilter:
     case PipelineRole::kProject:
+    case PipelineRole::kHashProbe:
     case PipelineRole::kDeltaRestrict:
       return true;
-    case PipelineRole::kHashProbe: {
-      if (ctx.pool == nullptr || ctx.options->num_workers <= 1) return true;
-      const auto* join = static_cast<const PhysicalHashJoin*>(&op);
-      return BroadcastFusionLegal(join->build_rows_estimate(),
-                                  ctx.options->broadcast_build_rows);
-    }
     default:
       return false;
   }
@@ -95,7 +82,7 @@ std::vector<ColumnVectorPtr> MakeAccumulator(const Schema& schema) {
 Result<TablePtr> CollectChain(const PhysicalOp& start, ExecContext& ctx,
                               std::vector<const PhysicalOp*>* chain) {
   const PhysicalOp* cur = &start;
-  while (Fusible(*cur, ctx)) {
+  while (Fusible(*cur)) {
     chain->push_back(cur);
     cur = cur->children()[0].get();
   }
@@ -128,7 +115,7 @@ Result<std::vector<Stage>> CompileStages(
         const auto* join = static_cast<const PhysicalHashJoin*>(op);
         DBSP_ASSIGN_OR_RETURN(s.right,
                               ExecuteOp(*join->children()[1], ctx));
-        s.build = join->GetOrBuildSerialHash(
+        s.build = join->GetOrBuildHash(
             ctx, s.right,
             SchemaKeyTypes(join->children()[0]->output_schema(),
                            join->left_keys()));
@@ -250,8 +237,8 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
     // slots with stealing, each claimed morsel running the whole pipeline
     // and materializing a dense result; results concatenate in morsel
     // order regardless of claim order. Fault injection and cancellation
-    // ride on the per-morsel claim — the same "worker abandoned the task"
-    // failure mode mpp.dispatch models, fired once per morsel. The serial
+    // ride on the per-morsel claim: the "worker abandoned the task" failure
+    // mode of an MPP scheduler, fired once per morsel. The serial
     // path deliberately injects nothing, like the breakers (whose fault
     // sites live only on their parallel branches): a serial pipeline adds
     // no scheduling step that could fail, and injecting per serial morsel
@@ -384,7 +371,7 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
     DBSP_RETURN_NOT_OK(st);
     for (const LocalStats& ls : lstats) MergeLocalStats(ls, &total);
     for (const GroupedAggregator& p : partials) {
-      DBSP_RETURN_NOT_OK(merged.MergeFrom(p));
+      merged.MergeFrom(p);
       ++ctx.stats.agg_partials_merged;
     }
   } else {
@@ -424,7 +411,7 @@ Result<TablePtr> ExecuteOp(const PhysicalOp& op, ExecContext& ctx) {
   if (op.pipeline_role() == PipelineRole::kPreAggregate) {
     return RunAggregatePipeline(op, ctx);
   }
-  if (!Fusible(op, ctx)) return op.Execute(ctx);
+  if (!Fusible(op)) return op.Execute(ctx);
   return RunPipeline(op, ctx);
 }
 

@@ -6,9 +6,8 @@
 // compiled chunk kernels and materializes once, at the sink. A hash
 // aggregate is a pipeline sink: its input chain folds straight into
 // per-worker partial hash tables. Pipeline breakers (sort, set ops, limit,
-// nested-loop joins, MPP hash joins whose build is too large to
-// broadcast) run their own Execute and route their children back through
-// ExecuteOp, so every breaker input is itself pipelined. Streaming
+// nested-loop joins) run their own Execute and route their children back
+// through ExecuteOp, so every breaker input is itself pipelined. Streaming
 // operators have no Execute of their own: they exist only as stages.
 
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/string_util.h"
 #include "expr/expr.h"
@@ -82,43 +83,49 @@ AggregateSpec AggregateSpec::Clone() const {
 
 Status IntegerOverflow() { return Status::ExecutionError("integer overflow"); }
 
-Status AggState::Update(const Value& v) {
+Result<int64_t> IntSumResult(IntSum isum) {
+  if (isum < std::numeric_limits<int64_t>::min() ||
+      isum > std::numeric_limits<int64_t>::max()) {
+    return IntegerOverflow();
+  }
+  return static_cast<int64_t>(isum);
+}
+
+void AggState::Update(const Value& v) {
   switch (kind_) {
     case AggKind::kCountStar:
       ++count_;
-      return Status::OK();
+      return;
     case AggKind::kCount:
       if (!v.is_null()) ++count_;
-      return Status::OK();
+      return;
     case AggKind::kSum:
     case AggKind::kAvg:
     case AggKind::kStdDev:
     case AggKind::kVariance:
-      if (v.is_null()) return Status::OK();
+      if (v.is_null()) return;
       has_value_ = true;
       ++count_;
       if (v.type() != TypeId::kInt64) {
         all_int_ = false;
-      } else if (kind_ == AggKind::kSum &&
-                 !AddToIntSum(&isum_, v.int64_value())) {
-        return IntegerOverflow();
+      } else if (kind_ == AggKind::kSum) {
+        AddToIntSum(&isum_, v.int64_value());
       }
       AddToSum(&sum_, v.AsDouble());
       AddToSumOfSquares(&sum_squares_, v.AsDouble());
-      return Status::OK();
+      return;
     case AggKind::kMin:
     case AggKind::kMax:
-      if (v.is_null()) return Status::OK();
+      if (v.is_null()) return;
       if (!has_value_ || ReplacesExtreme(kind_, v, extreme_)) {
         extreme_ = v;
         has_value_ = true;
       }
-      return Status::OK();
+      return;
   }
-  return Status::OK();
 }
 
-Value AggState::Finalize(TypeId result_type) const {
+Result<Value> AggState::Finalize(TypeId result_type) const {
   switch (kind_) {
     case AggKind::kCountStar:
     case AggKind::kCount:
@@ -126,7 +133,8 @@ Value AggState::Finalize(TypeId result_type) const {
     case AggKind::kSum:
       if (!has_value_) return Value::Null(result_type);
       if (result_type == TypeId::kInt64 && all_int_) {
-        return Value::Int64(isum_);
+        DBSP_ASSIGN_OR_RETURN(int64_t sum, IntSumResult(isum_));
+        return Value::Int64(sum);
       }
       return Value::Double(sum_);
     case AggKind::kAvg:
@@ -166,9 +174,8 @@ bool AggState::Retract(const Value& v) {
     case AggKind::kVariance:
       if (v.is_null()) return true;
       if (count_ == 0) return false;
-      if (v.type() == TypeId::kInt64 && kind_ == AggKind::kSum &&
-          __builtin_sub_overflow(isum_, v.int64_value(), &isum_)) {
-        return false;
+      if (v.type() == TypeId::kInt64 && kind_ == AggKind::kSum) {
+        isum_ -= v.int64_value();
       }
       --count_;
       sum_ -= v.AsDouble();
@@ -197,31 +204,28 @@ bool AggState::Retract(const Value& v) {
   return false;
 }
 
-Status AggState::MergeFrom(const AggState& other) {
+void AggState::MergeFrom(const AggState& other) {
   switch (kind_) {
     case AggKind::kCountStar:
     case AggKind::kCount:
       count_ += other.count_;
-      return Status::OK();
+      return;
     case AggKind::kSum:
     case AggKind::kAvg:
     case AggKind::kStdDev:
     case AggKind::kVariance:
-      if (kind_ == AggKind::kSum && !AddToIntSum(&isum_, other.isum_)) {
-        return IntegerOverflow();
-      }
+      isum_ += other.isum_;
       count_ += other.count_;
       sum_ += other.sum_;
       sum_squares_ += other.sum_squares_;
       all_int_ = all_int_ && other.all_int_;
       has_value_ = has_value_ || other.has_value_;
-      return Status::OK();
+      return;
     case AggKind::kMin:
     case AggKind::kMax:
-      if (other.has_value_) return Update(other.extreme_);
-      return Status::OK();
+      if (other.has_value_) Update(other.extreme_);
+      return;
   }
-  return Status::OK();
 }
 
 }  // namespace dbspinner

@@ -65,11 +65,18 @@ inline bool ReplacesExtreme(AggKind kind, const T& v, const T& cur) {
   return kind == AggKind::kMin ? c < 0 : c > 0;
 }
 
-/// SUM over INT64: adds `v` to the exact running sum. False when the sum
-/// leaves the INT64 range (the caller fails with IntegerOverflow()).
-inline bool AddToIntSum(int64_t* isum, int64_t v) {
-  return !__builtin_add_overflow(*isum, v, isum);
-}
+/// The running sum of an integer SUM. 128 bits hold any sum of fewer than
+/// 2^64 INT64 inputs, so partials and their merges never overflow, and the
+/// result does not depend on how rows were split into morsels. Whether the
+/// total fits INT64 is checked once, by IntSumResult.
+using IntSum = __int128;
+
+/// SUM over INT64: adds `v` to the exact running sum.
+inline void AddToIntSum(IntSum* isum, int64_t v) { *isum += v; }
+
+/// A finalized integer SUM: `isum` as INT64, or IntegerOverflow() when it
+/// leaves the INT64 range.
+Result<int64_t> IntSumResult(IntSum isum);
 
 /// SUM over DOUBLE, AVG, STDDEV, VARIANCE: the running sum of the inputs.
 inline void AddToSum(double* sum, double v) { *sum += v; }
@@ -92,28 +99,26 @@ class AggState {
  public:
   explicit AggState(AggKind kind) : kind_(kind) {}
 
-  /// Folds one input value (already NULL-filtered for kCountStar). Fails
-  /// when an integer SUM overflows.
-  Status Update(const Value& v);
+  /// Folds one input value (already NULL-filtered for kCountStar).
+  void Update(const Value& v);
 
   /// Folds another partial state of the same kind into this one, as if every
   /// value `other` saw had been fed to Update() here. Every kind's state is
   /// a commutative monoid (counts and sums add, extremes compare, variance
   /// merges via sum-of-squares), which is what makes per-worker partial
-  /// aggregation with a single merge at the breaker exact. Fails when an
-  /// integer SUM overflows.
-  Status MergeFrom(const AggState& other);
+  /// aggregation with a single merge at the breaker exact.
+  void MergeFrom(const AggState& other);
 
   /// Produces the aggregate result. SUM/MIN/MAX/AVG of zero non-NULL inputs
-  /// is NULL; COUNT is 0.
-  Value Finalize(TypeId result_type) const;
+  /// is NULL; COUNT is 0. Fails when an integer SUM leaves the INT64 range.
+  Result<Value> Finalize(TypeId result_type) const;
 
   /// Unfolds one previously-Update()ed value (incremental view maintenance
   /// retraction). Counts and sums subtract exactly; MIN/MAX can only drop a
   /// value strictly inside the current extreme. Returns false when the state
-  /// cannot retract exactly (the value ties or beats the running extreme,
-  /// nothing was accumulated, or an integer SUM would leave the INT64
-  /// range) — the caller must fall back to a full recompute of the group.
+  /// cannot retract exactly (the value ties or beats the running extreme, or
+  /// nothing was accumulated) — the caller must fall back to a full
+  /// recompute of the group.
   bool Retract(const Value& v);
 
  private:
@@ -121,7 +126,7 @@ class AggState {
   int64_t count_ = 0;
   double sum_ = 0;
   double sum_squares_ = 0;  ///< STDDEV/VARIANCE
-  int64_t isum_ = 0;        ///< SUM over INT64
+  IntSum isum_ = 0;         ///< SUM over INT64
   bool all_int_ = true;
   bool has_value_ = false;
   Value extreme_;  ///< MIN/MAX running value

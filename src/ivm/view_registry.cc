@@ -50,9 +50,8 @@ TablePtr ApplyLinear(const Table& old, const TablePtr& ins,
 }
 
 /// Folds one maintenance-input table into the group map as insertions.
-/// Fails when an integer SUM overflows.
-Status FoldInserts(const MaintenancePlan& plan, const Table& in,
-                   GroupMap* groups) {
+void FoldInserts(const MaintenancePlan& plan, const Table& in,
+                 GroupMap* groups) {
   const size_t g = static_cast<size_t>(plan.num_group_cols);
   for (size_t r = 0; r < in.num_rows(); ++r) {
     std::vector<Value> key;
@@ -66,13 +65,11 @@ Status FoldInserts(const MaintenancePlan& plan, const Table& in,
     ++it->second.rows;
     for (size_t j = 0; j < plan.aggs.size(); ++j) {
       const PlanAgg& a = plan.aggs[j];
-      DBSP_RETURN_NOT_OK(it->second.aggs[j].Update(
-          a.input_col < 0
-              ? Value()
-              : in.GetValue(r, static_cast<size_t>(a.input_col))));
+      it->second.aggs[j].Update(
+          a.input_col < 0 ? Value()
+                          : in.GetValue(r, static_cast<size_t>(a.input_col)));
     }
   }
-  return Status::OK();
 }
 
 /// Folds one maintenance-input table as retractions. Returns false when any
@@ -101,18 +98,24 @@ bool FoldDeletes(const MaintenancePlan& plan, const Table& in,
   return true;
 }
 
-/// Materializes aggregate-view contents from the group map.
-TablePtr BuildFromGroups(const MaintenancePlan& plan, const Schema& schema,
-                         const GroupMap& groups) {
+/// Materializes aggregate-view contents from the group map. Fails when an
+/// integer SUM leaves the INT64 range.
+Result<TablePtr> BuildFromGroups(const MaintenancePlan& plan,
+                                 const Schema& schema,
+                                 const GroupMap& groups) {
   TablePtr out = Table::Make(schema);
   out->Reserve(groups.size());
   std::vector<Value> row(plan.outputs.size());
   for (const auto& [key, gs] : groups) {
     for (size_t i = 0; i < plan.outputs.size(); ++i) {
       const PlanOutput& o = plan.outputs[i];
-      row[i] = o.is_agg ? gs.aggs[static_cast<size_t>(o.index)].Finalize(
-                              schema.column(i).type)
-                        : key[static_cast<size_t>(o.index)];
+      if (!o.is_agg) {
+        row[i] = key[static_cast<size_t>(o.index)];
+        continue;
+      }
+      DBSP_ASSIGN_OR_RETURN(row[i],
+                            gs.aggs[static_cast<size_t>(o.index)].Finalize(
+                                schema.column(i).type));
     }
     out->AppendRow(row);
   }
@@ -458,13 +461,17 @@ Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
     // Retraction can be inexact (MIN/MAX extreme leaving a group); fold
     // deletions first so the group map is untouched on escalation.
     exact = del_rows == nullptr || FoldDeletes(s.plan, *del_rows, &s.groups);
-    // An insertion that overflows an integer SUM escalates too: the
-    // recompute reports the overflow, or the sum if it fits after all.
-    exact = exact && (ins_rows == nullptr ||
-                      FoldInserts(s.plan, *ins_rows, &s.groups).ok());
+    if (exact && ins_rows != nullptr) {
+      FoldInserts(s.plan, *ins_rows, &s.groups);
+    }
+    // An integer SUM that leaves the INT64 range escalates too: the
+    // recompute reports the overflow.
     if (exact) {
-      contents = BuildFromGroups(s.plan, s.schema, s.groups);
-    } else {
+      Result<TablePtr> built = BuildFromGroups(s.plan, s.schema, s.groups);
+      exact = built.ok();
+      if (exact) contents = std::move(*built);
+    }
+    if (!exact) {
       s.groups_valid = false;  // partially folded; rebuilt by the recompute
     }
   }
@@ -492,7 +499,7 @@ Result<TablePtr> ViewRegistry::RecomputeLocked(ViewState& s, uint64_t version,
                           runner(*s.plan.input_query, snapshot, {}));
     s.groups.clear();
     s.groups_valid = false;
-    DBSP_RETURN_NOT_OK(FoldInserts(s.plan, *input, &s.groups));
+    FoldInserts(s.plan, *input, &s.groups);
     s.groups_valid = true;
   }
   if (!s.have_schema) {

@@ -152,34 +152,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   done_cv.wait(dl, [&] { return remaining.load() == 0; });
 }
 
-Status ThreadPool::ParallelForStatus(size_t n,
-                                     const std::function<Status(size_t)>& fn) {
-  std::mutex status_mu;
-  Status first_error = Status::OK();
-  ParallelFor(n, [&](size_t i) {
-    Status s = fn(i);
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(status_mu);
-      if (first_error.ok()) first_error = std::move(s);
-    }
-  });
-  return first_error;
-}
-
-Status ThreadPool::ParallelForStatus(size_t n,
-                                     const std::function<Status(size_t)>& fn,
-                                     FaultInjector* faults, const char* site,
-                                     const CancellationToken* cancel) {
-  if (faults == nullptr && (cancel == nullptr || !cancel->live())) {
-    return ParallelForStatus(n, fn);
-  }
-  return ParallelForStatus(n, [&](size_t i) -> Status {
-    if (cancel != nullptr) DBSP_RETURN_NOT_OK(cancel->Check());
-    if (faults != nullptr) DBSP_RETURN_NOT_OK(faults->MaybeInject(site));
-    return fn(i);
-  });
-}
-
 Status ThreadPool::ParallelForMorsels(
     size_t n, size_t width, const std::function<Status(size_t, size_t)>& fn,
     FaultInjector* faults, const char* site, const CancellationToken* cancel,

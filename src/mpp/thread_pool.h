@@ -71,21 +71,6 @@ class ThreadPool {
   /// all complete. `fn` must be thread-safe across distinct indices.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Runs each task and collects the first non-OK status (if any).
-  Status ParallelForStatus(size_t n,
-                           const std::function<Status(size_t)>& fn);
-
-  /// As ParallelForStatus, but consults `faults` at injection point `site`
-  /// (when non-null) before dispatching each task — the "worker
-  /// refused/abandoned the task" failure mode of a real MPP scheduler — and
-  /// checks `cancel` (when non-null) so a cancelled query stops launching
-  /// work mid-operator. A fired fault or observed cancellation fails that
-  /// task with the typed Status and skips `fn` for it; the remaining tasks
-  /// still run to completion (the pool drains, nothing leaks).
-  Status ParallelForStatus(size_t n, const std::function<Status(size_t)>& fn,
-                           FaultInjector* faults, const char* site,
-                           const CancellationToken* cancel = nullptr);
-
   /// Runs morsels 0..n-1 through a shared MorselQueue drained by `width`
   /// long-lived worker tasks (NOT one pool task per morsel): worker slot `s`
   /// claims morsels and calls `fn(morsel, s)`, so state indexed by slot is

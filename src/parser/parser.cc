@@ -1,6 +1,8 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "common/string_util.h"
 #include "parser/lexer.h"
@@ -25,6 +27,39 @@ const std::unordered_set<std::string>& ReservedWords() {
       // (they appear as column names in the paper's queries).
   };
   return kReserved;
+}
+
+// Depth of the tree under `root`; `each_child(node, visit)` calls
+// visit(child) for each child. The walk keeps its own stack: operator chains
+// are built without recursion and must be measured without it too.
+template <typename Node, typename EachChild>
+size_t TreeDepth(const Node& root, EachChild each_child) {
+  size_t deepest = 0;
+  std::vector<std::pair<const Node*, size_t>> stack = {{&root, 1}};
+  while (!stack.empty()) {
+    auto [node, depth] = stack.back();
+    stack.pop_back();
+    deepest = std::max(deepest, depth);
+    each_child(*node, [&, d = depth](const Node* c) {
+      if (c != nullptr) stack.emplace_back(c, d + 1);
+    });
+  }
+  return deepest;
+}
+
+size_t ExprDepth(const ParseExpr& e) {
+  return TreeDepth(e, [](const ParseExpr& n, auto visit) {
+    for (const ParseExprPtr& c : n.children) visit(c.get());
+  });
+}
+
+// Counts set operations only: the nesting the set-operation loop builds.
+size_t SetOpDepth(const QueryNode& q) {
+  return TreeDepth(q, [](const QueryNode& n, auto visit) {
+    if (n.kind != QueryNodeKind::kSetOp) return;
+    visit(n.left.get());
+    visit(n.right.get());
+  });
 }
 
 class Parser {
@@ -116,6 +151,35 @@ class Parser {
   bool PeekNonReservedIdentifier() const {
     return Peek().type == TokenType::kIdentifier &&
            !ReservedWords().count(ToUpper(Peek().text));
+  }
+
+  // --- nesting limit (kMaxExpressionDepth) ---------------------------------
+
+  // Holds one level of parser recursion (depth_) for its lifetime.
+  struct Nest {
+    explicit Nest(size_t* depth) : depth(depth) { ++*depth; }
+    ~Nest() { --*depth; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    size_t* depth;
+  };
+
+  Status TooDeep() const {
+    return Err("expression nested deeper than " +
+               std::to_string(kMaxExpressionDepth) + " levels");
+  }
+
+  // `left` <op> `right` as one node. `*depth` is the depth of `left`, or 0
+  // when not yet measured; it becomes the depth of the result. The binary
+  // operator loops build chains without recursing, so the limit is
+  // enforced here.
+  Status Chain(BinaryOp op, ParseExprPtr* left, ParseExprPtr right,
+               size_t* depth) {
+    if (*depth == 0) *depth = ExprDepth(**left);
+    *depth = 1 + std::max(*depth, ExprDepth(*right));
+    if (*depth > kMaxExpressionDepth) return TooDeep();
+    *left = MakeBinary(op, std::move(*left), std::move(right));
+    return Status::OK();
   }
 
   // --- statements ----------------------------------------------------------
@@ -526,7 +590,10 @@ class Parser {
   // --- query expressions ---------------------------------------------------
 
   Result<QueryNodePtr> ParseQueryExpr() {
+    Nest nest(&depth_);
+    if (depth_ > kMaxExpressionDepth) return TooDeep();
     DBSP_ASSIGN_OR_RETURN(QueryNodePtr left, ParseQueryTerm());
+    size_t depth = 0;  // of `left`'s set operations, once measured
     while (PeekKeyword("UNION") || PeekKeyword("EXCEPT") ||
            PeekKeyword("INTERSECT")) {
       SetOpKind op;
@@ -539,6 +606,9 @@ class Parser {
         op = SetOpKind::kIntersect;
       }
       DBSP_ASSIGN_OR_RETURN(QueryNodePtr right, ParseQueryTerm());
+      if (depth == 0) depth = SetOpDepth(*left);
+      depth = 1 + std::max(depth, SetOpDepth(*right));
+      if (depth > kMaxExpressionDepth) return TooDeep();
       auto node = std::make_unique<QueryNode>();
       node->kind = QueryNodeKind::kSetOp;
       node->set_op = op;
@@ -713,30 +783,39 @@ class Parser {
 
   // --- expressions (precedence climbing) -----------------------------------
 
-  Result<ParseExprPtr> ParseExpr_() { return ParseOr(); }
+  Result<ParseExprPtr> ParseExpr_() {
+    Nest nest(&depth_);
+    if (depth_ > kMaxExpressionDepth) return TooDeep();
+    return ParseOr();
+  }
 
   Result<ParseExprPtr> ParseOr() {
     DBSP_ASSIGN_OR_RETURN(ParseExprPtr left, ParseAnd());
+    size_t depth = 0;
     while (PeekKeyword("OR")) {
       Advance();
       DBSP_ASSIGN_OR_RETURN(ParseExprPtr right, ParseAnd());
-      left = MakeBinary(BinaryOp::kOr, std::move(left), std::move(right));
+      DBSP_RETURN_NOT_OK(Chain(BinaryOp::kOr, &left, std::move(right), &depth));
     }
     return left;
   }
 
   Result<ParseExprPtr> ParseAnd() {
     DBSP_ASSIGN_OR_RETURN(ParseExprPtr left, ParseNot());
+    size_t depth = 0;
     while (PeekKeyword("AND")) {
       Advance();
       DBSP_ASSIGN_OR_RETURN(ParseExprPtr right, ParseNot());
-      left = MakeBinary(BinaryOp::kAnd, std::move(left), std::move(right));
+      DBSP_RETURN_NOT_OK(
+          Chain(BinaryOp::kAnd, &left, std::move(right), &depth));
     }
     return left;
   }
 
   Result<ParseExprPtr> ParseNot() {
     if (MatchKeyword("NOT")) {
+      Nest nest(&depth_);
+      if (depth_ > kMaxExpressionDepth) return TooDeep();
       DBSP_ASSIGN_OR_RETURN(ParseExprPtr operand, ParseNot());
       return MakeUnary(UnaryOp::kNot, std::move(operand));
     }
@@ -819,6 +898,7 @@ class Parser {
 
   Result<ParseExprPtr> ParseAdditive() {
     DBSP_ASSIGN_OR_RETURN(ParseExprPtr left, ParseMultiplicative());
+    size_t depth = 0;
     while (true) {
       BinaryOp op;
       if (PeekSymbol("+")) {
@@ -832,13 +912,14 @@ class Parser {
       }
       Advance();
       DBSP_ASSIGN_OR_RETURN(ParseExprPtr right, ParseMultiplicative());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      DBSP_RETURN_NOT_OK(Chain(op, &left, std::move(right), &depth));
     }
     return left;
   }
 
   Result<ParseExprPtr> ParseMultiplicative() {
     DBSP_ASSIGN_OR_RETURN(ParseExprPtr left, ParseUnaryExpr());
+    size_t depth = 0;
     while (true) {
       BinaryOp op;
       if (PeekSymbol("*")) {
@@ -852,13 +933,15 @@ class Parser {
       }
       Advance();
       DBSP_ASSIGN_OR_RETURN(ParseExprPtr right, ParseUnaryExpr());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      DBSP_RETURN_NOT_OK(Chain(op, &left, std::move(right), &depth));
     }
     return left;
   }
 
   Result<ParseExprPtr> ParseUnaryExpr() {
     if (MatchSymbol("-")) {
+      Nest nest(&depth_);
+      if (depth_ > kMaxExpressionDepth) return TooDeep();
       DBSP_ASSIGN_OR_RETURN(ParseExprPtr operand, ParseUnaryExpr());
       // Fold negative literals immediately for cleaner plans.
       if (operand->kind == ParseExprKind::kLiteral &&
@@ -1002,6 +1085,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  ///< parser recursion levels held (Nest)
 };
 
 }  // namespace

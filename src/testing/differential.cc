@@ -301,7 +301,8 @@ DiffReport RunDifferential(const FuzzCase& c,
     // same rows no matter where morsel boundaries fall (group runs, join
     // matches, and NULL runs straddling chunks are the interesting cases).
     // Crossed with worker widths, the same sweep also covers the stealing
-    // dispatcher, broadcast-fused probes, and partial pre-aggregation.
+    // dispatcher, fused probes of one shared build, and partial
+    // pre-aggregation.
     for (int workers : opts.morsel_workers) {
       if (morsel == 1 && workers == 1) continue;  // the oracle above
       EngineOptions eo = BaseOptions(opts);
@@ -338,9 +339,9 @@ DiffReport RunDifferential(const FuzzCase& c,
       eo.fault_injection.seed =
           opts.fault_seed * 2 + static_cast<uint64_t>(workers);
       // Serial applies fault_rate to the executor's per-step sites only.
-      // At width 8 the same rate would hit every per-task dispatch of
-      // every parallel operator (8+ hits per op per loop iteration), so a
-      // long generated loop sees hundreds of hits per checkpoint segment
+      // At width 8 the same rate would also hit every morsel claim of
+      // every parallel pipeline (many per loop iteration), so a long
+      // generated loop sees hundreds of hits per checkpoint segment
       // and P(segment completes) ~ (1-rate)^hits collapses — bounded
       // restore recovery then livelocks by construction, not because
       // recovery is wrong. Normalize the per-task rate so per-segment

@@ -4,22 +4,19 @@
 // morsel pipeline executor (exec/pipeline.cc) compiles fused kernels
 // against. The legality facts checked here are re-derived independently of
 // the executor: the checker walks the physical tree with its own role/type
-// tables and re-evaluates broadcast-probe fusion through the planner's
-// shared predicate (exec/physical_planner.h), so a planner or rewrite bug
-// that hands the kernels an inconsistent tree fails at plan time with a
-// stable code instead of corrupting chunks (or static_cast-ing to the wrong
-// operator type) at run time. Like the logical checker, type comparisons
-// follow the engine's positional-type discipline and stay lenient about
-// kNull where expressions legally carry the NULL wildcard.
+// tables, so a planner or rewrite bug that hands the kernels an inconsistent
+// tree fails at plan time with a stable code instead of corrupting chunks
+// (or static_cast-ing to the wrong operator type) at run time. Like the
+// logical checker, type comparisons follow the engine's positional-type
+// discipline and stay lenient about kNull where expressions legally carry
+// the NULL wildcard.
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "common/types.h"
 #include "exec/physical_plan.h"
-#include "exec/physical_planner.h"
 #include "plan/logical_plan.h"
 #include "storage/catalog.h"
 #include "verify/verify_internal.h"
@@ -399,42 +396,6 @@ class PipelineChecker {
                          TypeName(op.residual()->type)));
       }
       CheckRefs(*op.residual(), width, op, "join residual");
-    }
-    CheckBroadcastLegality(op);
-  }
-
-  /// V205: broadcast-probe fusion legality, re-derived through the
-  /// planner's shared predicate (exec/physical_planner.h). The estimate
-  /// annotation is the sole input to the fuse-or-shuffle decision, so it
-  /// must be decidable: a NaN or infinite estimate makes
-  /// BroadcastFusionLegal unanswerable and the probe's execution mode
-  /// (shared broadcast hash vs partitioned shuffle) arbitrary. Negative
-  /// estimates are the documented "compiled without a catalog" sentinel
-  /// and keep the probe a breaker — legal. When options are available the
-  /// checker additionally re-runs the predicate and asserts the invariant
-  /// the executor relies on: a probe it would fuse (sharing one build hash
-  /// across every worker) has a known estimate within the broadcast
-  /// budget.
-  void CheckBroadcastLegality(const PhysicalHashJoin& op) {
-    double est = op.build_rows_estimate();
-    if (std::isnan(est) || (std::isinf(est) && est > 0)) {
-      Add(DefectCode::kV205, op,
-          StringPrintf("build-rows estimate %f is not a decidable fusion "
-                       "input (expected a finite estimate or the negative "
-                       "no-catalog sentinel)",
-                       est));
-      return;
-    }
-    if (ctx_.options == nullptr || ctx_.options->num_workers <= 1) {
-      return;  // serial execution never broadcasts the build
-    }
-    if (BroadcastFusionLegal(est, ctx_.options->broadcast_build_rows) &&
-        !(est >= 0.0 &&
-          est <= static_cast<double>(ctx_.options->broadcast_build_rows))) {
-      Add(DefectCode::kV205, op,
-          StringPrintf("probe would fuse with build estimate %f outside "
-                       "the broadcast budget %zu",
-                       est, ctx_.options->broadcast_build_rows));
     }
   }
 

@@ -60,8 +60,6 @@ constexpr DefectInfo kDefects[] = {
     {DefectCode::kV203, "V203", "pipeline shape violation"},
     {DefectCode::kV204, "V204",
      "chunk schema inconsistency across a fused kernel chain"},
-    {DefectCode::kV205, "V205",
-     "broadcast-probe fusion legality violation"},
     {DefectCode::kV206, "V206", "unsound fused pre-aggregation"},
     {DefectCode::kV207, "V207",
      "morsel-safety violation: pipeline role disagrees with operator type"},

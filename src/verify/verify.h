@@ -28,13 +28,12 @@
 //      and the fuzz verify-oracle) — operator arity, physical↔logical
 //      schema agreement per operator, pipeline well-formedness (leaf
 //      sources, streaming-role interior, breaker-or-sink terminal), chunk
-//      schema/type consistency across fused kernel chains, broadcast-probe
-//      fusion legality re-derived through the planner's shared predicate
-//      (exec/physical_planner.h), fused pre-aggregation soundness
-//      (commutative partial merge per AggState::MergeFrom, deferred
-//      DISTINCT only where legal), and morsel-safety (pipeline-role /
-//      operator-type agreement, so fused stages hold no cross-morsel
-//      mutable state outside per-worker LocalStats).
+//      schema/type consistency across fused kernel chains, fused
+//      pre-aggregation soundness (commutative partial merge per
+//      AggState::MergeFrom, deferred DISTINCT only where legal), and
+//      morsel-safety (pipeline-role / operator-type agreement, so fused
+//      stages hold no cross-morsel mutable state outside per-worker
+//      LocalStats).
 //
 // A fourth, compile-time analysis lives outside this directory: the clang
 // thread-safety annotations (common/thread_annotations.h, DESIGN.md §13)
@@ -94,8 +93,6 @@ enum class DefectCode {
   kV203,  ///< pipeline shape violation (source is not a leaf, or a
           ///< streaming stage has no upstream input to stream from)
   kV204,  ///< chunk schema/type inconsistency across a fused kernel chain
-  kV205,  ///< broadcast-probe fusion legality violation (unusable
-          ///< build-side estimate annotation)
   kV206,  ///< unsound fused pre-aggregation (unknown merge kind, illegal
           ///< DISTINCT deferral, or malformed aggregate inputs)
   kV207,  ///< morsel-safety violation: pipeline role disagrees with the
@@ -147,10 +144,9 @@ struct VerifyContext {
   /// Post-compilation mode: every Materialize/Final step must carry a
   /// physical plan (V110).
   bool require_physical = false;
-  /// Engine options the pipeline checker re-derives context-dependent
-  /// legality facts against (broadcast fusion under MPP, vectorized
-  /// execution). Null skips the option-dependent V2xx checks; the
-  /// structural ones always run on steps that carry a physical plan.
+  /// Engine options the plan runs under. No check reads them: every V2xx
+  /// check is structural and runs on each step that carries a physical
+  /// plan.
   const EngineOptions* options = nullptr;
 };
 

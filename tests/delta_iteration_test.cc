@@ -105,15 +105,13 @@ TEST_F(DeltaEquivalenceTest, ExplainShowsComputeDeltaOnlyWhenEnabled) {
             std::string::npos);
 }
 
-TEST_F(DeltaEquivalenceTest, MppDeltaAgreesAndShufflesLess) {
-  // Width-8 cluster: deltas are shuffled instead of full partitions, so the
-  // delta engine must move strictly fewer rows on a converging SSSP. A zero
-  // broadcast budget makes every join the partitioned-shuffle breaker on
-  // both sides (the fused broadcast probe would shuffle nothing at all).
+TEST_F(DeltaEquivalenceTest, MppDeltaAgreesAndProbesLess) {
+  // Width-8 cluster: every worker probes one shared build, and the delta
+  // engine drives the probes from the changed rows only, so it must probe
+  // strictly fewer rows on a converging SSSP than the naive loop.
   for (Database* db : {&delta_db_, &naive_db_}) {
     db->options().num_workers = 8;
     db->options().mpp_min_rows_per_task = 1;
-    db->options().broadcast_build_rows = 0;
   }
 
   std::string sql = workloads::SSSPQuery(12, 1, 2);
@@ -122,8 +120,9 @@ TEST_F(DeltaEquivalenceTest, MppDeltaAgreesAndShufflesLess) {
   ASSERT_TRUE(with_delta.ok()) << with_delta.status().ToString();
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
   ExpectSameRows(with_delta->table, naive->table, 1e-6);
-  EXPECT_GT(with_delta->stats.rows_shuffled, 0);
-  EXPECT_LT(with_delta->stats.rows_shuffled, naive->stats.rows_shuffled);
+  EXPECT_GT(with_delta->stats.kernel_rows_probe, 0);
+  EXPECT_LT(with_delta->stats.kernel_rows_probe,
+            naive->stats.kernel_rows_probe);
 }
 
 // DeltaRestrict must account delta work identically at every morsel size:

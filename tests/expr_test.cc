@@ -151,13 +151,13 @@ TEST(AggregateTest, SumSkipsNullsAndKeepsIntType) {
   s.Update(Value::Int64(1));
   s.Update(Value::Null());
   s.Update(Value::Int64(2));
-  EXPECT_EQ(s.Finalize(TypeId::kInt64).int64_value(), 3);
+  EXPECT_EQ(s.Finalize(TypeId::kInt64)->int64_value(), 3);
 }
 
 TEST(AggregateTest, SumOfNothingIsNull) {
   AggState s(AggKind::kSum);
   s.Update(Value::Null());
-  EXPECT_TRUE(s.Finalize(TypeId::kInt64).is_null());
+  EXPECT_TRUE(s.Finalize(TypeId::kInt64)->is_null());
 }
 
 TEST(AggregateTest, CountStarCountsNulls) {
@@ -165,8 +165,8 @@ TEST(AggregateTest, CountStarCountsNulls) {
   AggState count(AggKind::kCount);
   star.Update(Value::Null());
   count.Update(Value::Null());
-  EXPECT_EQ(star.Finalize(TypeId::kInt64).int64_value(), 1);
-  EXPECT_EQ(count.Finalize(TypeId::kInt64).int64_value(), 0);
+  EXPECT_EQ(star.Finalize(TypeId::kInt64)->int64_value(), 1);
+  EXPECT_EQ(count.Finalize(TypeId::kInt64)->int64_value(), 0);
 }
 
 TEST(AggregateTest, MinMax) {
@@ -176,15 +176,15 @@ TEST(AggregateTest, MinMax) {
     mn.Update(Value::Int64(v));
     mx.Update(Value::Int64(v));
   }
-  EXPECT_EQ(mn.Finalize(TypeId::kInt64).int64_value(), 1);
-  EXPECT_EQ(mx.Finalize(TypeId::kInt64).int64_value(), 3);
+  EXPECT_EQ(mn.Finalize(TypeId::kInt64)->int64_value(), 1);
+  EXPECT_EQ(mx.Finalize(TypeId::kInt64)->int64_value(), 3);
 }
 
 TEST(AggregateTest, Avg) {
   AggState s(AggKind::kAvg);
   s.Update(Value::Int64(1));
   s.Update(Value::Int64(2));
-  EXPECT_DOUBLE_EQ(s.Finalize(TypeId::kDouble).double_value(), 1.5);
+  EXPECT_DOUBLE_EQ(s.Finalize(TypeId::kDouble)->double_value(), 1.5);
 }
 
 TEST(AggregateTest, DistinctFilter) {

@@ -24,7 +24,7 @@ struct FaultSchedule {
   int64_t checkpoint_interval;
 };
 
-// The three schedule shapes from the issue: exchange/shuffle failures,
+// Three schedule shapes: shuffle failures (DISTINCT's exec.distinct.shuffle),
 // loop-body (materialize) failures, and a checkpoint-boundary schedule
 // (K = 1 with pure worker loss, so every restore lands exactly one
 // checkpoint back).
@@ -184,11 +184,9 @@ TEST_F(FaultRecoveryTest, SsspMppWidth8TenPercentRate200Cases) {
 
   int64_t total_faults = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
-    // Site filter "exec." scopes the 10% rate to the executor's per-step
-    // sites (materialize/final/merge/delta plus the per-operator shuffle
-    // entry points) — i.e. a true per-step rate. Unfiltered, the rate
-    // would also apply to each of the 8 per-task dispatch hits of every
-    // parallel operator, compounding into a near-certain fault per step.
+    // Site filter "exec." scopes the 10% rate to the executor's sites:
+    // the per-step ones (materialize/final/merge/delta), DISTINCT's
+    // shuffle and the morsel claims.
     FaultSchedule s{"sweep", "exec.", /*rate=*/0.1,
                     /*worker_lost_fraction=*/seed % 2 == 0 ? 0.3 : 0.0,
                     /*checkpoint_interval=*/4};
@@ -221,8 +219,7 @@ TEST_F(FaultRecoveryTest, MorselTaskFaultsRecoverAtSmallMorselSize) {
     // The per-task rate compounds across every morsel of a pipeline
     // (~13 tasks at 200 rows / morsel 16), so it must stay small for the
     // per-pipeline fault probability to be a rate the bounded
-    // retry/restore recovery can absorb — exactly the mpp.dispatch
-    // per-task-rate caveat from the 200-case sweep above.
+    // retry/restore recovery can absorb.
     FaultSchedule s{"morsel-task-failure", "exec.pipeline.morsel",
                     /*rate=*/0.02,
                     /*worker_lost_fraction=*/seed % 2 == 0 ? 0.2 : 0.0,

@@ -1,5 +1,6 @@
 // Shared-nothing simulation tests: the thread pool, hash partitioning, and
-// parallel SQL execution equivalence (shuffle join, pre-aggregation).
+// parallel SQL execution equivalence (fused probes, pre-aggregation, the
+// DISTINCT shuffle).
 
 #include <gtest/gtest.h>
 
@@ -35,14 +36,21 @@ TEST(ThreadPoolTest, ParallelForRunsEveryIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForStatusPropagatesFirstError) {
+TEST(ThreadPoolTest, ParallelForMorselsPropagatesFirstError) {
   ThreadPool pool(4);
-  Status st = pool.ParallelForStatus(10, [&](size_t i) -> Status {
-    if (i == 7) return Status::ExecutionError("boom");
-    return Status::OK();
-  });
+  std::vector<std::atomic<int>> hits(100);
+  Status st = pool.ParallelForMorsels(
+      100, 4,
+      [&](size_t m, size_t) -> Status {
+        hits[m].fetch_add(1);
+        if (m == 7) return Status::ExecutionError("boom");
+        return Status::OK();
+      },
+      nullptr, nullptr, nullptr, nullptr);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "boom");
+  // A failed morsel does not stop the queue: every morsel still ran once.
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(PartitionTest, HashPartitionKeepsEqualKeysTogether) {
@@ -92,6 +100,10 @@ TEST(MppSqlTest, ParallelQueriesMatchSerial) {
       "SELECT v FROM t WHERE v > 250 AND k < 7",
       "SELECT a.k, COUNT(*) FROM t a JOIN t b ON a.k = b.k GROUP BY a.k",
       "SELECT DISTINCT k FROM t",
+      // The fused probe pads unmatched LEFT rows per chunk; the residual
+      // leaves most probe rows unmatched.
+      "SELECT a.k, b.v FROM t a LEFT JOIN t b "
+      "ON a.k = b.k AND b.v > a.v + 900",
   };
   for (const char* q : queries) {
     TablePtr a = testing::MustQuery(&serial, q);
@@ -100,33 +112,28 @@ TEST(MppSqlTest, ParallelQueriesMatchSerial) {
   }
 }
 
-// A join whose build side is over the broadcast budget (0 here: every
-// build) is the partitioned-shuffle breaker: both inputs are hash-
-// partitioned on the join key, and the shuffle is a fault site.
+// A parallel DISTINCT hash-partitions its whole input on every column, so
+// duplicates meet on one simulated node; the shuffle is a fault site.
 TEST(MppSqlTest, ShuffleStatsReported) {
   Database db;
   db.options().num_workers = 4;
   db.options().mpp_min_rows_per_task = 8;
-  db.options().broadcast_build_rows = 0;
   testing::MustExecute(&db, "CREATE TABLE t (k BIGINT)");
   std::string insert = "INSERT INTO t VALUES (0)";
   for (int i = 1; i < 400; ++i) insert += ", (" + std::to_string(i % 5) + ")";
   testing::MustExecute(&db, insert);
-  testing::MustExecute(&db, "CREATE TABLE d (k BIGINT, name VARCHAR)");
-  testing::MustExecute(&db,
-                       "INSERT INTO d VALUES (0, 'a'), (1, 'b'), (2, 'c')");
-  const std::string q = "SELECT t.k, d.name FROM t JOIN d ON t.k = d.k";
+  const std::string q = "SELECT DISTINCT k FROM t";
   auto result = db.Execute(q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->table->num_rows(), 240u);
-  EXPECT_EQ(result->stats.rows_shuffled, 403);
+  EXPECT_EQ(result->table->num_rows(), 5u);
+  EXPECT_EQ(result->stats.rows_shuffled, 400);
 
   db.options().fault_injection.enabled = true;
   db.options().fault_injection.rate = 1.0;
-  db.options().fault_injection.site_filter = "exec.join.shuffle";
+  db.options().fault_injection.site_filter = "exec.distinct.shuffle";
   auto faulted = db.Execute(q);
   ASSERT_FALSE(faulted.ok());
-  EXPECT_NE(faulted.status().message().find("exec.join.shuffle"),
+  EXPECT_NE(faulted.status().message().find("exec.distinct.shuffle"),
             std::string::npos)
       << faulted.status().ToString();
 }

@@ -323,9 +323,8 @@ TEST(IntegerOverflowTest, ArithmeticFailsInsteadOfWrapping) {
   }
 }
 
-// SUM over BIGINT fails on overflow instead of wrapping: inside one
-// partial at width 1, and at width 4 with one-row morsels, where each
-// partial holds one addend and the overflow happens only at the merge.
+// SUM over BIGINT fails on overflow instead of wrapping, at width 1 and at
+// width 4 with one-row morsels, where each partial holds one addend.
 TEST(IntegerOverflowTest, SumFailsInPartialAndAtMerge) {
   const std::string sum =
       "SELECT SUM(i) FROM (SELECT 9223372036854775807 AS i "
@@ -350,6 +349,75 @@ TEST(IntegerOverflowTest, SumFailsInPartialAndAtMerge) {
               std::numeric_limits<int64_t>::max())
         << "workers=" << workers;
   }
+}
+
+// An integer SUM is exact until Finalize: a running sum that passes
+// INT64_MAX midway still returns the total when it fits, whatever the
+// morsel split.
+TEST(IntegerOverflowTest, SumPassingInt64MaxMidwayFits) {
+  const std::string sum =
+      "SELECT SUM(i) FROM (SELECT 9223372036854775807 AS i "
+      "UNION ALL SELECT 1 AS i UNION ALL SELECT -1 AS i) s";
+  for (int workers : {1, 4}) {
+    EngineOptions options;
+    options.num_workers = workers;
+    if (workers > 1) {
+      options.mpp_min_rows_per_task = 1;
+      options.morsel_size = 1;
+    }
+    Database db(options);
+    for (const std::string& q : {sum, sum + " GROUP BY i % 1"}) {
+      TablePtr t = MustQuery(&db, q);
+      ASSERT_EQ(t->num_rows(), 1u) << q;
+      EXPECT_EQ(t->GetValue(0, 0).int64_value(),
+                std::numeric_limits<int64_t>::max())
+          << q << " workers=" << workers;
+    }
+  }
+}
+
+// Nesting past kMaxExpressionDepth fails with a ParseError instead of
+// overflowing the stack of the passes that recurse over the tree.
+void ExpectTooDeep(Database* db, const std::string& sql) {
+  auto r = db->Execute(sql);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("nested deeper than"), std::string::npos)
+      << r.status().ToString();
+}
+
+std::string Repeat(const std::string& part, const std::string& sep, int n) {
+  std::string out = part;
+  for (int i = 1; i < n; ++i) out += sep + part;
+  return out;
+}
+
+TEST(ExpressionDepthTest, DeepParenthesesFailWithParseError) {
+  Database db;
+  ExpectTooDeep(&db, "SELECT " + std::string(10000, '(') + "1" +
+                         std::string(10000, ')'));
+  ExpectTooDeep(&db, "SELECT " + Repeat("NOT", " ", 10000) + " TRUE");
+  ExpectTooDeep(&db, "SELECT " + Repeat("-", " ", 10000) + " 1");
+  // Nesting within the limit still runs.
+  TablePtr t = MustQuery(&db, "SELECT " + std::string(200, '(') + "7" +
+                                  std::string(200, ')'));
+  EXPECT_EQ(t->GetValue(0, 0).int64_value(), 7);
+}
+
+// Operator chains nest their left operand without parser recursion; the
+// parser measures them instead.
+TEST(ExpressionDepthTest, LongOperatorChainFailsWithParseError) {
+  Database db;
+  ExpectTooDeep(&db, "SELECT " + Repeat("1", "+", 50000));
+  ExpectTooDeep(&db, "SELECT 1 WHERE " + Repeat("TRUE", " AND ", 50000));
+  ExpectTooDeep(&db, Repeat("SELECT 1", " UNION ALL ", 50000));
+  // A chain whose first operand is itself a chain nests both.
+  ExpectTooDeep(&db, "SELECT (" + Repeat("1", "*", 200) + ")" +
+                         Repeat("+1", "", 200));
+  TablePtr t = MustQuery(&db, "SELECT " + Repeat("1", "+", 200));
+  EXPECT_EQ(t->GetValue(0, 0).int64_value(), 200);
+  t = MustQuery(&db, Repeat("SELECT 1", " UNION ALL ", 200));
+  EXPECT_EQ(t->num_rows(), 200u);
 }
 
 // NaN is one value, equal to itself and above every number (as in

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include <cmath>
-#include <limits>
 
 #include "engine/database.h"
 #include "engine/workloads.h"
@@ -382,14 +381,6 @@ VerifyReport BrokenReport(DefectCode code) {
       op.AddChild(PhysValues(OneInt()));
       return VerifyPhysicalPlan(op);
     }
-    case DefectCode::kV205: {  // NaN build estimate: fusion undecidable
-      PhysicalHashJoin op(Schema({{"x", TypeId::kInt64}, {"y", TypeId::kInt64}}),
-                          JoinType::kInner, {0}, {0}, nullptr);
-      op.set_build_rows_estimate(std::numeric_limits<double>::quiet_NaN());
-      op.AddChild(PhysValues(Schema({{"x", TypeId::kInt64}})));
-      op.AddChild(PhysValues(Schema({{"y", TypeId::kInt64}})));
-      return VerifyPhysicalPlan(op);
-    }
     case DefectCode::kV206: {  // COUNT(DISTINCT *): no deferral path
       AggregateSpec spec;
       spec.kind = AggKind::kCountStar;
@@ -433,7 +424,7 @@ TEST(VerifierDefects, EveryDefectCodeHasAFailingCase) {
 
 TEST(VerifierDefects, DefectTableIsWellFormed) {
   const std::vector<DefectCode>& codes = AllDefectCodes();
-  EXPECT_EQ(codes.size(), 30u);
+  EXPECT_EQ(codes.size(), 29u);
   std::vector<std::string> names;
   for (DefectCode code : codes) {
     names.push_back(DefectCodeName(code));
