@@ -182,6 +182,35 @@ void BM_ScanFilterProbeMpp8(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanFilterProbeMpp8)->Unit(benchmark::kMillisecond);
 
+// --- the PR-VS Ri shape: a scan probing two builds into GROUP BY ----------
+//
+// ranks(node, rank, delta) probes the 5-column loop-invariant common result
+// (edges JOIN vertexstatus), then LEFT-probes ranks again: the second probe
+// emits 3 + 5 + 3 = 11 columns, of which the aggregate reads two.
+
+void BM_ProbeChainAggregate(benchmark::State& state) {
+  Database* db = SetupDb(20000, kEdgeRows);
+  static const bool loaded = [db] {
+    for (const char* sql : {
+             "CREATE TABLE bm_ranks (node BIGINT, rank DOUBLE, delta DOUBLE)",
+             "INSERT INTO bm_ranks SELECT node, 0.0, 0.15 FROM vertexstatus",
+             "CREATE TABLE bm_common (src BIGINT, dst BIGINT, weight DOUBLE, "
+             "node BIGINT, status BIGINT)",
+             "INSERT INTO bm_common SELECT e.src, e.dst, e.weight, v.node, "
+             "v.status FROM edges e JOIN vertexstatus v ON v.node = e.dst "
+             "WHERE v.status != 0"}) {
+      if (!db->Execute(sql).ok()) std::abort();
+    }
+    return true;
+  }();
+  (void)loaded;
+  RunSql(state,
+         "SELECT p.node, SUM(r.delta) FROM bm_ranks p "
+         "JOIN bm_common c ON p.node = c.dst "
+         "LEFT JOIN bm_ranks r ON r.node = c.src GROUP BY p.node");
+}
+BENCHMARK(BM_ProbeChainAggregate)->Unit(benchmark::kMillisecond);
+
 // --- ColumnVector batch gather microbench -----------------------------------
 //
 // The type-specialized AppendGathered path must beat (and exactly match)

@@ -6,6 +6,12 @@
 // and semi-joins refine the selection in place, projections and probes swap
 // in a new dense base. Rows are copied exactly once, at the pipeline sink
 // (or at a pipeline breaker), via the batch Append* paths of ColumnVector.
+//
+// A projection or probe emits only its live columns: the ones a later
+// stage or the sink reads. Its base is a table of just those columns, and
+// the stages above it read them through ordinals remapped when the
+// pipeline is compiled, so a chunk's column c is not necessarily column c
+// of the operator's output schema.
 
 #pragma once
 

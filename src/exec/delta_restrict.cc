@@ -10,9 +10,9 @@
 
 namespace dbspinner {
 
-size_t PhysicalDeltaRestrict::Restrict(DataChunk* chunk,
+size_t PhysicalDeltaRestrict::Restrict(DataChunk* chunk, size_t chunk_key,
                                        const RowIndex& keys) const {
-  const KeyColumns in_keys{&chunk->table().column(key_col_)};
+  const KeyColumns in_keys{&chunk->table().column(chunk_key)};
   RowIndex scratch;
   const RowIndex& set_index = keys.Fit(in_keys, &scratch);
   size_t n = chunk->size();

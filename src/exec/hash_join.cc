@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "exec/physical_plan.h"
@@ -17,11 +19,68 @@ std::string PhysicalHashJoin::Describe() const {
   return out;
 }
 
+namespace {
+
+// The join rows for the row pairs (lrows[i], rrows[i]), restricted to the
+// ordinals `cols` (ascending) of `join_schema` = [left ++ right], as a
+// table of `schema`. Left ordinal c reads column chunk_col[c] of `left`
+// (chunk_col has one entry per left ordinal) and keeps its type; a right
+// one is typed as `join_schema`, and a right row of kNoMatch emits NULLs
+// (left-outer padding). Every join's output is gathered here, column by
+// column.
+TablePtr BuildJoinOutput(const Schema& join_schema, const Schema& schema,
+                         const std::vector<size_t>& cols,
+                         const std::vector<size_t>& chunk_col,
+                         const Table& left, const Table& right,
+                         const std::vector<uint32_t>& lrows,
+                         const std::vector<uint32_t>& rrows) {
+  const size_t ln = chunk_col.size();
+  std::vector<ColumnVectorPtr> out;
+  out.reserve(cols.size());
+  for (size_t c : cols) {
+    if (c < ln) {
+      out.push_back(left.column(chunk_col[c]).Gather(lrows));
+      continue;
+    }
+    auto col = std::make_shared<ColumnVector>(join_schema.column(c).type);
+    col->AppendGathered(right.column(c - ln), rrows);
+    out.push_back(std::move(col));
+  }
+  return Table::FromColumns(schema, std::move(out));
+}
+
+}  // namespace
+
+PhysicalHashJoin::ProbePlan PhysicalHashJoin::PlanProbe(
+    std::vector<size_t> chunk_col, std::vector<size_t> out_cols) const {
+  ProbePlan plan;
+  plan.chunk_keys.reserve(left_keys_.size());
+  for (size_t k : left_keys_) plan.chunk_keys.push_back(chunk_col[k]);
+  plan.chunk_col = std::move(chunk_col);
+  plan.out_schema = output_schema_.Select(out_cols);
+  plan.out_cols = std::move(out_cols);
+  if (residual_) {
+    std::vector<size_t> refs;
+    residual_->CollectColumnRefs(&refs);
+    std::sort(refs.begin(), refs.end());
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+    std::vector<size_t> to_residual(output_schema_.num_columns(), 0);
+    for (size_t i = 0; i < refs.size(); ++i) to_residual[refs[i]] = i;
+    plan.residual = residual_->Clone();
+    plan.residual->RemapColumns(to_residual);
+    plan.residual_eval.emplace(*plan.residual);
+    plan.residual_schema = output_schema_.Select(refs);
+    plan.residual_cols = std::move(refs);
+  }
+  return plan;
+}
+
 Result<DataChunk> PhysicalHashJoin::Probe(const DataChunk& chunk,
                                           const Table& right,
-                                          const RowIndex& index) const {
+                                          const RowIndex& index,
+                                          const ProbePlan& plan) const {
   const Table& left = chunk.table();
-  const KeyColumns lkeys = KeyColumnsOf(left, left_keys_);
+  const KeyColumns lkeys = KeyColumnsOf(left, plan.chunk_keys);
   RowIndex scratch;
   const RowIndex& build = index.Fit(lkeys, &scratch);
   size_t n = chunk.size();
@@ -42,39 +101,40 @@ Result<DataChunk> PhysicalHashJoin::Probe(const DataChunk& chunk,
       if (left_outer) lpos.push_back(static_cast<uint32_t>(i));
     }
   }
-  TablePtr candidates =
-      BuildJoinOutput(output_schema_, left, right, lrows, rrows);
 
-  // The residual predicate filters candidate pairs.
-  std::vector<uint32_t> sel;
-  if (residual_eval_) {
-    DBSP_RETURN_NOT_OK(residual_eval_->Filter(
+  // The residual filters the candidate pairs, reading only its own
+  // columns; the kept pairs move to the front of lrows/rrows.
+  if (plan.residual_eval) {
+    TablePtr candidates = BuildJoinOutput(
+        output_schema_, plan.residual_schema, plan.residual_cols,
+        plan.chunk_col, left, right, lrows, rrows);
+    std::vector<uint32_t> sel;
+    DBSP_RETURN_NOT_OK(plan.residual_eval->Filter(
         EvalInput(*candidates, RowSet::Window(0, candidates->num_rows())),
         &sel));
-  } else {
-    sel.resize(lrows.size());
-    for (size_t i = 0; i < sel.size(); ++i) sel[i] = static_cast<uint32_t>(i);
+    for (size_t k = 0; k < sel.size(); ++k) {
+      lrows[k] = lrows[sel[k]];
+      rrows[k] = rrows[sel[k]];
+      if (left_outer) lpos[k] = lpos[sel[k]];
+    }
+    lrows.resize(sel.size());
+    rrows.resize(sel.size());
+    if (left_outer) lpos.resize(sel.size());
   }
-  const bool all_kept = sel.size() == lrows.size();
 
   // LEFT OUTER: NULL-padded rows for the probe rows no pair kept.
-  std::vector<uint32_t> unmatched_l;
   if (left_outer) {
     std::vector<uint8_t> matched(n, 0);
-    for (uint32_t p : sel) matched[lpos[p]] = 1;
+    for (uint32_t p : lpos) matched[p] = 1;
     for (size_t i = 0; i < n; ++i) {
-      if (!matched[i]) unmatched_l.push_back(chunk.RowAt(i));
+      if (matched[i]) continue;
+      lrows.push_back(chunk.RowAt(i));
+      rrows.push_back(kNoMatch);
     }
   }
-  if (unmatched_l.empty()) {
-    DataChunk out(candidates, 0, candidates->num_rows());
-    if (!all_kept) out.SetSelection(std::move(sel));
-    return out;
-  }
-  TablePtr out = all_kept ? candidates : candidates->Gather(sel);
-  std::vector<uint32_t> unmatched_r(unmatched_l.size(), kNoMatch);
-  out->AppendAll(
-      *BuildJoinOutput(output_schema_, left, right, unmatched_l, unmatched_r));
+  TablePtr out =
+      BuildJoinOutput(output_schema_, plan.out_schema, plan.out_cols,
+                      plan.chunk_col, left, right, lrows, rrows);
   return DataChunk(out, 0, out->num_rows());
 }
 
@@ -127,13 +187,17 @@ Result<TablePtr> PhysicalNestedLoopJoin::Execute(ExecContext& ctx) const {
     lrows.insert(lrows.end(), pass.size(), static_cast<uint32_t>(i));
     rrows.insert(rrows.end(), pass.begin(), pass.end());
   }
-  TablePtr out = BuildJoinOutput(output_schema_, *left, *right, lrows, rrows);
-  if (type_ == JoinType::kLeft && !unmatched.empty()) {
+  if (type_ == JoinType::kLeft) {
     // Unmatched left rows follow every pair, NULL-padded.
-    std::vector<uint32_t> none(unmatched.size(), kNoMatch);
-    out->AppendAll(
-        *BuildJoinOutput(output_schema_, *left, *right, unmatched, none));
+    lrows.insert(lrows.end(), unmatched.begin(), unmatched.end());
+    rrows.insert(rrows.end(), unmatched.size(), kNoMatch);
   }
+  std::vector<size_t> cols(output_schema_.num_columns());
+  std::iota(cols.begin(), cols.end(), size_t{0});
+  const std::vector<size_t> left_cols(cols.begin(),
+                                      cols.begin() + left->num_columns());
+  TablePtr out = BuildJoinOutput(output_schema_, output_schema_, cols,
+                                 left_cols, *left, *right, lrows, rrows);
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
   return out;
 }

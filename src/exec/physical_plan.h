@@ -318,9 +318,7 @@ class PhysicalHashJoin final : public PhysicalOp {
         type_(type),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)) {
-    if (residual_) residual_eval_.emplace(*residual_);
-  }
+        residual_(std::move(residual)) {}
   const char* Name() const override { return "HashJoin"; }
   std::string Describe() const override;
   PipelineRole pipeline_role() const override {
@@ -338,18 +336,37 @@ class PhysicalHashJoin final : public PhysicalOp {
       ExecContext& ctx, const TablePtr& right,
       const std::vector<TypeId>& probe_types) const;
 
+  /// What one pipeline run of this probe reads and emits (DESIGN.md §11,
+  /// "Live columns"). Ordinals are of the output schema [left ++ right].
+  struct ProbePlan {
+    std::vector<size_t> chunk_col;      ///< left ordinal -> input chunk column
+    std::vector<size_t> chunk_keys;     ///< input chunk columns of the keys
+    std::vector<size_t> out_cols;       ///< ordinals emitted, ascending
+    Schema out_schema;                  ///< the output chunk's schema
+    std::vector<size_t> residual_cols;  ///< ordinals the residual reads
+    Schema residual_schema;
+    BoundExprPtr residual;  ///< residual(), over residual_cols; may be null
+    std::optional<CompiledExpr> residual_eval;
+  };
+
+  /// The plan of a run whose input chunk holds left ordinal c in column
+  /// `chunk_col[c]` and whose consumers read the output ordinals `out_cols`
+  /// (ascending; every left one must have a chunk column).
+  ProbePlan PlanProbe(std::vector<size_t> chunk_col,
+                      std::vector<size_t> out_cols) const;
+
   /// Joins the probe rows of `chunk` with the build side `right`, indexed
   /// by `index`: the matching pairs that pass the residual, then for LEFT
-  /// each unmatched probe row padded with NULLs.
+  /// each unmatched probe row padded with NULLs. Only `plan.out_cols` are
+  /// gathered, once per chunk.
   Result<DataChunk> Probe(const DataChunk& chunk, const Table& right,
-                          const RowIndex& index) const;
+                          const RowIndex& index, const ProbePlan& plan) const;
 
  private:
   JoinType type_;
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   BoundExprPtr residual_;  ///< over [left ++ right]; may be null
-  std::optional<CompiledExpr> residual_eval_;  ///< residual_, compiled
 };
 
 /// Fallback join for non-equi or missing conditions (cross join).
@@ -470,10 +487,11 @@ class PhysicalDeltaRestrict final : public PhysicalOp {
   size_t key_col() const { return key_col_; }
   bool keep_matching() const { return keep_matching_; }
 
-  /// Restricts `chunk` to the rows that pass against the key set indexed
-  /// by `keys`; returns how many were kept. The pipeline executor's
-  /// delta-restrict stage.
-  size_t Restrict(DataChunk* chunk, const RowIndex& keys) const;
+  /// Restricts `chunk` to the rows whose key, in chunk column `chunk_key`,
+  /// passes against the key set indexed by `keys`; returns how many were
+  /// kept. The pipeline executor's delta-restrict stage.
+  size_t Restrict(DataChunk* chunk, size_t chunk_key,
+                  const RowIndex& keys) const;
 
  private:
   std::string delta_source_;

@@ -30,22 +30,31 @@ struct LocalStats {
   int64_t delta_probe_rows = 0;
 };
 
-/// One compiled streaming stage of a pipeline.
+/// One compiled streaming stage of a pipeline. Its expressions are clones
+/// of the operator's, remapped onto the columns of the stage's input chunk.
 struct Stage {
   const PhysicalOp* op = nullptr;
   PipelineRole role = PipelineRole::kBreaker;
 
-  std::unique_ptr<CompiledExpr> filter;    // kFilter
-  std::vector<CompiledExpr> projections;   // kProject
+  // kFilter
+  BoundExprPtr predicate;
+  std::unique_ptr<CompiledExpr> filter;
+
+  // kProject: the live outputs only, and the schema of the chunk they make.
+  std::vector<BoundExprPtr> exprs;
+  std::vector<CompiledExpr> projections;
+  Schema schema;
 
   // kHashProbe: fully materialized build side + shared index.
   TablePtr right;
   std::shared_ptr<const RowIndex> build;
+  PhysicalHashJoin::ProbePlan probe;
 
   // kDeltaRestrict: the affected-key set snapshot for this pipeline run
-  // (kept alive here for its index).
+  // (kept alive here for its index) and the input chunk's key column.
   TablePtr keys;
   RowIndex set_index;
+  size_t key_col = 0;
 };
 
 /// True if `op` streams inside a pipeline. A hash probe always does: its
@@ -61,6 +70,99 @@ bool Fusible(const PhysicalOp& op) {
     default:
       return false;
   }
+}
+
+/// Chunk column of an ordinal that a stage does not materialize.
+constexpr size_t kDead = static_cast<size_t>(-1);
+
+using LiveMask = std::vector<uint8_t>;
+
+void MarkRefs(const BoundExpr& expr, LiveMask* live) {
+  std::vector<size_t> refs;
+  expr.CollectColumnRefs(&refs);
+  for (size_t c : refs) (*live)[c] = 1;
+}
+
+/// The ordinals `live` marks, ascending.
+std::vector<size_t> LiveOrdinals(const LiveMask& live) {
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < live.size(); ++c) {
+    if (live[c]) cols.push_back(c);
+  }
+  return cols;
+}
+
+/// Ordinal -> chunk column of a chunk that holds exactly `cols`
+/// (ascending), kDead for every other ordinal below `width`.
+std::vector<size_t> DenseLayout(const std::vector<size_t>& cols,
+                                size_t width) {
+  std::vector<size_t> layout(width, kDead);
+  for (size_t i = 0; i < cols.size(); ++i) layout[cols[i]] = i;
+  return layout;
+}
+
+/// A clone of `expr` that reads ordinal c from chunk column layout[c].
+BoundExprPtr Remapped(const BoundExpr& expr,
+                      const std::vector<size_t>& layout) {
+  BoundExprPtr out = expr.Clone();
+  out->RemapColumns(layout);
+  return out;
+}
+
+/// The liveness pass (DESIGN.md §11, "Live columns"): walks `chain` from
+/// the top down. `need` marks the top's output ordinals that the sink
+/// reads; entry i of the result marks those of chain[i] that a later stage
+/// or the sink reads. A filter adds its predicate's refs to what passes
+/// through it, a delta restrict its key, a project the refs of its live
+/// outputs only, a probe its left keys and residual. A project or probe
+/// builds a new chunk, so it keeps one column even when nothing reads any:
+/// the chunk's columns carry its row count.
+std::vector<LiveMask> LiveColumns(const std::vector<const PhysicalOp*>& chain,
+                                  LiveMask need) {
+  std::vector<LiveMask> live(chain.size());
+  for (size_t i = 0; i < chain.size(); ++i) {
+    const PhysicalOp* op = chain[i];
+    LiveMask reads(op->children()[0]->output_schema().num_columns(), 0);
+    const bool none = std::find(need.begin(), need.end(), 1) == need.end();
+    switch (op->pipeline_role()) {
+      case PipelineRole::kFilter:
+        reads = need;
+        MarkRefs(static_cast<const PhysicalFilter*>(op)->predicate(), &reads);
+        break;
+      case PipelineRole::kDeltaRestrict:
+        reads = need;
+        reads[static_cast<const PhysicalDeltaRestrict*>(op)->key_col()] = 1;
+        break;
+      case PipelineRole::kProject: {
+        const auto& exprs = static_cast<const PhysicalProject*>(op)->exprs();
+        if (none && !need.empty()) need[0] = 1;
+        for (size_t c = 0; c < exprs.size(); ++c) {
+          if (need[c]) MarkRefs(*exprs[c], &reads);
+        }
+        break;
+      }
+      case PipelineRole::kHashProbe: {
+        const auto* join = static_cast<const PhysicalHashJoin*>(op);
+        const std::vector<size_t>& keys = join->left_keys();
+        if (none) need[keys[0]] = 1;
+        for (size_t c = 0; c < reads.size(); ++c) reads[c] = need[c];
+        for (size_t k : keys) reads[k] = 1;
+        if (join->residual() != nullptr) {
+          std::vector<size_t> refs;
+          join->residual()->CollectColumnRefs(&refs);
+          for (size_t c : refs) {
+            if (c < reads.size()) reads[c] = 1;
+          }
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    live[i] = std::move(need);
+    need = std::move(reads);
+  }
+  return live;
 }
 
 // Dense copy of a chunk's rows under the pipeline's output schema.
@@ -92,25 +194,46 @@ Result<TablePtr> CollectChain(const PhysicalOp& start, ExecContext& ctx,
 // Compiles stages bottom→top. Build sides and key sets materialize here —
 // these are the pipeline's breakers on the non-streaming inputs. All stage
 // state is read-only during execution, so one compiled stage vector is
-// shared by every morsel worker.
+// shared by every morsel worker. `need` marks the top's output ordinals
+// the sink reads; a probe or project materializes only the live columns
+// of its output (LiveColumns), and every expression above it is remapped
+// onto that narrower chunk. `*layout` receives the top chunk's ordinal ->
+// column map for the sink's own expressions.
 Result<std::vector<Stage>> CompileStages(
-    const std::vector<const PhysicalOp*>& chain, ExecContext& ctx) {
+    const std::vector<const PhysicalOp*>& chain, LiveMask need,
+    ExecContext& ctx, std::vector<size_t>* layout) {
+  // The source chunk is the breaker's whole table.
+  const size_t source_width =
+      chain.empty()
+          ? need.size()
+          : chain.back()->children()[0]->output_schema().num_columns();
+  const std::vector<LiveMask> live = LiveColumns(chain, std::move(need));
+  layout->resize(source_width);
+  for (size_t c = 0; c < source_width; ++c) (*layout)[c] = c;
+
   std::vector<Stage> stages(chain.size());
   for (size_t i = 0; i < chain.size(); ++i) {
-    const PhysicalOp* op = chain[chain.size() - 1 - i];
+    const size_t top_down = chain.size() - 1 - i;
+    const PhysicalOp* op = chain[top_down];
+    const size_t width = op->output_schema().num_columns();
     Stage& s = stages[i];
     s.op = op;
     s.role = op->pipeline_role();
     switch (s.role) {
       case PipelineRole::kFilter:
-        s.filter = std::make_unique<CompiledExpr>(
-            static_cast<const PhysicalFilter*>(op)->predicate());
+        s.predicate = Remapped(
+            static_cast<const PhysicalFilter*>(op)->predicate(), *layout);
+        s.filter = std::make_unique<CompiledExpr>(*s.predicate);
         break;
-      case PipelineRole::kProject:
-        for (const auto& e : static_cast<const PhysicalProject*>(op)->exprs()) {
-          s.projections.emplace_back(*e);
-        }
+      case PipelineRole::kProject: {
+        const auto& exprs = static_cast<const PhysicalProject*>(op)->exprs();
+        std::vector<size_t> cols = LiveOrdinals(live[top_down]);
+        for (size_t c : cols) s.exprs.push_back(Remapped(*exprs[c], *layout));
+        for (const auto& e : s.exprs) s.projections.emplace_back(*e);
+        s.schema = op->output_schema().Select(cols);
+        *layout = DenseLayout(cols, width);
         break;
+      }
       case PipelineRole::kHashProbe: {
         const auto* join = static_cast<const PhysicalHashJoin*>(op);
         DBSP_ASSIGN_OR_RETURN(s.right,
@@ -119,6 +242,10 @@ Result<std::vector<Stage>> CompileStages(
             ctx, s.right,
             SchemaKeyTypes(join->children()[0]->output_schema(),
                            join->left_keys()));
+        std::vector<size_t> cols = LiveOrdinals(live[top_down]);
+        std::vector<size_t> next = DenseLayout(cols, width);
+        s.probe = join->PlanProbe(std::move(*layout), std::move(cols));
+        *layout = std::move(next);
         break;
       }
       case PipelineRole::kDeltaRestrict: {
@@ -133,6 +260,7 @@ Result<std::vector<Stage>> CompileStages(
             SchemaKeyTypes(dr->children()[0]->output_schema(),
                            {dr->key_col()}),
             RowIndex::Nulls::kMatch);
+        s.key_col = (*layout)[dr->key_col()];
         break;
       }
       default:
@@ -142,11 +270,10 @@ Result<std::vector<Stage>> CompileStages(
   return stages;
 }
 
-// Evaluates a projection stage over `chunk` into a new dense chunk of the
-// stage's output schema.
+// Evaluates a projection stage's live outputs over `chunk` into a new
+// dense chunk.
 Result<DataChunk> Project(const Stage& s, const DataChunk& chunk,
                           LocalStats* ls) {
-  const Schema& schema = s.op->output_schema();
   const EvalInput in(chunk.table(), chunk.rows());
   std::vector<ColumnVectorPtr> cols;
   cols.reserve(s.projections.size());
@@ -154,14 +281,14 @@ Result<DataChunk> Project(const Stage& s, const DataChunk& chunk,
     DBSP_ASSIGN_OR_RETURN(
         ColumnVectorPtr col,
         s.projections[c].Evaluate(in, &ls->project_rows));
-    if (col->type() != schema.column(c).type) {
-      auto cast = std::make_shared<ColumnVector>(schema.column(c).type);
+    if (col->type() != s.schema.column(c).type) {
+      auto cast = std::make_shared<ColumnVector>(s.schema.column(c).type);
       cast->AppendAll(*col);
       col = std::move(cast);
     }
     cols.push_back(std::move(col));
   }
-  return DataChunk(Table::FromColumns(schema, std::move(cols)), 0,
+  return DataChunk(Table::FromColumns(s.schema, std::move(cols)), 0,
                    chunk.size());
 }
 
@@ -186,12 +313,13 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
       case PipelineRole::kHashProbe: {
         ls->probe_rows += static_cast<int64_t>(chunk.size());
         const auto* join = static_cast<const PhysicalHashJoin*>(s.op);
-        DBSP_ASSIGN_OR_RETURN(chunk, join->Probe(chunk, *s.right, *s.build));
+        DBSP_ASSIGN_OR_RETURN(
+            chunk, join->Probe(chunk, *s.right, *s.build, s.probe));
         break;
       }
       case PipelineRole::kDeltaRestrict: {
         const auto* dr = static_cast<const PhysicalDeltaRestrict*>(s.op);
-        size_t kept = dr->Restrict(&chunk, s.set_index);
+        size_t kept = dr->Restrict(&chunk, s.key_col, s.set_index);
         if (dr->keep_matching()) ls->delta_probe_rows += kept;
         break;
       }
@@ -222,9 +350,13 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  DBSP_ASSIGN_OR_RETURN(std::vector<Stage> stages, CompileStages(chain, ctx));
-
   const Schema& out_schema = top.output_schema();
+  std::vector<size_t> layout;
+  DBSP_ASSIGN_OR_RETURN(
+      std::vector<Stage> stages,
+      CompileStages(chain, LiveMask(out_schema.num_columns(), 1), ctx,
+                    &layout));
+
   size_t n = source->num_rows();
   std::vector<DataChunk> morsels =
       SplitIntoMorsels(source, ctx.options->morsel_size);
@@ -337,7 +469,25 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  DBSP_ASSIGN_OR_RETURN(std::vector<Stage> stages, CompileStages(chain, ctx));
+  // The sink reads its group keys and aggregate arguments; it evaluates
+  // clones of them remapped onto the top chunk's columns.
+  LiveMask need(top.children()[0]->output_schema().num_columns(), 0);
+  for (const auto& g : agg.group_exprs()) MarkRefs(*g, &need);
+  for (const AggregateSpec& a : agg.aggregates()) {
+    if (a.arg != nullptr) MarkRefs(*a.arg, &need);
+  }
+  std::vector<size_t> layout;
+  DBSP_ASSIGN_OR_RETURN(std::vector<Stage> stages,
+                        CompileStages(chain, std::move(need), ctx, &layout));
+  std::vector<BoundExprPtr> group_exprs;
+  for (const auto& g : agg.group_exprs()) {
+    group_exprs.push_back(Remapped(*g, layout));
+  }
+  std::vector<AggregateSpec> aggregates;
+  for (const AggregateSpec& a : agg.aggregates()) {
+    aggregates.push_back(a.Clone());
+    if (a.arg != nullptr) aggregates.back().arg->RemapColumns(layout);
+  }
 
   size_t n = source->num_rows();
   std::vector<DataChunk> morsels =
@@ -345,8 +495,7 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
 
   LocalStats total;
 
-  GroupedAggregator merged(&agg.group_exprs(), &agg.aggregates(),
-                           &agg.output_schema());
+  GroupedAggregator merged(&group_exprs, &aggregates, &agg.output_schema());
 
   if (ctx.UseParallel(n) && morsels.size() > 1) {
     size_t width = std::min<size_t>(
@@ -355,8 +504,7 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
     std::vector<GroupedAggregator> partials;
     partials.reserve(width);
     for (size_t w = 0; w < width; ++w) {
-      partials.emplace_back(&agg.group_exprs(), &agg.aggregates(),
-                            &agg.output_schema());
+      partials.emplace_back(&group_exprs, &aggregates, &agg.output_schema());
     }
     Status st = ctx.pool->ParallelForMorsels(
         morsels.size(), width,

@@ -197,22 +197,4 @@ void RowIndex::Resize(size_t capacity) {
   }
 }
 
-TablePtr BuildJoinOutput(const Schema& schema, const Table& left,
-                         const Table& right,
-                         const std::vector<uint32_t>& lrows,
-                         const std::vector<uint32_t>& rrows) {
-  size_t ln = left.num_columns();
-  std::vector<ColumnVectorPtr> cols;
-  cols.reserve(schema.num_columns());
-  for (size_t c = 0; c < ln; ++c) {
-    cols.push_back(left.column(c).Gather(lrows));
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    auto col = std::make_shared<ColumnVector>(schema.column(ln + c).type);
-    col->AppendGathered(right.column(c), rrows);
-    cols.push_back(std::move(col));
-  }
-  return Table::FromColumns(schema, std::move(cols));
-}
-
 }  // namespace dbspinner

@@ -118,12 +118,4 @@ class RowIndex {
   uint32_t null_head_ = kNoMatch;  ///< INT64 mode under kMatch: NULL group
 };
 
-/// The [left ++ right] rows of an equi-join for the row pairs
-/// (lrows[i], rrows[i]), typed as `schema`; a right row of kNoMatch emits
-/// NULLs (left-outer padding). Both sides are gathered column by column.
-TablePtr BuildJoinOutput(const Schema& schema, const Table& left,
-                         const Table& right,
-                         const std::vector<uint32_t>& lrows,
-                         const std::vector<uint32_t>& rrows);
-
 }  // namespace dbspinner

@@ -8,6 +8,13 @@ void Schema::AddColumn(std::string name, TypeId type) {
   columns_.push_back(Column{ToLower(name), type});
 }
 
+Schema Schema::Select(const std::vector<size_t>& cols) const {
+  std::vector<Column> out;
+  out.reserve(cols.size());
+  for (size_t c : cols) out.push_back(columns_[c]);
+  return Schema(std::move(out));
+}
+
 std::optional<size_t> Schema::FindColumn(const std::string& name) const {
   std::string lower = ToLower(name);
   for (size_t i = 0; i < columns_.size(); ++i) {

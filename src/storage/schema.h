@@ -34,6 +34,9 @@ class Schema {
 
   void AddColumn(std::string name, TypeId type);
 
+  /// The columns `cols` of this schema, in that order.
+  Schema Select(const std::vector<size_t>& cols) const;
+
   /// First index whose name matches (case-insensitive), or nullopt.
   std::optional<size_t> FindColumn(const std::string& name) const;
 

@@ -191,6 +191,13 @@ std::string RenderScalarSelect(const QuerySpec& spec) {
     sql += RenderOrderBy(TopLevelOrder(spec, num_cols));
     sql += "\nLIMIT " + std::to_string(spec.limit);
   }
+  if (spec.left_join && rng.Chance(50)) {
+    // A non-equi ON conjunct: a residual that alone reads e2.weight. Drawn
+    // last, so the rest of a seed's query renders as it did without it.
+    const std::string on = "ON e.dst = e2.src";
+    sql.insert(sql.find(on) + on.size(),
+               " AND e2.weight < 0." + std::to_string(rng.Range(1, 9)));
+  }
   return sql;
 }
 

@@ -171,6 +171,27 @@ TEST(QueryGeneratorTest, OrderByKeysFollowTheSpec) {
   EXPECT_TRUE(fuzz::TopLevelOrder(spec, 2)[0].descending);
 }
 
+TEST(QueryGeneratorTest, LeftJoinSometimesCarriesAResidual) {
+  // The scalar family's LEFT JOIN may add a non-equi ON conjunct, so the
+  // oracles see a column that only the join residual reads.
+  fuzz::QuerySpec spec;
+  spec.family = fuzz::QueryFamily::kScalarSelect;
+  spec.left_join = true;
+  int with_residual = 0;
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    spec.expr_seed = seed;
+    const std::string sql = fuzz::RenderQuery(spec);
+    ASSERT_NE(sql.find("LEFT JOIN edges AS e2 ON e.dst = e2.src"),
+              std::string::npos)
+        << sql;
+    if (sql.find("ON e.dst = e2.src AND e2.weight < 0.") != std::string::npos) {
+      ++with_residual;
+    }
+  }
+  EXPECT_GT(with_residual, 0);
+  EXPECT_LT(with_residual, 64);
+}
+
 TEST(OptimizerTogglesTest, RegistryCoversEveryRule) {
   const auto& all = OptimizerToggles::All();
   EXPECT_EQ(all.size(), 8u);
