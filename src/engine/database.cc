@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 
 #include "binder/binder.h"
 #include "common/string_util.h"
@@ -172,13 +173,6 @@ Result<ColumnVectorPtr> CastColumn(ColumnVectorPtr col, TypeId type) {
   return out;
 }
 
-void MergeIvmCounters(const ivm::IvmCounters& from, ExecStats* stats) {
-  stats->ivm_deltas_applied += from.deltas_applied;
-  stats->ivm_rows_maintained += from.rows_maintained;
-  stats->ivm_full_refreshes += from.full_refreshes;
-  stats->ivm_fallbacks += from.fallbacks;
-}
-
 }  // namespace
 
 ThreadPool* Database::GetPool(SessionState& ss) {
@@ -219,22 +213,10 @@ ExecContext Database::MakeContext(SessionState& ss, Catalog* cat,
   ctx.pool = GetPool(ss);
   ctx.faults = GetFaultInjector(ss);
   ctx.cancel = ss.cancel;
-  // Surface verifier findings counted (not enforced) during planning in the
-  // execution stats of the statement they belong to.
-  ctx.stats.verify_violations = ss.pending_verify_violations;
-  ss.pending_verify_violations = 0;
-  // Likewise the view-maintenance work done while syncing the views this
-  // statement reads (CollectViewBindings stashes it here).
-  ctx.stats.ivm_deltas_applied = ss.pending_ivm.deltas_applied;
-  ctx.stats.ivm_rows_maintained = ss.pending_ivm.rows_maintained;
-  ctx.stats.ivm_full_refreshes = ss.pending_ivm.full_refreshes;
-  ctx.stats.ivm_fallbacks = ss.pending_ivm.fallbacks;
-  ss.pending_ivm = ivm::IvmCounters{};
-  // Admission metadata set by the scheduler before this query started.
-  ctx.stats.queue_wait_us = ss.queue_wait_us;
-  ctx.stats.admission_waits = ss.queued ? 1 : 0;
-  ss.queue_wait_us = 0;
-  ss.queued = false;
+  // Surface the counters gathered before the program runs (admission,
+  // verifier findings, view syncs) in the execution stats of the statement
+  // they belong to, and only there.
+  ctx.stats = std::exchange(ss.pending, ExecStats{});
   // Restart the schedule at hit 0 for every program execution: the fault
   // set a statement sees is a pure function of the config, independent of
   // what ran before it. Repro lines stay one statement long.
@@ -420,7 +402,7 @@ Status Database::VerifyStage(SessionState& ss, Catalog* cat,
   verify::VerifyReport report = verify::VerifyProgram(program, vctx);
   report.phase = phase;
   return verify::EnforceOrCount(report, ss.options.verify.enforce,
-                                &ss.pending_verify_violations);
+                                &ss.pending.verify_violations);
 }
 
 Result<Program> Database::PrepareProgram(
@@ -1080,12 +1062,12 @@ Result<QueryResult> Database::ExecuteCreateView(SessionState& ss,
                                  "' already exists");
   }
   Catalog snapshot = catalog_.PinSnapshot();
-  ivm::IvmCounters local;
+  QueryResult result;
   DBSP_ASSIGN_OR_RETURN(
       TablePtr contents,
       views_.Create(name, *stmt.ctas_query,
                     ivm::RenderQueryNode(*stmt.ctas_query), snapshot,
-                    MakeViewRunner(ss), &local));
+                    MakeViewRunner(ss), &result.stats));
   (void)contents;
   Status persisted = PersistViewCatalog();
   if (!persisted.ok()) {
@@ -1094,9 +1076,7 @@ Result<QueryResult> Database::ExecuteCreateView(SessionState& ss,
     (void)views_.Drop(name, /*if_exists=*/true);
     return persisted;
   }
-  QueryResult result;
   result.table = Table::Make(Schema());
-  MergeIvmCounters(local, &result.stats);
   return result;
 }
 
@@ -1120,12 +1100,10 @@ Result<QueryResult> Database::ExecuteRefreshView(SessionState& ss,
         "materialized view statements are not allowed inside a transaction");
   }
   Catalog snapshot = catalog_.PinSnapshot();
-  ivm::IvmCounters local;
-  DBSP_RETURN_NOT_OK(views_.Refresh(stmt.table_name, snapshot,
-                                    MakeViewRunner(ss), &local));
   QueryResult result;
+  DBSP_RETURN_NOT_OK(views_.Refresh(stmt.table_name, snapshot,
+                                    MakeViewRunner(ss), &result.stats));
   result.table = Table::Make(Schema());
-  MergeIvmCounters(local, &result.stats);
   return result;
 }
 
@@ -1188,7 +1166,9 @@ Status Database::CollectViewBindings(SessionState& ss, const Catalog& snapshot,
     if (def.iter_query) roots.push_back(def.iter_query.get());
   }
   if (roots.empty()) return Status::OK();
-  ivm::IvmCounters local;
+  // Counted apart from ss.pending: the maintenance queries below run
+  // through MakeContext, which would take it.
+  ExecStats local;
   ivm::QueryRunner runner = MakeViewRunner(ss);
   Status status = Status::OK();
   for (const std::string& name : views_.Names()) {
@@ -1217,21 +1197,17 @@ Status Database::CollectViewBindings(SessionState& ss, const Catalog& snapshot,
     }
     out->emplace_back(name, std::move(contents).value());
   }
-  // Stash the sync work either way; MakeContext folds it into the
+  // Stash the sync work either way; MakeContext moves it into the
   // statement's ExecStats.
-  ss.pending_ivm.deltas_applied += local.deltas_applied;
-  ss.pending_ivm.rows_maintained += local.rows_maintained;
-  ss.pending_ivm.full_refreshes += local.full_refreshes;
-  ss.pending_ivm.fallbacks += local.fallbacks;
+  ss.pending.Add(local);
   return status;
 }
 
 void Database::MaintainViews(SessionState& ss, ExecStats* stats) {
   if (!views_.HasPending()) return;
-  ivm::IvmCounters local;
   ivm::QueryRunner runner = MakeViewRunner(ss);
   auto drain = [&]() -> Status {
-    views_.DrainPending(runner, &local);
+    views_.DrainPending(runner, stats);
     return Status::OK();
   };
   MaintenanceGate gate;
@@ -1243,7 +1219,6 @@ void Database::MaintainViews(SessionState& ss, ExecStats* stats) {
   // intact; the lazy sync in CollectViewBindings keeps answers right.
   Status st = gate ? gate(ss.cancel, drain) : drain();
   (void)st;
-  if (stats != nullptr) MergeIvmCounters(local, stats);
 }
 
 Status Database::CommitWrite(SessionState& ss, const std::string& name,

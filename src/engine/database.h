@@ -111,10 +111,6 @@ struct SessionState {
   /// session-scoped by construction.
   std::string temp_scope;
 
-  /// Admission metadata for the current query, copied into ExecStats.
-  int64_t queue_wait_us = 0;
-  bool queued = false;
-
   /// Identity of the statement being executed, for durable executor
   /// checkpoints (DESIGN.md §12): a hash of the SQL text (and script
   /// position), set by ExecuteForSession. A killed iterative query re-issued
@@ -139,14 +135,13 @@ struct SessionState {
   /// slot itself.
   bool holds_commit_lock = false;
 
-  /// Verifier diagnostics counted (not enforced) while planning the
-  /// session's current statement; transferred into ExecStats.
-  int64_t pending_verify_violations = 0;
-
-  /// View-maintenance work done while preparing the session's current
-  /// statement (syncing referenced views to the read snapshot);
-  /// transferred into ExecStats like the verifier count above.
-  ivm::IvmCounters pending_ivm;
+  /// Counters of the session's current statement gathered before its
+  /// program runs, which MakeContext moves into the statement's ExecStats:
+  /// admission metadata (queue_wait_us, admission_waits) set by the
+  /// server's Session, verifier diagnostics counted (not enforced) while
+  /// planning, and the view-maintenance work of syncing the views the
+  /// statement reads to its snapshot (ivm_*).
+  ExecStats pending;
 
   /// Session-materialized fault injector (from options.fault_injection).
   std::unique_ptr<FaultInjector> fault_injector;

@@ -23,6 +23,7 @@
 #include "common/status.h"
 #include "engine/options.h"
 #include "exec/data_chunk.h"
+#include "exec/exec_stats.h"
 #include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
@@ -34,86 +35,6 @@
 #include "storage/table.h"
 
 namespace dbspinner {
-
-/// Counters accumulated during one statement's execution.
-struct ExecStats {
-  int64_t steps_executed = 0;
-  int64_t loop_iterations = 0;
-  int64_t rows_materialized = 0;
-  int64_t rows_shuffled = 0;   ///< rows hash-partitioned by MPP shuffles
-  int64_t renames = 0;
-  int64_t merge_updates = 0;   ///< updated rows identified by MergeUpdate
-  int64_t delta_rows = 0;      ///< rows emitted by ComputeDelta (old + new
-                               ///< versions of changed rows, all iterations)
-  int64_t delta_probe_rows = 0;  ///< driving rows kept by DeltaRestrict
-                                 ///< (the semi-naive recompute frontier)
-  int64_t build_cache_hits = 0;  ///< hash-join build sides reused across
-                                 ///< iterations
-
-  // Fault-tolerance counters (see exec/program_executor.cc).
-  int64_t faults_seen = 0;        ///< step executions felled by an injected
-                                  ///< fault (retryable or worker-lost)
-  int64_t step_retries = 0;       ///< idempotent step re-executions after a
-                                  ///< retryable fault
-  int64_t checkpoints_taken = 0;  ///< loop-state snapshots (every K
-                                  ///< iterations + one per kInitLoop)
-  int64_t restores = 0;           ///< rollbacks to the last checkpoint (or to
-                                  ///< program start when none exists yet);
-                                  ///< also counts a cross-process resume from
-                                  ///< a durable checkpoint (DESIGN.md §12)
-  int64_t durable_checkpoints = 0;  ///< checkpoints additionally serialized
-                                    ///< to the storage layer (WAL + extents)
-
-  /// Verifier diagnostics observed while planning this statement with
-  /// EngineOptions::verify.enforce off (the release-build escape hatch;
-  /// see src/verify/verify.h). Always 0 on a healthy engine.
-  int64_t verify_violations = 0;
-
-  // Concurrent-serving counters (src/server/, DESIGN.md §10).
-  int64_t queue_wait_us = 0;    ///< time this statement spent in the
-                                ///< scheduler's admission queue
-  int64_t admission_waits = 0;  ///< 1 if the statement had to queue before
-                                ///< being admitted, else 0
-  int64_t cancel_checks = 0;    ///< cancellation-token checks at executor
-                                ///< step boundaries (live tokens only)
-
-  // Vectorized-pipeline counters (exec/pipeline.cc, DESIGN.md §11).
-  int64_t pipelines_run = 0;       ///< fused pipelines driven to completion
-  int64_t morsels_dispatched = 0;  ///< morsels pulled through pipelines
-  int64_t pipeline_rows_in = 0;    ///< source rows entering fused pipelines
-  int64_t pipeline_rows_out = 0;   ///< rows surviving to the pipeline sink
-  int64_t kernel_rows_filter = 0;  ///< rows scanned by filter kernels
-  int64_t kernel_rows_project = 0; ///< rows produced by projection kernels
-  int64_t kernel_rows_probe = 0;   ///< probe-side rows through fused joins
-  int64_t pipeline_ns = 0;         ///< wall time inside pipeline drivers;
-                                   ///< with the kernel_rows_* counters this
-                                   ///< yields per-kernel rows/sec
-  int64_t morsels_stolen = 0;      ///< morsels executed by a worker other
-                                   ///< than the owner of their queue range
-  int64_t agg_partials_merged = 0; ///< per-worker partial aggregate hash
-                                   ///< tables merged at pipeline breakers
-  int64_t agg_rows_preaggregated = 0;  ///< rows consumed directly by fused
-                                       ///< pre-aggregation sinks (rows the
-                                       ///< breaker never materialized)
-
-  // Incremental view maintenance counters (src/ivm/, DESIGN.md §14).
-  // Bookkeeping, not work-proportional: preserved by RewindWorkCountersTo.
-  int64_t ivm_deltas_applied = 0;   ///< base-table deltas folded into views
-  int64_t ivm_rows_maintained = 0;  ///< delta rows processed while folding
-  int64_t ivm_full_refreshes = 0;   ///< incremental views recomputed in full
-  int64_t ivm_fallbacks = 0;        ///< fallback-plan recomputes-on-read
-
-  /// Rolls the work-proportional counters back to their values in `base`,
-  /// preserving the monotonic bookkeeping counters (faults_seen,
-  /// step_retries, checkpoints_taken, restores, verify_violations,
-  /// queue_wait_us, admission_waits, cancel_checks). The fault-tolerant
-  /// executor calls this before re-running a step and on checkpoint
-  /// restore, so replayed work is not double-counted and a recovered run
-  /// reports exactly the counters of a fault-free one (DESIGN.md §8, §11).
-  void RewindWorkCountersTo(const ExecStats& base);
-
-  std::string ToString() const;
-};
 
 /// Per-step runtime profile collected when ExecContext::profiling is on
 /// (EXPLAIN ANALYZE). Keyed by step id; loop-body steps accumulate across

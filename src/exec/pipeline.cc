@@ -21,15 +21,6 @@ std::vector<TypeId> SchemaKeyTypes(const Schema& schema,
   return types;
 }
 
-// Per-morsel counters, accumulated thread-locally and merged by the driver
-// (ctx.stats must not be mutated from parallel morsel tasks).
-struct LocalStats {
-  int64_t filter_rows = 0;   ///< rows filter conjuncts ran on unboxed
-  int64_t project_rows = 0;  ///< rows projections evaluated unboxed
-  int64_t probe_rows = 0;
-  int64_t delta_probe_rows = 0;
-};
-
 /// One compiled streaming stage of a pipeline. Its expressions are clones
 /// of the operator's, remapped onto the columns of the stage's input chunk.
 struct Stage {
@@ -165,11 +156,6 @@ std::vector<LiveMask> LiveColumns(const std::vector<const PhysicalOp*>& chain,
   return live;
 }
 
-// Dense copy of a chunk's rows under the pipeline's output schema.
-void AppendChunk(const DataChunk& chunk, std::vector<ColumnVectorPtr>* acc) {
-  chunk.AppendTo(acc);
-}
-
 std::vector<ColumnVectorPtr> MakeAccumulator(const Schema& schema) {
   std::vector<ColumnVectorPtr> cols;
   cols.reserve(schema.num_columns());
@@ -273,14 +259,14 @@ Result<std::vector<Stage>> CompileStages(
 // Evaluates a projection stage's live outputs over `chunk` into a new
 // dense chunk.
 Result<DataChunk> Project(const Stage& s, const DataChunk& chunk,
-                          LocalStats* ls) {
+                          ExecStats* stats) {
   const EvalInput in(chunk.table(), chunk.rows());
   std::vector<ColumnVectorPtr> cols;
   cols.reserve(s.projections.size());
   for (size_t c = 0; c < s.projections.size(); ++c) {
     DBSP_ASSIGN_OR_RETURN(
         ColumnVectorPtr col,
-        s.projections[c].Evaluate(in, &ls->project_rows));
+        s.projections[c].Evaluate(in, &stats->kernel_rows_project));
     if (col->type() != s.schema.column(c).type) {
       auto cast = std::make_shared<ColumnVector>(s.schema.column(c).type);
       cast->AppendAll(*col);
@@ -292,9 +278,12 @@ Result<DataChunk> Project(const Stage& s, const DataChunk& chunk,
                    chunk.size());
 }
 
-// Streams one chunk through every compiled stage.
+// Streams one chunk through every compiled stage, counting into `stats`:
+// ctx.stats on the serial path, else the worker slot's own ExecStats
+// (ctx.stats must not be mutated from parallel morsel tasks), which the
+// driver adds into ctx.stats once every morsel succeeded.
 Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
-                           LocalStats* ls) {
+                           ExecStats* stats) {
   for (const Stage& s : stages) {
     if (chunk.empty()) break;
     switch (s.role) {
@@ -302,16 +291,17 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
         std::vector<uint32_t> sel;
         sel.reserve(chunk.size());
         DBSP_RETURN_NOT_OK(s.filter->Filter(
-            EvalInput(chunk.table(), chunk.rows()), &sel, &ls->filter_rows));
+            EvalInput(chunk.table(), chunk.rows()), &sel,
+            &stats->kernel_rows_filter));
         chunk.SetSelection(std::move(sel));
         break;
       }
       case PipelineRole::kProject: {
-        DBSP_ASSIGN_OR_RETURN(chunk, Project(s, chunk, ls));
+        DBSP_ASSIGN_OR_RETURN(chunk, Project(s, chunk, stats));
         break;
       }
       case PipelineRole::kHashProbe: {
-        ls->probe_rows += static_cast<int64_t>(chunk.size());
+        stats->kernel_rows_probe += static_cast<int64_t>(chunk.size());
         const auto* join = static_cast<const PhysicalHashJoin*>(s.op);
         DBSP_ASSIGN_OR_RETURN(
             chunk, join->Probe(chunk, *s.right, *s.build, s.probe));
@@ -320,7 +310,7 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
       case PipelineRole::kDeltaRestrict: {
         const auto* dr = static_cast<const PhysicalDeltaRestrict*>(s.op);
         size_t kept = dr->Restrict(&chunk, s.key_col, s.set_index);
-        if (dr->keep_matching()) ls->delta_probe_rows += kept;
+        if (dr->keep_matching()) stats->delta_probe_rows += kept;
         break;
       }
       default:
@@ -328,20 +318,6 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
     }
   }
   return chunk;
-}
-
-void MergeLocalStats(const LocalStats& ls, LocalStats* total) {
-  total->filter_rows += ls.filter_rows;
-  total->project_rows += ls.project_rows;
-  total->probe_rows += ls.probe_rows;
-  total->delta_probe_rows += ls.delta_probe_rows;
-}
-
-void FlushLocalStats(const LocalStats& total, ExecContext& ctx) {
-  ctx.stats.kernel_rows_filter += total.filter_rows;
-  ctx.stats.kernel_rows_project += total.project_rows;
-  ctx.stats.kernel_rows_probe += total.probe_rows;
-  ctx.stats.delta_probe_rows += total.delta_probe_rows;
 }
 
 Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
@@ -362,8 +338,6 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
       SplitIntoMorsels(source, ctx.options->morsel_size);
 
   TablePtr out;
-  LocalStats total;
-
   if (ctx.UseParallel(n) && morsels.size() > 1) {
     // Parallel morsels: a shared MorselQueue drained by num_workers worker
     // slots with stealing, each claimed morsel running the whole pipeline
@@ -379,15 +353,15 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
     size_t width = std::min<size_t>(
         static_cast<size_t>(ctx.options->num_workers), morsels.size());
     std::vector<TablePtr> results(morsels.size());
-    std::vector<LocalStats> lstats(width);
+    std::vector<ExecStats> slots(width);
     Status st = ctx.pool->ParallelForMorsels(
         morsels.size(), width,
         [&](size_t m, size_t slot) -> Status {
           DBSP_ASSIGN_OR_RETURN(DataChunk chunk,
-                                RunChunk(stages, morsels[m], &lstats[slot]));
+                                RunChunk(stages, morsels[m], &slots[slot]));
           if (!chunk.empty()) {
             auto acc = MakeAccumulator(out_schema);
-            AppendChunk(chunk, &acc);
+            chunk.AppendTo(&acc);
             results[m] = Table::FromColumns(out_schema, std::move(acc));
           }
           return Status::OK();
@@ -395,7 +369,7 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
         ctx.faults, "exec.pipeline.morsel", &ctx.cancel,
         &ctx.stats.morsels_stolen);
     DBSP_RETURN_NOT_OK(st);
-    for (const LocalStats& ls : lstats) MergeLocalStats(ls, &total);
+    for (const ExecStats& s : slots) ctx.stats.Add(s);
     auto acc_table = Table::Make(out_schema);
     for (const TablePtr& part : results) {
       if (part != nullptr) acc_table->AppendAll(*part);
@@ -413,7 +387,7 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
         DBSP_RETURN_NOT_OK(ctx.cancel.Check());
       }
       DBSP_ASSIGN_OR_RETURN(DataChunk chunk,
-                            RunChunk(stages, std::move(morsel), &total));
+                            RunChunk(stages, std::move(morsel), &ctx.stats));
       if (!accumulating) {
         // Single morsel: pass the result through without the sink copy.
         // A chunk that still spans its whole base unchanged returns the
@@ -428,12 +402,12 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
           out = chunk.base();
         } else {
           acc = MakeAccumulator(out_schema);
-          AppendChunk(chunk, &acc);
+          chunk.AppendTo(&acc);
           out = Table::FromColumns(out_schema, std::move(acc));
         }
         break;
       }
-      if (!chunk.empty()) AppendChunk(chunk, &acc);
+      if (!chunk.empty()) chunk.AppendTo(&acc);
     }
     if (out == nullptr) {
       if (!accumulating) acc = MakeAccumulator(out_schema);
@@ -446,7 +420,6 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
   ctx.stats.pipeline_rows_in += static_cast<int64_t>(n);
   ctx.stats.pipeline_rows_out += static_cast<int64_t>(out->num_rows());
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
-  FlushLocalStats(total, ctx);
   ctx.stats.pipeline_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
@@ -493,14 +466,12 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
   std::vector<DataChunk> morsels =
       SplitIntoMorsels(source, ctx.options->morsel_size);
 
-  LocalStats total;
-
   GroupedAggregator merged(&group_exprs, &aggregates, &agg.output_schema());
 
   if (ctx.UseParallel(n) && morsels.size() > 1) {
     size_t width = std::min<size_t>(
         static_cast<size_t>(ctx.options->num_workers), morsels.size());
-    std::vector<LocalStats> lstats(width);
+    std::vector<ExecStats> slots(width);
     std::vector<GroupedAggregator> partials;
     partials.reserve(width);
     for (size_t w = 0; w < width; ++w) {
@@ -510,14 +481,14 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
         morsels.size(), width,
         [&](size_t m, size_t slot) -> Status {
           DBSP_ASSIGN_OR_RETURN(DataChunk chunk,
-                                RunChunk(stages, morsels[m], &lstats[slot]));
+                                RunChunk(stages, morsels[m], &slots[slot]));
           if (chunk.empty()) return Status::OK();
           return partials[slot].Consume(chunk);
         },
         ctx.faults, "exec.pipeline.morsel", &ctx.cancel,
         &ctx.stats.morsels_stolen);
     DBSP_RETURN_NOT_OK(st);
-    for (const LocalStats& ls : lstats) MergeLocalStats(ls, &total);
+    for (const ExecStats& s : slots) ctx.stats.Add(s);
     for (const GroupedAggregator& p : partials) {
       merged.MergeFrom(p);
       ++ctx.stats.agg_partials_merged;
@@ -529,7 +500,7 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
         DBSP_RETURN_NOT_OK(ctx.cancel.Check());
       }
       DBSP_ASSIGN_OR_RETURN(DataChunk chunk,
-                            RunChunk(stages, std::move(morsel), &total));
+                            RunChunk(stages, std::move(morsel), &ctx.stats));
       if (chunk.empty()) continue;
       DBSP_RETURN_NOT_OK(merged.Consume(chunk));
     }
@@ -543,7 +514,6 @@ Result<TablePtr> RunAggregatePipeline(const PhysicalOp& top,
   ctx.stats.pipeline_rows_in += static_cast<int64_t>(n);
   ctx.stats.pipeline_rows_out += static_cast<int64_t>(out->num_rows());
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
-  FlushLocalStats(total, ctx);
   ctx.stats.pipeline_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - t0)
                                .count();

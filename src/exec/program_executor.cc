@@ -286,22 +286,13 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         break;
       }
       case Step::Kind::kDedupeResult: {
-        // Removes rows of `target` that already appear in `source` (and
-        // internal duplicates within `target`).
+        // target EXCEPT source: removes rows of `target` that already
+        // appear in `source`, and internal duplicates within `target`.
         DBSP_ASSIGN_OR_RETURN(TablePtr target, ctx->registry->Get(step.target));
         DBSP_ASSIGN_OR_RETURN(TablePtr source, ctx->registry->Get(step.source));
-        const KeyColumns cols = AllColumnsOf(*target);
-        const std::vector<TypeId> types = KeyTypes(cols);
-        const RowIndex in_source = RowIndex::Build(
-            AllColumnsOf(*source), types, RowIndex::Nulls::kMatch);
-        RowIndex kept(cols, types, RowIndex::Nulls::kMatch,
-                      target->num_rows());
-        std::vector<uint32_t> sel;
-        for (uint32_t i = 0; i < target->num_rows(); ++i) {
-          if (in_source.Find(cols, i) != kNoMatch) continue;
-          if (kept.FindOrInsert(cols, i, i) == i) sel.push_back(i);
-        }
-        ctx->registry->Put(step.target, target->Gather(sel));
+        std::vector<uint32_t> kept =
+            DistinctRowIds(*target, source.get(), /*in_right=*/false);
+        ctx->registry->Put(step.target, target->Gather(kept));
         break;
       }
       case Step::Kind::kCopyResult: {

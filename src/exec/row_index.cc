@@ -197,4 +197,26 @@ void RowIndex::Resize(size_t capacity) {
   }
 }
 
+std::vector<uint32_t> DistinctRowIds(const Table& left, const Table* right,
+                                     bool in_right) {
+  const size_t n = left.num_rows();
+  const KeyColumns cols = AllColumnsOf(left);
+  const std::vector<TypeId> types = KeyTypes(cols);
+  RowIndex right_rows;
+  if (right != nullptr) {
+    right_rows = RowIndex::Build(AllColumnsOf(*right), types,
+                                 RowIndex::Nulls::kMatch);
+  }
+  RowIndex seen(cols, types, RowIndex::Nulls::kMatch, n);
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (right != nullptr &&
+        (right_rows.Find(cols, i) != kNoMatch) != in_right) {
+      continue;
+    }
+    if (seen.FindOrInsert(cols, i, i) == i) ids.push_back(i);
+  }
+  return ids;
+}
+
 }  // namespace dbspinner

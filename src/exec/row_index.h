@@ -118,4 +118,12 @@ class RowIndex {
   uint32_t null_head_ = kNoMatch;  ///< INT64 mode under kMatch: NULL group
 };
 
+/// Set semantics over whole rows, NULL equal to NULL (Nulls::kMatch): the
+/// ascending ids of the first occurrence of each distinct row of `left`.
+/// With a `right` table, only rows that appear in it (`in_right`, for
+/// INTERSECT) or that do not (EXCEPT) are kept; without one (DISTINCT),
+/// every distinct row is.
+std::vector<uint32_t> DistinctRowIds(const Table& left, const Table* right,
+                                     bool in_right);
+
 }  // namespace dbspinner

@@ -21,14 +21,9 @@ namespace {
 
 // Keeps the first occurrence of each distinct row of `input`.
 TablePtr DedupeTable(const Table& input) {
-  size_t n = input.num_rows();
-  const KeyColumns cols = AllColumnsOf(input);
-  RowIndex seen(cols, KeyTypes(cols), RowIndex::Nulls::kMatch, n);
-  std::vector<uint32_t> sel;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (seen.FindOrInsert(cols, i, i) == i) sel.push_back(i);
-  }
-  if (sel.size() == n) {
+  std::vector<uint32_t> sel =
+      DistinctRowIds(input, /*right=*/nullptr, /*in_right=*/false);
+  if (sel.size() == input.num_rows()) {
     // Nothing removed; avoid the copy.
     return nullptr;
   }
@@ -41,19 +36,8 @@ Result<TablePtr> PhysicalSetDifference::Execute(ExecContext& ctx) const {
   DBSP_ASSIGN_OR_RETURN(TablePtr left, ExecuteOp(*children_[0], ctx));
   DBSP_ASSIGN_OR_RETURN(TablePtr right, ExecuteOp(*children_[1], ctx));
 
-  // Index the right side's full rows, then emit the distinct left rows
-  // that pass the membership test.
-  const KeyColumns lcols = AllColumnsOf(*left);
-  const std::vector<TypeId> types = KeyTypes(lcols);
-  const RowIndex in_right =
-      RowIndex::Build(AllColumnsOf(*right), types, RowIndex::Nulls::kMatch);
-  RowIndex seen(lcols, types, RowIndex::Nulls::kMatch, left->num_rows());
-  std::vector<uint32_t> sel;
-  for (uint32_t i = 0; i < left->num_rows(); ++i) {
-    if ((in_right.Find(lcols, i) != kNoMatch) != intersect_) continue;
-    if (seen.FindOrInsert(lcols, i, i) == i) sel.push_back(i);
-  }
-  TablePtr out = left->Gather(sel);
+  // The distinct left rows that pass the membership test.
+  TablePtr out = left->Gather(DistinctRowIds(*left, right.get(), intersect_));
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
   return out;
 }

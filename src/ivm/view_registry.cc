@@ -146,7 +146,7 @@ Result<TablePtr> ViewRegistry::Create(const std::string& name,
                                       std::string definition,
                                       const Catalog& snapshot,
                                       const QueryRunner& runner,
-                                      IvmCounters* counters) {
+                                      ExecStats* stats) {
   if (Has(name)) {
     return Status::AlreadyExists("materialized view '" + name +
                                  "' already exists");
@@ -173,7 +173,7 @@ Result<TablePtr> ViewRegistry::Create(const std::string& name,
     std::lock_guard<std::mutex> lock(state->mu);
     DBSP_ASSIGN_OR_RETURN(contents,
                           RecomputeLocked(*state, snapshot.version(), snapshot,
-                                          runner, counters));
+                                          runner, stats));
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -214,16 +214,14 @@ Status ViewRegistry::Drop(const std::string& name, bool if_exists) {
 }
 
 Status ViewRegistry::Refresh(const std::string& name, const Catalog& snapshot,
-                             const QueryRunner& runner,
-                             IvmCounters* counters) {
+                             const QueryRunner& runner, ExecStats* stats) {
   std::shared_ptr<ViewState> state = Find(name);
   if (state == nullptr) {
     return Status::NotFound("materialized view '" + name + "' does not exist");
   }
   std::lock_guard<std::mutex> lock(state->mu);
   state->pending.clear();
-  return RecomputeLocked(*state, snapshot.version(), snapshot, runner,
-                         counters)
+  return RecomputeLocked(*state, snapshot.version(), snapshot, runner, stats)
       .status();
 }
 
@@ -353,14 +351,14 @@ Result<TablePtr> ViewRegistry::ContentsAt(const std::string& name,
                                           uint64_t version,
                                           const Catalog& reader_snapshot,
                                           const QueryRunner& runner,
-                                          IvmCounters* counters) {
+                                          ExecStats* stats) {
   std::shared_ptr<ViewState> state = Find(name);
   if (state == nullptr) {
     return Status::NotFound("materialized view '" + name + "' does not exist");
   }
   std::lock_guard<std::mutex> lock(state->mu);
   while (!state->pending.empty() && state->pending.front().version <= version) {
-    DBSP_RETURN_NOT_OK(ApplyFrontLocked(*state, runner, counters));
+    DBSP_RETURN_NOT_OK(ApplyFrontLocked(*state, runner, stats));
   }
   // Newest published version at or below the reader's catalog version.
   const PublishedVersion* best = nullptr;
@@ -374,11 +372,10 @@ Result<TablePtr> ViewRegistry::ContentsAt(const std::string& name,
   // Recompute at the reader's snapshot: fallback plan behind a base-table
   // change, a reader older than the retained history, or a recovered view
   // serving its first read.
-  return RecomputeLocked(*state, version, reader_snapshot, runner, counters);
+  return RecomputeLocked(*state, version, reader_snapshot, runner, stats);
 }
 
-void ViewRegistry::DrainPending(const QueryRunner& runner,
-                                IvmCounters* counters) {
+void ViewRegistry::DrainPending(const QueryRunner& runner, ExecStats* stats) {
   std::vector<std::shared_ptr<ViewState>> states;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -387,7 +384,7 @@ void ViewRegistry::DrainPending(const QueryRunner& runner,
   for (const auto& state : states) {
     std::lock_guard<std::mutex> lock(state->mu);
     while (!state->pending.empty()) {
-      if (!ApplyFrontLocked(*state, runner, counters).ok()) {
+      if (!ApplyFrontLocked(*state, runner, stats).ok()) {
         // Leave the queue intact: ContentsAt syncs lazily on the next read.
         break;
       }
@@ -415,11 +412,11 @@ std::shared_ptr<ViewState> ViewRegistry::Find(const std::string& name) const {
 }
 
 Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
-                                      IvmCounters* counters) {
+                                      ExecStats* stats) {
   const PendingDelta& d = s.pending.front();
   if (d.full) {
     DBSP_RETURN_NOT_OK(
-        RecomputeLocked(s, d.version, d.snapshot, runner, counters).status());
+        RecomputeLocked(s, d.version, d.snapshot, runner, stats).status());
     s.pending.pop_front();
     return Status::OK();
   }
@@ -427,7 +424,7 @@ Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
       (s.plan.kind == PlanKind::kAggregate && !s.groups_valid)) {
     // Nothing consistent to fold into (recovered view): recompute instead.
     DBSP_RETURN_NOT_OK(
-        RecomputeLocked(s, d.version, d.snapshot, runner, counters).status());
+        RecomputeLocked(s, d.version, d.snapshot, runner, stats).status());
     s.pending.pop_front();
     return Status::OK();
   }
@@ -477,13 +474,13 @@ Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
   }
   if (!exact) {
     DBSP_RETURN_NOT_OK(
-        RecomputeLocked(s, d.version, d.snapshot, runner, counters).status());
+        RecomputeLocked(s, d.version, d.snapshot, runner, stats).status());
     s.pending.pop_front();
     return Status::OK();
   }
   PublishLocked(s, d.version, std::move(contents));
-  counters->deltas_applied += 1;
-  counters->rows_maintained +=
+  stats->ivm_deltas_applied += 1;
+  stats->ivm_rows_maintained +=
       static_cast<int64_t>(Rows(ins_rows) + Rows(del_rows));
   s.pending.pop_front();
   return Status::OK();
@@ -492,7 +489,7 @@ Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
 Result<TablePtr> ViewRegistry::RecomputeLocked(ViewState& s, uint64_t version,
                                                const Catalog& snapshot,
                                                const QueryRunner& runner,
-                                               IvmCounters* counters) {
+                                               ExecStats* stats) {
   DBSP_ASSIGN_OR_RETURN(TablePtr contents, runner(*s.body, snapshot, {}));
   if (s.plan.kind == PlanKind::kAggregate) {
     DBSP_ASSIGN_OR_RETURN(TablePtr input,
@@ -507,9 +504,9 @@ Result<TablePtr> ViewRegistry::RecomputeLocked(ViewState& s, uint64_t version,
     s.have_schema = true;
   }
   if (s.plan.kind == PlanKind::kFallback) {
-    counters->fallbacks += 1;
+    stats->ivm_fallbacks += 1;
   } else {
-    counters->full_refreshes += 1;
+    stats->ivm_full_refreshes += 1;
   }
   PublishLocked(s, version, contents);
   return contents;

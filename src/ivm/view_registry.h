@@ -31,6 +31,7 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "exec/exec_stats.h"
 #include "ivm/maintenance_plan.h"
 #include "parser/ast.h"
 #include "storage/catalog.h"
@@ -38,15 +39,6 @@
 
 namespace dbspinner {
 namespace ivm {
-
-/// Maintenance statistics accumulated by registry operations; merged into
-/// ExecStats (`ivm_*` counters) by the engine.
-struct IvmCounters {
-  int64_t deltas_applied = 0;   ///< deltas folded incrementally
-  int64_t rows_maintained = 0;  ///< delta rows processed while folding
-  int64_t full_refreshes = 0;   ///< incremental views recomputed in full
-  int64_t fallbacks = 0;        ///< fallback-plan recomputes-on-read
-};
 
 /// Executes `query` against the pinned catalog `snapshot` with each named
 /// seed table bound as if it were a CTE in scope. Supplied by the engine
@@ -127,7 +119,7 @@ class ViewRegistry {
   /// version. Returns the initial contents.
   Result<TablePtr> Create(const std::string& name, const QueryNode& body,
                           std::string definition, const Catalog& snapshot,
-                          const QueryRunner& runner, IvmCounters* counters);
+                          const QueryRunner& runner, ExecStats* stats);
 
   /// Re-registers a view recovered from storage. No query runs: the view
   /// starts stale and fully refreshes on first read or maintenance.
@@ -138,7 +130,7 @@ class ViewRegistry {
 
   /// Forced full recompute at `snapshot` (REFRESH MATERIALIZED VIEW).
   Status Refresh(const std::string& name, const Catalog& snapshot,
-                 const QueryRunner& runner, IvmCounters* counters);
+                 const QueryRunner& runner, ExecStats* stats);
 
   bool Has(const std::string& name) const;
   bool empty() const;
@@ -174,13 +166,12 @@ class ViewRegistry {
   /// `runner` against `reader_snapshot`.
   Result<TablePtr> ContentsAt(const std::string& name, uint64_t version,
                               const Catalog& reader_snapshot,
-                              const QueryRunner& runner,
-                              IvmCounters* counters);
+                              const QueryRunner& runner, ExecStats* stats);
 
   /// Applies every queued delta of every incremental view (post-commit
   /// maintenance). Errors and cancellation leave the remaining queue
   /// intact — the lazy sync in ContentsAt is the correctness backstop.
-  void DrainPending(const QueryRunner& runner, IvmCounters* counters);
+  void DrainPending(const QueryRunner& runner, ExecStats* stats);
 
   bool HasPending() const;
 
@@ -189,14 +180,13 @@ class ViewRegistry {
 
   /// Applies the front pending delta (which the caller checked exists).
   Status ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
-                          IvmCounters* counters) DBSP_REQUIRES(s.mu);
+                          ExecStats* stats) DBSP_REQUIRES(s.mu);
 
   /// Full recompute of contents (and groups for aggregate plans) at
   /// `snapshot`, publishing at `version` when it advances the history.
   Result<TablePtr> RecomputeLocked(ViewState& s, uint64_t version,
                                    const Catalog& snapshot,
-                                   const QueryRunner& runner,
-                                   IvmCounters* counters)
+                                   const QueryRunner& runner, ExecStats* stats)
       DBSP_REQUIRES(s.mu);
 
   void PublishLocked(ViewState& s, uint64_t version, TablePtr contents)

@@ -53,8 +53,8 @@ Result<QueryResult> Session::RunAdmitted(
                           manager_->scheduler().Admit(id_, token));
     // Queue-wait metadata is surfaced in the statement's ExecStats
     // (rendered by EXPLAIN ANALYZE as queue_wait_us / admission_waits).
-    state_.queue_wait_us = slot.queue_wait_us();
-    state_.queued = slot.queued();
+    state_.pending.queue_wait_us = slot.queue_wait_us();
+    state_.pending.admission_waits = slot.queued() ? 1 : 0;
     return run();  // slot releases here, promoting the next fair waiter
   }();
   state_.cancel = CancellationToken();

@@ -253,9 +253,9 @@ class PipelineChecker {
   /// V207: CompileStages / RunAggregatePipeline static_cast each fused
   /// stage to the concrete class its role promises; those classes are the
   /// closed set audited to keep all mutable execution state in per-worker
-  /// LocalStats / GroupedAggregator partials. An operator claiming a fused
-  /// role under any other type would be cast to the wrong class and could
-  /// carry cross-morsel mutable state the workers stomp concurrently.
+  /// ExecStats slots / GroupedAggregator partials. An operator claiming a
+  /// fused role under any other type would be cast to the wrong class and
+  /// could carry cross-morsel mutable state the workers stomp concurrently.
   void CheckRoleTypeAgreement(const PhysicalOp& op) {
     const char* required = RequiredNameForRole(op.pipeline_role());
     if (required == nullptr) return;

@@ -32,8 +32,8 @@
 //      pre-aggregation soundness (commutative partial merge per
 //      AggState::MergeFrom, deferred DISTINCT only where legal), and
 //      morsel-safety (pipeline-role / operator-type agreement, so fused
-//      stages hold no cross-morsel mutable state outside per-worker
-//      LocalStats).
+//      stages hold no cross-morsel mutable state outside each worker
+//      slot's own ExecStats).
 //
 // A fourth, compile-time analysis lives outside this directory: the clang
 // thread-safety annotations (common/thread_annotations.h, DESIGN.md §13)

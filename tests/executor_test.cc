@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 
 #include "exec/data_chunk.h"
@@ -595,6 +596,116 @@ TEST(StatsTest, MaterializedRowsTracked) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.rows_materialized, 0);
   EXPECT_GT(result->stats.steps_executed, 0);
+}
+
+
+// Every ExecStats field with its name, written out by hand rather than
+// taken from the counter table, so the tests below check the table.
+std::vector<std::pair<std::string, int64_t*>> AllCounters(ExecStats* s) {
+  return {{"steps_executed", &s->steps_executed},
+          {"loop_iterations", &s->loop_iterations},
+          {"rows_materialized", &s->rows_materialized},
+          {"rows_shuffled", &s->rows_shuffled},
+          {"renames", &s->renames},
+          {"merge_updates", &s->merge_updates},
+          {"delta_rows", &s->delta_rows},
+          {"delta_probe_rows", &s->delta_probe_rows},
+          {"build_cache_hits", &s->build_cache_hits},
+          {"faults_seen", &s->faults_seen},
+          {"step_retries", &s->step_retries},
+          {"checkpoints_taken", &s->checkpoints_taken},
+          {"restores", &s->restores},
+          {"durable_checkpoints", &s->durable_checkpoints},
+          {"verify_violations", &s->verify_violations},
+          {"queue_wait_us", &s->queue_wait_us},
+          {"admission_waits", &s->admission_waits},
+          {"cancel_checks", &s->cancel_checks},
+          {"pipelines_run", &s->pipelines_run},
+          {"morsels_dispatched", &s->morsels_dispatched},
+          {"pipeline_rows_in", &s->pipeline_rows_in},
+          {"pipeline_rows_out", &s->pipeline_rows_out},
+          {"kernel_rows_filter", &s->kernel_rows_filter},
+          {"kernel_rows_project", &s->kernel_rows_project},
+          {"kernel_rows_probe", &s->kernel_rows_probe},
+          {"pipeline_ns", &s->pipeline_ns},
+          {"morsels_stolen", &s->morsels_stolen},
+          {"agg_partials_merged", &s->agg_partials_merged},
+          {"agg_rows_preaggregated", &s->agg_rows_preaggregated},
+          {"ivm_deltas_applied", &s->ivm_deltas_applied},
+          {"ivm_rows_maintained", &s->ivm_rows_maintained},
+          {"ivm_full_refreshes", &s->ivm_full_refreshes},
+          {"ivm_fallbacks", &s->ivm_fallbacks}};
+}
+
+// The work-proportional counters: the ones a retry or restore rolls back.
+const std::set<std::string> kWorkCounters = {
+    "steps_executed", "loop_iterations", "rows_materialized",
+    "rows_shuffled", "renames", "merge_updates", "delta_rows",
+    "delta_probe_rows", "build_cache_hits", "pipelines_run",
+    "morsels_dispatched", "pipeline_rows_in", "pipeline_rows_out",
+    "kernel_rows_filter", "kernel_rows_project", "kernel_rows_probe",
+    "pipeline_ns", "morsels_stolen", "agg_partials_merged",
+    "agg_rows_preaggregated"};
+
+// Sets counter i of `s` to `first` + i * `step`.
+void FillCounters(ExecStats* s, int64_t first, int64_t step) {
+  int64_t v = first;
+  for (auto& [name, field] : AllCounters(s)) {
+    *field = v;
+    v += step;
+  }
+}
+
+TEST(ExecStatsTest, HandListCoversEveryField) {
+  ExecStats s;
+  EXPECT_EQ(AllCounters(&s).size(), 33u);
+  EXPECT_EQ(sizeof(ExecStats), 33 * sizeof(int64_t));
+  EXPECT_EQ(kWorkCounters.size(), 20u);
+}
+
+TEST(ExecStatsTest, RewindRestoresWorkAndKeepsBookkeeping) {
+  ExecStats stats;
+  FillCounters(&stats, 1000, 1);
+  ExecStats base;
+  FillCounters(&base, 1, 1);
+  stats.RewindWorkCountersTo(base);
+  int64_t i = 0;
+  for (auto& [name, field] : AllCounters(&stats)) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(*field, kWorkCounters.count(name) > 0 ? 1 + i : 1000 + i);
+    ++i;
+  }
+}
+
+TEST(ExecStatsTest, AddSumsEveryField) {
+  ExecStats a;
+  FillCounters(&a, 1, 1);
+  ExecStats b;
+  FillCounters(&b, 100, 100);
+  a.Add(b);
+  int64_t i = 0;
+  for (auto& [name, field] : AllCounters(&a)) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(*field, 101 * (i + 1));
+    ++i;
+  }
+}
+
+TEST(ExecStatsTest, ToStringPrintsEveryFieldUnderItsName) {
+  ExecStats stats;
+  FillCounters(&stats, 1000, 1);
+  const std::string text = stats.ToString();
+  EXPECT_EQ(text.rfind("ExecStats{", 0), 0u) << text;
+  EXPECT_EQ(text.back(), '}') << text;
+  for (auto& [name, field] : AllCounters(&stats)) {
+    const std::string entry = name + "=" + std::to_string(*field);
+    const size_t at = text.find(entry);
+    ASSERT_NE(at, std::string::npos) << entry << " in " << text;
+    // A whole entry, not the tail of a longer name.
+    EXPECT_TRUE(text[at - 1] == '{' || text[at - 1] == ' ') << entry;
+    const char after = text[at + entry.size()];
+    EXPECT_TRUE(after == ',' || after == '}') << entry;
+  }
 }
 
 }  // namespace

@@ -233,6 +233,44 @@ TEST_F(IvmTest, InterruptedMaintenanceServesPriorVersionThenResumes) {
   }
 }
 
+TEST_F(IvmTest, SessionCountersReportedOnlyByTheirStatement) {
+  Run(std::string("CREATE MATERIALIZED VIEW v AS ") + kAggBody);
+  // Fail the post-commit maintenance so the delta stays queued: the next
+  // read syncs it through CollectViewBindings.
+  db_.options().fault_injection.enabled = true;
+  db_.options().fault_injection.rate = 1.0;
+  db_.options().fault_injection.seed = 3;
+  Run("INSERT INTO edges VALUES (9, 9, 9.0)");
+  db_.options().fault_injection.enabled = false;
+
+  SessionState ss(db_.options());
+  // What the server's Session records for a statement that had to queue.
+  ss.pending.queue_wait_us = 7;
+  ss.pending.admission_waits = 1;
+  Result<QueryResult> admitted =
+      db_.ExecuteForSession(&ss, "SELECT src FROM edges");
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  EXPECT_EQ(admitted->stats.queue_wait_us, 7);
+  EXPECT_EQ(admitted->stats.admission_waits, 1);
+
+  Result<QueryResult> synced = db_.ExecuteForSession(&ss, "SELECT * FROM v");
+  ASSERT_TRUE(synced.ok()) << synced.status().ToString();
+  EXPECT_GE(synced->stats.ivm_deltas_applied, 1);
+  EXPECT_GT(synced->stats.ivm_rows_maintained, 0);
+  EXPECT_EQ(synced->stats.admission_waits, 0);
+
+  // The next statement of the session reports none of it again.
+  Result<QueryResult> next =
+      db_.ExecuteForSession(&ss, "SELECT dst FROM edges");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->stats.ivm_deltas_applied, 0);
+  EXPECT_EQ(next->stats.ivm_rows_maintained, 0);
+  EXPECT_EQ(next->stats.ivm_full_refreshes, 0);
+  EXPECT_EQ(next->stats.ivm_fallbacks, 0);
+  EXPECT_EQ(next->stats.queue_wait_us, 0);
+  EXPECT_EQ(next->stats.admission_waits, 0);
+}
+
 TEST_F(IvmTest, KnobsGateIncrementalMaintenance) {
   Run(std::string("CREATE MATERIALIZED VIEW v AS ") + kAggBody);
 
