@@ -144,25 +144,6 @@ int Value::Compare(const Value& other) const {
   return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
 }
 
-size_t Value::Hash() const {
-  if (is_null_) return 0x9e3779b97f4a7c15ULL;
-  switch (type_) {
-    case TypeId::kBool:
-      return std::hash<int64_t>()(int_ + 2);
-    case TypeId::kInt64:
-      // The double image, so that every pair Equals accepts across INT64
-      // and DOUBLE (1 and 1.0, 2^53 + 1 and 2^53) hashes alike.
-      return std::hash<double>()(static_cast<double>(int_));
-    case TypeId::kDouble:
-      return HashDouble(double_);
-    case TypeId::kString:
-      return std::hash<std::string>()(string_);
-    case TypeId::kNull:
-      break;
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
   if (is_null_) return "NULL";
   switch (type_) {

@@ -119,8 +119,6 @@ class Value {
   /// above every number and equals itself. Returns <0,0,>0.
   int Compare(const Value& other) const;
 
-  /// Hash compatible with Equals (1 and 1.0 hash identically).
-  size_t Hash() const;
 
   /// Display form ("NULL", "42", "3.14", "abc", "true").
   std::string ToString() const;

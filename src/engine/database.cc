@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "exec/physical_planner.h"
 #include "exec/program_executor.h"
+#include "expr/vector_eval.h"
 #include "ivm/sql_render.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
@@ -702,7 +703,7 @@ Result<QueryResult> Database::ExecuteExplain(SessionState& ss, Catalog* cat,
     // checkpoints_taken / restores / step_retries, and the concurrent-
     // serving ones: queue_wait_us / admission_waits / cancel_checks)
     // render below the plan.
-    result.explain += "\nStats: " + ctx.stats.ToString();
+    result.explain += "\nStats: " + ctx.stats.ToString() + "\n";
     result.stats = ctx.stats;
   } else {
     result.explain = ExplainProgram(program, /*verbose=*/true);
@@ -828,7 +829,6 @@ Result<QueryResult> Database::ExecuteInsert(SessionState& ss,
   if (!stmt.insert_values.empty()) {
     Binder binder(&catalog_);
     Binder::BindContext empty_ctx;
-    static const TablePtr kOneRow = Table::Make(Schema());
     for (const auto& value_row : stmt.insert_values) {
       if (value_row.size() != targets.size()) {
         return Status::BindError("INSERT row has " +
@@ -840,7 +840,7 @@ Result<QueryResult> Database::ExecuteInsert(SessionState& ss,
       for (size_t i = 0; i < value_row.size(); ++i) {
         DBSP_ASSIGN_OR_RETURN(BoundExprPtr bound,
                               binder.BindScalarExpr(*value_row[i], empty_ctx));
-        DBSP_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*bound, *kOneRow, 0));
+        DBSP_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*bound));
         DBSP_ASSIGN_OR_RETURN(row[targets[i]],
                               v.CastTo(schema.column(targets[i]).type));
       }
@@ -1112,9 +1112,12 @@ ivm::QueryRunner Database::MakeViewRunner(SessionState& ss) {
                      const std::vector<std::pair<std::string, TablePtr>>&
                          seeds) -> Result<TablePtr> {
     // Maintenance work is re-derivable from the pending queue: never
-    // durable-checkpoint it under the triggering statement's tag.
+    // durable-checkpoint it under the triggering statement's tag. Nor may
+    // the maintenance query's context take the statement's pending
+    // counters (admission, verifier findings): the statement reports them.
     const uint64_t saved_tag = ss.durable_program_tag;
     ss.durable_program_tag = 0;
+    ExecStats saved_pending = std::exchange(ss.pending, ExecStats{});
     Catalog snap = snapshot;  // snapshot handles share the store; cheap copy
     auto run = [&]() -> Result<TablePtr> {
       DBSP_ASSIGN_OR_RETURN(
@@ -1129,6 +1132,7 @@ ivm::QueryRunner Database::MakeViewRunner(SessionState& ss) {
     };
     Result<TablePtr> table = run();
     ss.durable_program_tag = saved_tag;
+    ss.pending = std::move(saved_pending);
     return table;
   };
 }
@@ -1166,11 +1170,9 @@ Status Database::CollectViewBindings(SessionState& ss, const Catalog& snapshot,
     if (def.iter_query) roots.push_back(def.iter_query.get());
   }
   if (roots.empty()) return Status::OK();
-  // Counted apart from ss.pending: the maintenance queries below run
-  // through MakeContext, which would take it.
-  ExecStats local;
+  // The sync work counts into ss.pending, which MakeContext moves into the
+  // statement's ExecStats.
   ivm::QueryRunner runner = MakeViewRunner(ss);
-  Status status = Status::OK();
   for (const std::string& name : views_.Names()) {
     // A statement CTE of the same name shadows the view, per SQL scoping.
     bool shadowed = false;
@@ -1189,18 +1191,13 @@ Status Database::CollectViewBindings(SessionState& ss, const Catalog& snapshot,
       }
     }
     if (!referenced) continue;
-    auto contents = views_.ContentsAt(name, snapshot.version(), snapshot,
-                                      runner, &local);
-    if (!contents.ok()) {
-      status = contents.status();
-      break;
-    }
-    out->emplace_back(name, std::move(contents).value());
+    DBSP_ASSIGN_OR_RETURN(
+        TablePtr contents,
+        views_.ContentsAt(name, snapshot.version(), snapshot, runner,
+                          &ss.pending));
+    out->emplace_back(name, std::move(contents));
   }
-  // Stash the sync work either way; MakeContext moves it into the
-  // statement's ExecStats.
-  ss.pending.Add(local);
-  return status;
+  return Status::OK();
 }
 
 void Database::MaintainViews(SessionState& ss, ExecStats* stats) {

@@ -99,6 +99,36 @@ void FoldInto(AggColumn* s, uint32_t g, const T& v) {
   }
 }
 
+/// Unfolds non-NULL input `v` from group `g` of `s`, the inverse of
+/// FoldInto. Returns false when that cannot be done exactly: nothing left
+/// to retract, or a MIN/MAX input that ties or beats the running extreme
+/// (it may hide a survivor the state never kept).
+template <AggKind K, typename T>
+bool RetractFrom(AggColumn* s, uint32_t g, const T& v) {
+  if constexpr (K == AggKind::kMin || K == AggKind::kMax) {
+    if (!s->has[g]) return false;
+    const int c = CompareScalars(v, Extremes<T>(s)[g]);
+    return K == AggKind::kMin ? c > 0 : c < 0;
+  } else {
+    if (s->count[g] == 0) return false;
+    if (--s->count[g] == 0) {
+      // Reset exactly, so sums stay drift-free across full retraction
+      // cycles.
+      if (!s->isum.empty()) s->isum[g] = 0;
+      if (!s->sum.empty()) s->sum[g] = 0;
+      if (!s->sumsq.empty()) s->sumsq[g] = 0;
+    } else if constexpr (K == AggKind::kSum && std::is_same_v<T, int64_t>) {
+      s->isum[g] -= v;
+    } else if constexpr (K != AggKind::kCount) {
+      s->sum[g] -= static_cast<double>(v);
+      if constexpr (K == AggKind::kStdDev || K == AggKind::kVariance) {
+        s->sumsq[g] -= static_cast<double>(v) * static_cast<double>(v);
+      }
+    }
+    return true;
+  }
+}
+
 /// Calls fn.template operator()<K>() for `kind` (not kCountStar). STRING
 /// inputs fold only into COUNT, MIN and MAX; the binder rejects the rest.
 template <typename T, typename Fn>
@@ -149,18 +179,27 @@ Status WithData(const ColumnVector& col, Fn&& fn) {
   return Status::OK();
 }
 
-/// The typed update loop of one non-DISTINCT aggregate over a chunk.
-Status FoldColumn(AggColumn* s, const Input& in,
-                  const std::vector<uint32_t>& gids) {
-  return WithData(*in.col, [&](const auto* data) {
+/// The typed update loop of one non-DISTINCT aggregate over a chunk: folds
+/// every input, or with kRetract unfolds it and returns false from the
+/// first inexact retraction on.
+template <bool kRetract>
+Result<bool> FoldColumn(AggColumn* s, const Input& in,
+                        const std::vector<uint32_t>& gids) {
+  bool exact = true;
+  DBSP_RETURN_NOT_OK(WithData(*in.col, [&](const auto* data) {
     using T = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
     return WithKind<T>(s->kind, [&]<AggKind K>() {
       ForEachValue(in, gids, [&](uint32_t g, uint32_t r) {
-        FoldInto<K>(s, g, data[r]);
+        if constexpr (kRetract) {
+          exact = exact && RetractFrom<K>(s, g, data[r]);
+        } else {
+          FoldInto<K>(s, g, data[r]);
+        }
       });
       return Status::OK();
     });
-  });
+  }));
+  return exact;
 }
 
 /// DISTINCT: adds a chunk's non-NULL inputs to the groups' seen sets.
@@ -369,15 +408,23 @@ uint32_t GroupedAggregator::FindOrCreateGroup(const KeyColumns& keys,
 }
 
 Status GroupedAggregator::Consume(const DataChunk& chunk) {
-  const size_t n = chunk.size();
-  const size_t ng = group_exprs_->size();
-  rows_consumed_ += static_cast<int64_t>(n);
-
-  if (ng == 0 && num_groups_ == 0) {
+  rows_consumed_ += static_cast<int64_t>(chunk.size());
+  if (group_exprs_->empty() && num_groups_ == 0) {
     num_groups_ = 1;  // global aggregate: exactly one group
     GrowStates();
   }
-  if (n == 0) return Status::OK();
+  return Fold(chunk, /*retract=*/false).status();
+}
+
+Result<bool> GroupedAggregator::Retract(const DataChunk& chunk) {
+  if (num_groups_ == 0) return chunk.size() == 0;
+  return Fold(chunk, /*retract=*/true);
+}
+
+Result<bool> GroupedAggregator::Fold(const DataChunk& chunk, bool retract) {
+  const size_t n = chunk.size();
+  const size_t ng = group_exprs_->size();
+  if (n == 0) return true;
 
   // Computed keys and arguments are evaluated over the chunk's rows into
   // dense columns, which `evaluated` keeps alive.
@@ -408,27 +455,52 @@ Status GroupedAggregator::Consume(const DataChunk& chunk) {
       keys.push_back(rows.col);
     }
     EnsureKeyStore(keys);
-    ForEachRow(rows, n, [&](size_t i, uint32_t r) {
-      gids_[i] = FindOrCreateGroup(keys, r);
-    });
-    GrowStates();
+    if (retract) {
+      bool found = true;
+      ForEachRow(rows, n, [&](size_t i, uint32_t r) {
+        gids_[i] = index_.Find(keys, r);
+        found &= gids_[i] != kNoMatch;
+      });
+      if (!found) return false;
+    } else {
+      ForEachRow(rows, n, [&](size_t i, uint32_t r) {
+        gids_[i] = FindOrCreateGroup(keys, r);
+      });
+      GrowStates();
+    }
   }
 
   for (size_t a = 0; a < states_.size(); ++a) {
     AggColumn* s = &states_[a];
-    if (s->kind == AggKind::kCountStar) {
+    if (retract && s->distinct) return false;
+    if (s->kind == AggKind::kCountStar && !retract) {
       for (uint32_t g : gids_) ++s->count[g];
+      continue;
+    }
+    if (s->kind == AggKind::kCountStar) {
+      for (uint32_t g : gids_) {
+        if (s->count[g] == 0) return false;
+        --s->count[g];
+      }
       continue;
     }
     DBSP_ASSIGN_OR_RETURN(Input in,
                           resolve(*(*aggregates_)[a].arg, *arg_evals_[a]));
+    if (retract) {
+      DBSP_ASSIGN_OR_RETURN(bool exact, FoldColumn<true>(s, in, gids_));
+      if (!exact) return false;
+      continue;
+    }
     // Distinct aggregates fold at Finalize, after partials merge: only the
     // seen-sets grow here. NULLs are dropped outright, as no kind that
     // can carry DISTINCT folds a NULL.
-    DBSP_RETURN_NOT_OK(s->distinct ? InsertDistinct(s, in, gids_)
-                                   : FoldColumn(s, in, gids_));
+    if (s->distinct) {
+      DBSP_RETURN_NOT_OK(InsertDistinct(s, in, gids_));
+    } else {
+      DBSP_RETURN_NOT_OK(FoldColumn<false>(s, in, gids_).status());
+    }
   }
-  return Status::OK();
+  return true;
 }
 
 void GroupedAggregator::MergeFrom(const GroupedAggregator& other) {

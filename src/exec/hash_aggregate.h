@@ -3,7 +3,9 @@
 // GroupedAggregator is the hash-aggregation kernel behind the pipeline
 // executor's aggregate sink (DESIGN.md §11, "Typed breakers"): each pipeline
 // worker folds its morsels into a private partial, and the partials are
-// merged once at the breaker. State is flat: per aggregate, one array per
+// merged once at the breaker. It also holds the group state of incremental
+// aggregate views (DESIGN.md §14), which fold inserted rows with Consume and
+// deleted ones with Retract. State is flat: per aggregate, one array per
 // running quantity, indexed by group id, updated by one typed loop per
 // (kind, argument type). Merging is exact: every state is a commutative
 // monoid, and DISTINCT aggregates defer their folds until Finalize so
@@ -38,14 +40,25 @@ class GroupedAggregator {
   /// evaluated over the chunk's rows. Fails when an expression fails.
   Status Consume(const DataChunk& chunk);
 
+  /// Unfolds every row of `chunk` from the groups, the inverse of Consume
+  /// for incremental view maintenance, under the exactness rules of the
+  /// boxed reference (testing/reference_eval.h): counts and sums subtract,
+  /// and an aggregate's sums reset exactly when its count reaches 0;
+  /// MIN/MAX retract only a value strictly inside the group's running
+  /// extreme. So a group whose every row is retracted is back in its empty
+  /// state. Returns false when a row's group does not exist, a retraction
+  /// is inexact or an aggregate is DISTINCT: the state is then unusable and
+  /// the caller rebuilds it. Fails when an expression fails.
+  Result<bool> Retract(const DataChunk& chunk);
+
   /// Folds another partial (built over the same operator) into this one.
   void MergeFrom(const GroupedAggregator& other);
 
   /// Emits the output table: group keys (first-occurrence values, cast to
   /// the output schema) then finalized aggregates. A global aggregate (no
-  /// GROUP BY) emits exactly one row even when nothing was consumed. Call
-  /// once: it folds the DISTINCT sets into the state. Fails when an
-  /// integer SUM leaves the INT64 range.
+  /// GROUP BY) emits exactly one row even when nothing was consumed. With a
+  /// DISTINCT aggregate, call once: it folds the DISTINCT sets into the
+  /// state. Fails when an integer SUM leaves the INT64 range.
   Result<TablePtr> Finalize();
 
   size_t num_groups() const { return num_groups_; }
@@ -84,6 +97,9 @@ class GroupedAggregator {
   uint32_t FindOrCreateGroup(const KeyColumns& keys, size_t row);
   /// Sizes every aggregate's arrays for num_groups_.
   void GrowStates();
+  /// The body of Consume (`retract` false, never returns false) and of
+  /// Retract.
+  Result<bool> Fold(const DataChunk& chunk, bool retract);
 
   const std::vector<BoundExprPtr>* group_exprs_;
   const std::vector<AggregateSpec>* aggregates_;

@@ -52,9 +52,10 @@ struct AggregateSpec {
 // --- fold steps ------------------------------------------------------------
 //
 // How one input folds into an aggregate's running state, defined once per
-// kind. AggState (boxed, kept for IVM retraction) and GroupedAggregator's
-// typed column loops (exec/hash_aggregate.cc) both call these, so the two
-// produce bit-identical results for the same inputs in the same order.
+// kind. GroupedAggregator's typed column loops (exec/hash_aggregate.cc) and
+// the boxed row-at-a-time reference (testing/reference_eval.h) both call
+// these, so the two produce bit-identical results for the same inputs in
+// the same order.
 
 /// MIN/MAX: whether input `v` replaces the running extreme `cur`, in the
 /// ORDER BY order (CompareScalars: NaN is the largest double). Of equal
@@ -94,44 +95,6 @@ inline double SampleVariance(int64_t count, double sum, double sumsq) {
 /// The status an integer SUM fails with when it leaves the INT64 range.
 Status IntegerOverflow();
 
-/// Running state of one aggregate within one group.
-class AggState {
- public:
-  explicit AggState(AggKind kind) : kind_(kind) {}
-
-  /// Folds one input value (already NULL-filtered for kCountStar).
-  void Update(const Value& v);
-
-  /// Folds another partial state of the same kind into this one, as if every
-  /// value `other` saw had been fed to Update() here. Every kind's state is
-  /// a commutative monoid (counts and sums add, extremes compare, variance
-  /// merges via sum-of-squares), which is what makes per-worker partial
-  /// aggregation with a single merge at the breaker exact.
-  void MergeFrom(const AggState& other);
-
-  /// Produces the aggregate result. SUM/MIN/MAX/AVG of zero non-NULL inputs
-  /// is NULL; COUNT is 0. Fails when an integer SUM leaves the INT64 range.
-  Result<Value> Finalize(TypeId result_type) const;
-
-  /// Unfolds one previously-Update()ed value (incremental view maintenance
-  /// retraction). Counts and sums subtract exactly; MIN/MAX can only drop a
-  /// value strictly inside the current extreme. Returns false when the state
-  /// cannot retract exactly (the value ties or beats the running extreme, or
-  /// nothing was accumulated) — the caller must fall back to a full
-  /// recompute of the group.
-  bool Retract(const Value& v);
-
- private:
-  AggKind kind_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-  double sum_squares_ = 0;  ///< STDDEV/VARIANCE
-  IntSum isum_ = 0;         ///< SUM over INT64
-  bool all_int_ = true;
-  bool has_value_ = false;
-  Value extreme_;  ///< MIN/MAX running value
-};
-
 /// The distinct non-NULL inputs of one group of a DISTINCT aggregate,
 /// unboxed: T is int64_t (INT64 and BOOL inputs), double or std::string.
 /// One aggregate's inputs all have one type. NaN is one value. Partial
@@ -159,8 +122,7 @@ class DistinctFilter {
   }
 
  private:
-  // Value::Hash's hashes (an INT64 hashes by its double image), so the
-  // iteration order matches that of a set of boxed Values.
+  // ColumnVector::HashAt's hashes: an INT64 hashes by its double image.
   struct Hash {
     size_t operator()(int64_t v) const {
       return std::hash<double>()(static_cast<double>(v));

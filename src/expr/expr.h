@@ -1,4 +1,4 @@
-// Bound (resolved, typed) expressions and their evaluator.
+// Bound (resolved, typed) expressions.
 //
 // The binder converts ParseExpr trees into BoundExpr trees where every column
 // reference is an ordinal into the input relation's schema and every function
@@ -6,6 +6,9 @@
 // inside BoundExpr: the binder extracts them into AggregateSpecs on a
 // LogicalAggregate and replaces them with column references over the
 // aggregate's output.
+//
+// The engine evaluates them with CompiledExpr (expr/vector_eval.h), its one
+// evaluator; the row-wise reference lives in src/testing (DESIGN.md §11).
 
 #pragma once
 
@@ -92,17 +95,6 @@ BoundExprPtr MakeBoundConstant(Value v);
 BoundExprPtr MakeBoundColumnRef(size_t index, TypeId type, std::string name);
 BoundExprPtr MakeBoundBinary(BinaryOp op, BoundExprPtr l, BoundExprPtr r,
                              TypeId type);
-
-/// Evaluates `expr` on row `row` of `input`: the row-wise reference
-/// semantics. Batch callers use CompiledExpr (expr/vector_eval.h), which
-/// returns the same values and fails on the same rows; this stays for
-/// constant folding, one-row callers and as the differential oracle.
-/// A column reference and a function call yield values of the node's
-/// static type (converted as Value::CastTo converts), and INT64 `+`, `-`,
-/// `*`, unary `-` and abs() fail with "integer overflow" instead of
-/// wrapping.
-Result<Value> EvaluateExpr(const BoundExpr& expr, const Table& input,
-                           size_t row);
 
 /// SQL LIKE with % (any run) and _ (any one char).
 bool LikeMatch(const std::string& s, const std::string& pattern);

@@ -493,7 +493,7 @@ class Evaluation {
   Buf& BufOf(uint32_t id) { return s_->bufs[id]; }
 
   Status EvalColumn(uint32_t id, const Active& a, Vec* out);
-  Status EvalBinary(uint32_t id, const Active& a, Vec* out);
+  Status EvalOperator(uint32_t id, const Active& a, Vec* out);
   Status EvalLogic(uint32_t id, const Active& a, Vec* out);
   Status EvalArithmetic(uint32_t id, const Vec& l, const Vec& r,
                         const Active& a, Vec* out);
@@ -532,7 +532,7 @@ Status Evaluation::Eval(uint32_t id, const Active& a, Vec* out) {
     case BoundExprKind::kColumnRef:
       return EvalColumn(id, a, out);
     case BoundExprKind::kBinaryOp:
-      return EvalBinary(id, a, out);
+      return EvalOperator(id, a, out);
     case BoundExprKind::kUnaryOp:
       return EvalUnary(id, a, out);
     case BoundExprKind::kFunctionCall:
@@ -665,7 +665,7 @@ Status Evaluation::EvalLogic(uint32_t id, const Active& a, Vec* out) {
   return Status::OK();
 }
 
-Status Evaluation::EvalBinary(uint32_t id, const Active& a, Vec* out) {
+Status Evaluation::EvalOperator(uint32_t id, const Active& a, Vec* out) {
   const Node& node = nodes_[id];
   const BinaryOp op = node.expr->binary_op;
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) return EvalLogic(id, a, out);
@@ -1251,6 +1251,15 @@ Status CompiledExpr::Filter(const EvalInput& in,
     }
   }
   return Status::OK();
+}
+
+Result<Value> EvaluateConstant(const BoundExpr& expr) {
+  static const TablePtr kNoColumns = Table::Make(Schema());
+  DBSP_ASSIGN_OR_RETURN(
+      ColumnVectorPtr col,
+      CompiledExpr(expr).Evaluate(
+          EvalInput(*kNoColumns, RowSet::Window(0, 1))));
+  return col->GetValue(0);
 }
 
 }  // namespace dbspinner

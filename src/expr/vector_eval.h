@@ -2,8 +2,10 @@
 //
 // A CompiledExpr evaluates a BoundExpr over a set of rows of a base table —
 // a contiguous window or a selection — into a typed column with a NULL
-// mask, or, as a filter, into the ids of the rows where it is TRUE. It
-// returns exactly what the row-wise reference EvaluateExpr returns, row for
+// mask, or, as a filter, into the ids of the rows where it is TRUE. It is
+// the engine's one evaluator: constant folding and INSERT … VALUES run it
+// over one row (EvaluateConstant). It returns exactly what row-at-a-time
+// evaluation returns (the reference in testing/reference_eval.h), row for
 // row, NULLs included, and fails exactly when row-wise evaluation fails,
 // because every node sees exactly the rows row-wise evaluation hands it:
 //   - AND evaluates its right side only where the left is not FALSE, OR
@@ -111,5 +113,10 @@ class CompiledExpr {
   uint32_t root_ = 0;
   std::vector<uint32_t> conjuncts_;  ///< the root's top-level AND leaves
 };
+
+/// Evaluates `expr`, which references no column, once: a CompiledExpr over
+/// one row of an input without columns. Fails where evaluating it fails
+/// (division by zero, integer overflow, a bad cast).
+Result<Value> EvaluateConstant(const BoundExpr& expr);
 
 }  // namespace dbspinner

@@ -10,8 +10,9 @@
 //  kLinear     SELECT/PROJECT/JOIN (inner/cross) with each base table
 //              referenced once: apply ΔQ to the view as a row multiset.
 //  kAggregate  GROUP BY over a linear input with COUNT/SUM/MIN/MAX/AVG/
-//              STDDEV/VARIANCE select items: fold ΔQin into per-group
-//              AggState via Update (inserts) and Retract (deletes).
+//              STDDEV/VARIANCE select items: fold ΔQin into the view's
+//              GroupedAggregator via Consume (inserts) and Retract
+//              (deletes).
 //  kFallback   DISTINCT, set ops, LEFT JOIN, subqueries, HAVING, global
 //              aggregates, ORDER BY/LIMIT, self-joins.
 

@@ -8,10 +8,6 @@ namespace dbspinner {
 namespace ivm {
 namespace {
 
-size_t HashCombine(size_t seed, size_t h) {
-  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
 size_t Rows(const TablePtr& t) { return t == nullptr ? 0 : t->num_rows(); }
 
 /// Multiset apply for linear plans: contents + ins − del. Each delete row
@@ -49,97 +45,82 @@ TablePtr ApplyLinear(const Table& old, const TablePtr& ins,
   return out;
 }
 
-/// Folds one maintenance-input table into the group map as insertions.
-void FoldInserts(const MaintenancePlan& plan, const Table& in,
-                 GroupMap* groups) {
-  const size_t g = static_cast<size_t>(plan.num_group_cols);
-  for (size_t r = 0; r < in.num_rows(); ++r) {
-    std::vector<Value> key;
-    key.reserve(g);
-    for (size_t c = 0; c < g; ++c) key.push_back(in.GetValue(r, c));
-    auto [it, fresh] = groups->try_emplace(std::move(key));
-    if (fresh) {
-      it->second.aggs.reserve(plan.aggs.size());
-      for (const PlanAgg& a : plan.aggs) it->second.aggs.emplace_back(a.kind);
-    }
-    ++it->second.rows;
-    for (size_t j = 0; j < plan.aggs.size(); ++j) {
-      const PlanAgg& a = plan.aggs[j];
-      it->second.aggs[j].Update(
-          a.input_col < 0 ? Value()
-                          : in.GetValue(r, static_cast<size_t>(a.input_col)));
-    }
-  }
+/// The whole of `rows` as one chunk.
+DataChunk WholeTable(const TablePtr& rows) {
+  return DataChunk(rows, 0, rows->num_rows());
 }
 
-/// Folds one maintenance-input table as retractions. Returns false when any
-/// retraction is inexact (missing group, MIN/MAX extreme leaving) — the
-/// caller escalates to a full recompute.
-bool FoldDeletes(const MaintenancePlan& plan, const Table& in,
-                 GroupMap* groups) {
-  const size_t g = static_cast<size_t>(plan.num_group_cols);
-  for (size_t r = 0; r < in.num_rows(); ++r) {
-    std::vector<Value> key;
-    key.reserve(g);
-    for (size_t c = 0; c < g; ++c) key.push_back(in.GetValue(r, c));
-    auto it = groups->find(key);
-    if (it == groups->end() || it->second.rows == 0) return false;
-    for (size_t j = 0; j < plan.aggs.size(); ++j) {
-      const PlanAgg& a = plan.aggs[j];
-      if (!it->second.aggs[j].Retract(
-              a.input_col < 0
-                  ? Value()
-                  : in.GetValue(r, static_cast<size_t>(a.input_col)))) {
-        return false;
-      }
-    }
-    if (--it->second.rows == 0) groups->erase(it);
+/// The empty group state of `plan` over maintenance input rows of schema
+/// `input`. The kernel emits the types of `view`, the view's schema.
+Result<std::unique_ptr<AggregateGroups>> NewGroups(const MaintenancePlan& plan,
+                                                   const Schema& input,
+                                                   const Schema& view) {
+  auto groups = std::make_unique<AggregateGroups>();
+  const size_t ng = static_cast<size_t>(plan.num_group_cols);
+  std::vector<Column> out(ng + plan.aggs.size());
+  for (size_t k = 0; k < ng; ++k) {
+    const Column& c = input.column(k);
+    groups->keys.push_back(MakeBoundColumnRef(k, c.type, c.name));
+    out[k] = c;
   }
-  return true;
+  for (size_t i = 0; i < plan.outputs.size(); ++i) {
+    const PlanOutput& o = plan.outputs[i];
+    out[(o.is_agg ? ng : 0) + static_cast<size_t>(o.index)] = view.column(i);
+  }
+  for (const PlanAgg& a : plan.aggs) {
+    AggregateSpec spec;
+    spec.kind = a.kind;
+    if (a.input_col >= 0) {
+      const Column& c = input.column(static_cast<size_t>(a.input_col));
+      spec.arg = MakeBoundColumnRef(static_cast<size_t>(a.input_col), c.type,
+                                    c.name);
+    }
+    DBSP_ASSIGN_OR_RETURN(
+        spec.result_type,
+        AggResultType(a.kind, spec.arg ? spec.arg->type : TypeId::kNull));
+    groups->aggs.push_back(std::move(spec));
+  }
+  groups->aggs.emplace_back();  // COUNT(*): the group's row count
+  out.push_back({"rows", TypeId::kInt64});
+  groups->schema = Schema(std::move(out));
+  groups->kernel = std::make_unique<GroupedAggregator>(
+      &groups->keys, &groups->aggs, &groups->schema);
+  return groups;
 }
 
-/// Materializes aggregate-view contents from the group map. Fails when an
-/// integer SUM leaves the INT64 range.
-Result<TablePtr> BuildFromGroups(const MaintenancePlan& plan,
-                                 const Schema& schema,
-                                 const GroupMap& groups) {
-  TablePtr out = Table::Make(schema);
-  out->Reserve(groups.size());
-  std::vector<Value> row(plan.outputs.size());
-  for (const auto& [key, gs] : groups) {
-    for (size_t i = 0; i < plan.outputs.size(); ++i) {
-      const PlanOutput& o = plan.outputs[i];
-      if (!o.is_agg) {
-        row[i] = key[static_cast<size_t>(o.index)];
-        continue;
-      }
-      DBSP_ASSIGN_OR_RETURN(row[i],
-                            gs.aggs[static_cast<size_t>(o.index)].Finalize(
-                                schema.column(i).type));
-    }
-    out->AppendRow(row);
+/// Folds one delta into an aggregate view's group state and emits the new
+/// contents: the groups that still have rows, columns in PlanOutput order.
+/// Returns null when the fold is inexact (a missing group, a MIN/MAX
+/// extreme leaving) or fails, or when an integer SUM leaves the INT64
+/// range; the caller recomputes, which reports the overflow. Deletions
+/// retract first, so an escalation never folds an insertion.
+TablePtr FoldAggregateDelta(const MaintenancePlan& plan, const Schema& view,
+                            AggregateGroups* groups, const TablePtr& ins,
+                            const TablePtr& del) {
+  GroupedAggregator& kernel = *groups->kernel;
+  if (Rows(del) > 0) {
+    Result<bool> exact = kernel.Retract(WholeTable(del));
+    if (!exact.ok() || !*exact) return nullptr;
   }
-  return out;
+  if (Rows(ins) > 0 && !kernel.Consume(WholeTable(ins)).ok()) return nullptr;
+  Result<TablePtr> all = kernel.Finalize();
+  if (!all.ok()) return nullptr;
+  const std::vector<int64_t>& rows =
+      (*all)->column((*all)->num_columns() - 1).ints();
+  std::vector<uint32_t> live;
+  for (uint32_t g = 0; g < rows.size(); ++g) {
+    if (rows[g] > 0) live.push_back(g);
+  }
+  std::vector<ColumnVectorPtr> cols;
+  for (const PlanOutput& o : plan.outputs) {
+    const size_t c = static_cast<size_t>(o.index) +
+                     (o.is_agg ? static_cast<size_t>(plan.num_group_cols) : 0);
+    cols.push_back((*all)->column_ptr(c));
+  }
+  return Table::FromColumns(view, std::move(cols))->Gather(live);
 }
 
 }  // namespace
-
-size_t RowKeyHash::operator()(const std::vector<Value>& key) const {
-  size_t h = key.size();
-  for (const Value& v : key) h = HashCombine(h, v.Hash());
-  return h;
-}
-
-bool RowKeyEq::operator()(const std::vector<Value>& a,
-                          const std::vector<Value>& b) const {
-  if (a.size() != b.size()) return false;
-  // Keys group as GROUP BY groups them: Equals, except that NaN is one
-  // value (Value::Compare).
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].Compare(b[i]) != 0) return false;
-  }
-  return true;
-}
 
 Result<TablePtr> ViewRegistry::Create(const std::string& name,
                                       const QueryNode& body,
@@ -414,19 +395,16 @@ std::shared_ptr<ViewState> ViewRegistry::Find(const std::string& name) const {
 Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
                                       ExecStats* stats) {
   const PendingDelta& d = s.pending.front();
-  if (d.full) {
+  auto recompute = [&]() -> Status {
     DBSP_RETURN_NOT_OK(
         RecomputeLocked(s, d.version, d.snapshot, runner, stats).status());
     s.pending.pop_front();
     return Status::OK();
-  }
-  if (s.history.empty() ||
-      (s.plan.kind == PlanKind::kAggregate && !s.groups_valid)) {
-    // Nothing consistent to fold into (recovered view): recompute instead.
-    DBSP_RETURN_NOT_OK(
-        RecomputeLocked(s, d.version, d.snapshot, runner, stats).status());
-    s.pending.pop_front();
-    return Status::OK();
+  };
+  // A full marker, or nothing consistent to fold into (a recovered view).
+  if (d.full || s.history.empty() ||
+      (s.plan.kind == PlanKind::kAggregate && s.groups == nullptr)) {
+    return recompute();
   }
 
   // Derive ΔQ = Q[T→ins] − Q[T→del] by substituting the delta rows for the
@@ -449,34 +427,14 @@ Status ViewRegistry::ApplyFrontLocked(ViewState& s, const QueryRunner& runner,
     (pass == 0 ? ins_rows : del_rows) = std::move(rows);
   }
 
-  bool exact = true;
-  TablePtr contents;
-  if (s.plan.kind == PlanKind::kLinear) {
-    contents = ApplyLinear(*s.history.back().contents, ins_rows, del_rows);
-    exact = contents != nullptr;
-  } else {
-    // Retraction can be inexact (MIN/MAX extreme leaving a group); fold
-    // deletions first so the group map is untouched on escalation.
-    exact = del_rows == nullptr || FoldDeletes(s.plan, *del_rows, &s.groups);
-    if (exact && ins_rows != nullptr) {
-      FoldInserts(s.plan, *ins_rows, &s.groups);
-    }
-    // An integer SUM that leaves the INT64 range escalates too: the
-    // recompute reports the overflow.
-    if (exact) {
-      Result<TablePtr> built = BuildFromGroups(s.plan, s.schema, s.groups);
-      exact = built.ok();
-      if (exact) contents = std::move(*built);
-    }
-    if (!exact) {
-      s.groups_valid = false;  // partially folded; rebuilt by the recompute
-    }
-  }
-  if (!exact) {
-    DBSP_RETURN_NOT_OK(
-        RecomputeLocked(s, d.version, d.snapshot, runner, stats).status());
-    s.pending.pop_front();
-    return Status::OK();
+  TablePtr contents =
+      s.plan.kind == PlanKind::kLinear
+          ? ApplyLinear(*s.history.back().contents, ins_rows, del_rows)
+          : FoldAggregateDelta(s.plan, s.history.back().contents->schema(),
+                               s.groups.get(), ins_rows, del_rows);
+  if (contents == nullptr) {
+    s.groups.reset();  // partially folded; rebuilt by the recompute
+    return recompute();
   }
   PublishLocked(s, d.version, std::move(contents));
   stats->ivm_deltas_applied += 1;
@@ -494,14 +452,12 @@ Result<TablePtr> ViewRegistry::RecomputeLocked(ViewState& s, uint64_t version,
   if (s.plan.kind == PlanKind::kAggregate) {
     DBSP_ASSIGN_OR_RETURN(TablePtr input,
                           runner(*s.plan.input_query, snapshot, {}));
-    s.groups.clear();
-    s.groups_valid = false;
-    FoldInserts(s.plan, *input, &s.groups);
-    s.groups_valid = true;
-  }
-  if (!s.have_schema) {
-    s.schema = contents->schema();
-    s.have_schema = true;
+    s.groups.reset();
+    DBSP_ASSIGN_OR_RETURN(
+        std::unique_ptr<AggregateGroups> groups,
+        NewGroups(s.plan, input->schema(), contents->schema()));
+    DBSP_RETURN_NOT_OK(groups->kernel->Consume(WholeTable(input)));
+    s.groups = std::move(groups);
   }
   if (s.plan.kind == PlanKind::kFallback) {
     stats->ivm_fallbacks += 1;

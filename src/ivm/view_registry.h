@@ -32,6 +32,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/exec_stats.h"
+#include "exec/hash_aggregate.h"
 #include "ivm/maintenance_plan.h"
 #include "parser/ast.h"
 #include "storage/catalog.h"
@@ -65,22 +66,22 @@ struct PublishedVersion {
   TablePtr contents;
 };
 
-/// Per-group aggregate maintenance state: input-row count plus one AggState
-/// per aggregate select item.
-struct GroupState {
-  int64_t rows = 0;
-  std::vector<AggState> aggs;
-};
+/// The typed group state of a kAggregate view (DESIGN.md §14): one
+/// GroupedAggregator over the maintenance input, which folds inserted rows
+/// and retracts deleted ones. Its group keys are the input's first
+/// num_group_cols columns, and its aggregates are the plan's, then a
+/// COUNT(*) holding each group's row count. The kernel points into the
+/// other members, so the state never moves.
+struct AggregateGroups {
+  AggregateGroups() = default;
+  AggregateGroups(const AggregateGroups&) = delete;
+  AggregateGroups& operator=(const AggregateGroups&) = delete;
 
-struct RowKeyHash {
-  size_t operator()(const std::vector<Value>& key) const;
+  std::vector<BoundExprPtr> keys;
+  std::vector<AggregateSpec> aggs;
+  Schema schema;  ///< the kernel's output: keys, aggregates, row count
+  std::unique_ptr<GroupedAggregator> kernel;
 };
-struct RowKeyEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-};
-using GroupMap =
-    std::unordered_map<std::vector<Value>, GroupState, RowKeyHash, RowKeyEq>;
 
 /// State of one registered view. Immutable descriptive fields are set at
 /// registration; everything mutable is guarded by `mu`.
@@ -92,15 +93,14 @@ struct ViewState {
   uint64_t created_version = 0;
 
   std::mutex mu;
-  bool have_schema DBSP_GUARDED_BY(mu) = false;
-  Schema schema DBSP_GUARDED_BY(mu);
   std::deque<PendingDelta> pending DBSP_GUARDED_BY(mu);
   std::deque<PublishedVersion> history DBSP_GUARDED_BY(mu);
   /// Catalog version of the last mutation of a referenced base table that
   /// was not queued (fallback plans queue nothing; they recompute on read).
   uint64_t last_base_change DBSP_GUARDED_BY(mu) = 0;
-  bool groups_valid DBSP_GUARDED_BY(mu) = false;
-  GroupMap groups DBSP_GUARDED_BY(mu);
+  /// kAggregate plans: null until a recompute builds it, and again after
+  /// an inexact fold.
+  std::unique_ptr<AggregateGroups> groups DBSP_GUARDED_BY(mu);
 };
 
 class ViewRegistry {

@@ -1,5 +1,6 @@
 // Constant folding and boolean simplification.
 
+#include "expr/vector_eval.h"
 #include "optimizer/optimizer.h"
 
 namespace dbspinner {
@@ -56,8 +57,7 @@ BoundExprPtr FoldExpr(BoundExprPtr expr) {
   }
   // Pure-constant subtree: evaluate once. Evaluation errors (e.g. division
   // by zero) are deferred to runtime by leaving the node unfolded.
-  static const TablePtr kEmpty = Table::Make(Schema());
-  Result<Value> v = EvaluateExpr(*expr, *kEmpty, 0);
+  Result<Value> v = EvaluateConstant(*expr);
   if (!v.ok()) return expr;
   Result<Value> cast = v->CastTo(expr->type);
   if (!cast.ok()) return expr;

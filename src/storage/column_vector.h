@@ -106,7 +106,7 @@ class ColumnVector {
   const std::vector<std::string>& strings() const { return strings_; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
 
-  /// Hash of row i compatible with Value::Hash and with EqualsAt: numeric
+  /// Hash of row i compatible with EqualsAt: numeric
   /// values hash by their double image, so equal INT64 and DOUBLE values
   /// hash alike, and every NaN hashes alike.
   size_t HashAt(size_t i) const;

@@ -11,6 +11,7 @@
 #include "expr/scalar_functions.h"
 #include "expr/vector_eval.h"
 #include "graph/generator.h"
+#include "testing/reference_eval.h"
 
 namespace dbspinner {
 namespace fuzz {

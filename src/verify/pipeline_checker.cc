@@ -400,7 +400,8 @@ class PipelineChecker {
   }
 
   /// V206: the fused pre-aggregation sink is exact only because every
-  /// AggState is a commutative monoid under MergeFrom and DISTINCT defers
+  /// aggregate's state is a commutative monoid under
+  /// GroupedAggregator::MergeFrom and DISTINCT defers
   /// its updates to Finalize through a DistinctFilter over the argument
   /// values (exec/hash_aggregate.cc). Both facts are per-spec properties
   /// the checker can re-verify: the kind must be one of the audited

@@ -30,8 +30,8 @@
 //      sources, streaming-role interior, breaker-or-sink terminal), chunk
 //      schema/type consistency across fused kernel chains, fused
 //      pre-aggregation soundness (commutative partial merge per
-//      AggState::MergeFrom, deferred DISTINCT only where legal), and
-//      morsel-safety (pipeline-role / operator-type agreement, so fused
+//      GroupedAggregator::MergeFrom, deferred DISTINCT only where legal),
+//      and morsel-safety (pipeline-role / operator-type agreement, so fused
 //      stages hold no cross-morsel mutable state outside each worker
 //      slot's own ExecStats).
 //

@@ -19,6 +19,7 @@
 #include "exec/pipeline.h"
 #include "exec/program_executor.h"
 #include "test_util.h"
+#include "testing/reference_eval.h"
 
 namespace dbspinner {
 namespace {
@@ -586,6 +587,186 @@ TEST(GroupedAggregatorTest, IntegerSumOverflowsAtFinalize) {
   Result<TablePtr> fits = a.Finalize();
   ASSERT_TRUE(fits.ok()) << fits.status().ToString();
   EXPECT_EQ((*fits)->GetValue(0, 0).int64_value(), INT64_MAX);
+}
+
+// Random insert and retract sequences: typed Retract against the boxed
+// AggState, row by row, the way incremental aggregate views maintained
+// their groups (a group erased at zero rows; a retraction from a missing or
+// empty group, or an inexact one, fails the whole delta). Both must report
+// the same success flag and, after a success, the same finalized values. A
+// failure rebuilds both from the live rows, as a view recomputes.
+TEST(GroupedAggregatorTest, RetractMatchesRowWiseAggState) {
+  const AggKind kKinds[] = {AggKind::kCount,  AggKind::kSum,
+                            AggKind::kMin,    AggKind::kMax,
+                            AggKind::kAvg,    AggKind::kStdDev,
+                            AggKind::kVariance};
+  // Without MIN/MAX every group can be retracted to zero rows and refilled;
+  // with them, retracting a group's extreme escalates.
+  for (bool extremes : {false, true}) {
+    std::vector<AggregateSpec> aggs;
+    auto add = [&](AggKind kind, BoundExprPtr arg) {
+      AggregateSpec spec;
+      spec.kind = kind;
+      spec.result_type =
+          *AggResultType(kind, arg ? arg->type : TypeId::kInt64);
+      spec.arg = std::move(arg);
+      aggs.push_back(std::move(spec));
+    };
+    for (size_t col : {1, 2, 3}) {
+      const TypeId type = col == 1   ? TypeId::kInt64
+                          : col == 2 ? TypeId::kDouble
+                                     : TypeId::kString;
+      for (AggKind kind : kKinds) {
+        const bool extreme = kind == AggKind::kMin || kind == AggKind::kMax;
+        if (extreme != extremes && !(extremes && kind == AggKind::kCount)) {
+          continue;
+        }
+        if (type == TypeId::kString && kind != AggKind::kCount && !extreme) {
+          continue;
+        }
+        add(kind, MakeBoundColumnRef(col, type, "x"));
+      }
+    }
+    add(AggKind::kCountStar, nullptr);  // the group's row count, last
+    std::vector<BoundExprPtr> groups;
+    groups.push_back(MakeBoundColumnRef(0, TypeId::kInt64, "key"));
+    Schema out_schema;
+    out_schema.AddColumn("key", TypeId::kInt64);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      out_schema.AddColumn("a" + std::to_string(a), aggs[a].result_type);
+    }
+
+    for (uint32_t seed : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(std::string(extremes ? "with" : "without") +
+                   " MIN/MAX, seed " + std::to_string(seed));
+      TablePtr pool = MakeAggInput(200, seed);
+      // A row whose group (key 77) was never inserted.
+      TablePtr stranger = Table::Make(pool->schema());
+      stranger->AppendRow({Value::Int64(77), Value::Int64(1),
+                           Value::Double(1), Value::String("x")});
+      std::mt19937 rng(seed);
+
+      struct RefGroup {
+        int64_t rows = 0;
+        std::vector<AggState> states;
+      };
+      std::map<std::string, RefGroup> ref;
+      std::unique_ptr<GroupedAggregator> typed;
+      std::vector<uint32_t> live;  // pool rows currently folded, sorted
+      auto arg_of = [&](const Table& t, size_t row, size_t a) {
+        return aggs[a].arg ? t.GetValue(row, aggs[a].arg->column_index)
+                           : Value();
+      };
+      auto ref_insert = [&](const Table& t, size_t row) {
+        RefGroup& g = ref[t.GetValue(row, 0).ToString()];
+        if (g.states.empty()) {
+          for (const AggregateSpec& spec : aggs) {
+            g.states.emplace_back(spec.kind);
+          }
+        }
+        ++g.rows;
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          g.states[a].Update(arg_of(t, row, a));
+        }
+      };
+      auto ref_retract = [&](const Table& t, size_t row) {
+        auto it = ref.find(t.GetValue(row, 0).ToString());
+        if (it == ref.end() || it->second.rows == 0) return false;
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          if (!it->second.states[a].Retract(arg_of(t, row, a))) return false;
+        }
+        if (--it->second.rows == 0) ref.erase(it);
+        return true;
+      };
+      auto chunk_of = [](const TablePtr& t, std::vector<uint32_t> rows) {
+        DataChunk chunk(t, 0, t->num_rows());
+        chunk.SetSelection(std::move(rows));
+        return chunk;
+      };
+      auto rebuild = [&]() {
+        ref.clear();
+        typed = std::make_unique<GroupedAggregator>(&groups, &aggs,
+                                                    &out_schema);
+        for (uint32_t r : live) ref_insert(*pool, r);
+        ASSERT_TRUE(typed->Consume(chunk_of(pool, live)).ok());
+      };
+      rebuild();
+
+      int escalations = 0;
+      int emptied = 0;
+      for (int step = 0; step < 150; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const uint32_t op = rng() % 8;
+        if (op < 3 || live.empty()) {
+          // Insert 1-20 random pool rows (repeats allowed).
+          std::vector<uint32_t> rows(1 + rng() % 20);
+          for (uint32_t& r : rows) r = rng() % pool->num_rows();
+          std::sort(rows.begin(), rows.end());
+          for (uint32_t r : rows) ref_insert(*pool, r);
+          ASSERT_TRUE(typed->Consume(chunk_of(pool, rows)).ok());
+          live.insert(live.end(), rows.begin(), rows.end());
+          std::sort(live.begin(), live.end());
+          continue;
+        }
+        TablePtr from = pool;
+        std::vector<uint32_t> rows;
+        if (op == 7 && rng() % 4 == 0) {
+          from = stranger;
+          rows = {0};
+        } else if (op >= 5) {
+          // Every live row of one group: the group retracts to zero rows.
+          const Value key = pool->GetValue(live[rng() % live.size()], 0);
+          for (uint32_t r : live) {
+            if (pool->GetValue(r, 0).Compare(key) == 0) rows.push_back(r);
+          }
+        } else {
+          for (uint32_t r : live) {
+            if (rng() % 4 == 0) rows.push_back(r);
+          }
+        }
+        bool want = true;
+        for (uint32_t r : rows) want = want && ref_retract(*from, r);
+        Result<bool> got = typed->Retract(chunk_of(from, rows));
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(*got, want);
+        if (from == pool) {
+          for (uint32_t r : rows) {
+            live.erase(std::find(live.begin(), live.end(), r));
+          }
+        }
+        if (!want) {
+          ++escalations;
+          rebuild();
+          continue;
+        }
+        if (op >= 5) ++emptied;
+        // The typed groups with rows are exactly the reference's groups.
+        Result<TablePtr> out = typed->Finalize();
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        const Table& t = **out;
+        size_t nonempty = 0;
+        for (size_t r = 0; r < t.num_rows(); ++r) {
+          if (t.GetValue(r, aggs.size()).int64_value() == 0) continue;
+          ++nonempty;
+          const std::string g = t.GetValue(r, 0).ToString();
+          ASSERT_TRUE(ref.count(g)) << g;
+          for (size_t a = 0; a < aggs.size(); ++a) {
+            Value want_v = *ref[g].states[a].Finalize(aggs[a].result_type);
+            Value got_v = t.GetValue(r, 1 + a);
+            EXPECT_TRUE(SameResult(got_v, want_v, 0))
+                << "group " << g << " agg " << a << " ("
+                << AggKindName(aggs[a].kind) << "): got " << got_v.ToString()
+                << ", want " << want_v.ToString();
+          }
+        }
+        EXPECT_EQ(nonempty, ref.size());
+      }
+      // Both paths ran: exact deltas (groups emptied and refilled among
+      // them) and escalations.
+      EXPECT_GT(escalations, 0);
+      if (!extremes) EXPECT_GT(emptied, 0);
+    }
+  }
 }
 
 TEST(StatsTest, MaterializedRowsTracked) {

@@ -9,6 +9,7 @@
 #include "expr/expr.h"
 #include "expr/scalar_functions.h"
 #include "expr/vector_eval.h"
+#include "testing/reference_eval.h"
 
 namespace dbspinner {
 namespace {

@@ -271,6 +271,27 @@ TEST_F(IvmTest, SessionCountersReportedOnlyByTheirStatement) {
   EXPECT_EQ(next->stats.admission_waits, 0);
 }
 
+// The maintenance queries a read runs to sync a stale view must not take
+// the statement's own admission counters: the statement reports them.
+TEST_F(IvmTest, ViewSyncKeepsTheStatementsAdmissionCounters) {
+  Run(std::string("CREATE MATERIALIZED VIEW v AS ") + kAggBody);
+  // Fail the post-commit maintenance so the delta stays queued.
+  db_.options().fault_injection.enabled = true;
+  db_.options().fault_injection.rate = 1.0;
+  db_.options().fault_injection.seed = 3;
+  Run("INSERT INTO edges VALUES (9, 9, 9.0)");
+  db_.options().fault_injection.enabled = false;
+
+  SessionState ss(db_.options());
+  ss.pending.queue_wait_us = 7;
+  ss.pending.admission_waits = 1;
+  Result<QueryResult> synced = db_.ExecuteForSession(&ss, "SELECT * FROM v");
+  ASSERT_TRUE(synced.ok()) << synced.status().ToString();
+  EXPECT_GE(synced->stats.ivm_deltas_applied, 1);
+  EXPECT_EQ(synced->stats.queue_wait_us, 7);
+  EXPECT_EQ(synced->stats.admission_waits, 1);
+}
+
 TEST_F(IvmTest, KnobsGateIncrementalMaintenance) {
   Run(std::string("CREATE MATERIALIZED VIEW v AS ") + kAggBody);
 

@@ -126,6 +126,9 @@ TEST_F(PlanPrinterTest, ExplainAnalyzeRendersExecutionStats) {
   // The counter block renders below the profiled plan, including the
   // fault-tolerance counters (zero on a clean run, but always present).
   EXPECT_NE(text.find("\nStats: ExecStats{"), std::string::npos) << text;
+  // The counter line comes last and ends with a newline, as every line of
+  // the plan does.
+  EXPECT_TRUE(text.ends_with("}\n")) << text;
   EXPECT_NE(text.find("checkpoints_taken=0"), std::string::npos) << text;
   EXPECT_NE(text.find("restores=0"), std::string::npos) << text;
   EXPECT_NE(text.find("step_retries=0"), std::string::npos) << text;

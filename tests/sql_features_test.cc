@@ -549,5 +549,43 @@ TEST_F(NestedLoopJoinTest, ConditionFailingOnSomePairsFailsStatement) {
       (std::vector<std::string>{"1:2", "1:3", "2:2", "2:3", "4:2"}));
 }
 
+// INSERT … VALUES evaluates each value once, before the row is cast to the
+// target column's type.
+TEST(InsertValuesTest, ComputedValues) {
+  Database db;
+  MustExecute(&db, "CREATE TABLE t (i BIGINT, s VARCHAR, d DOUBLE)");
+  MustExecute(&db,
+              "INSERT INTO t VALUES (-(2 + 3), UPPER('ab'), LEAST(2.5, 1)), "
+              "(CAST('7' AS BIGINT), CASE WHEN 1 > 2 THEN 'no' ELSE 'yes' "
+              "END, 7 / 2), (ABS(-4) * 2, COALESCE(NULL, 'c'), NULL)");
+  TablePtr t = MustQuery(&db, "SELECT i, s, d FROM t ORDER BY i");
+  ASSERT_EQ(t->num_rows(), 3u);
+  EXPECT_EQ(t->GetValue(0, 0).int64_value(), -5);
+  EXPECT_EQ(t->GetValue(0, 1).string_value(), "AB");
+  EXPECT_EQ(t->GetValue(0, 2).double_value(), 1.0);
+  EXPECT_EQ(t->GetValue(1, 0).int64_value(), 7);
+  EXPECT_EQ(t->GetValue(1, 1).string_value(), "yes");
+  EXPECT_EQ(t->GetValue(1, 2).double_value(), 3.0);
+  EXPECT_EQ(t->GetValue(2, 0).int64_value(), 8);
+  EXPECT_EQ(t->GetValue(2, 1).string_value(), "c");
+  EXPECT_TRUE(t->GetValue(2, 2).is_null());
+}
+
+TEST(InsertValuesTest, FailingValueFailsTheInsert) {
+  Database db;
+  MustExecute(&db, "CREATE TABLE t (i BIGINT)");
+  ExpectOverflow(&db, "INSERT INTO t VALUES (1), (9223372036854775807 + 1)");
+  EXPECT_EQ(MustQuery(&db, "SELECT i FROM t")->num_rows(), 0u);
+}
+
+TEST(InsertValuesTest, WrongArityIsABindError) {
+  Database db;
+  MustExecute(&db, "CREATE TABLE t (i BIGINT, j BIGINT)");
+  auto r = db.Execute("INSERT INTO t VALUES (1, 2), (3)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBindError);
+  EXPECT_EQ(r.status().message(), "INSERT row has 1 values, expected 2");
+}
+
 }  // namespace
 }  // namespace dbspinner

@@ -14,6 +14,7 @@
 #include "expr/scalar_functions.h"
 #include "expr/vector_eval.h"
 #include "testing/expr_oracle.h"
+#include "testing/reference_eval.h"
 
 namespace dbspinner {
 namespace {
