@@ -80,7 +80,9 @@ enum class CounterKind {
     "this yields per-kernel rows/sec")                                        \
   X(morsels_stolen, kWork,                                                    \
     "morsels executed by a worker other than the owner of their queue "       \
-    "range")                                                                  \
+    "range; steals follow thread timing, so unlike the other work counters "  \
+    "this one is not a function of the input and seed: leave it out of "      \
+    "count comparisons between runs")                                         \
   X(agg_partials_merged, kWork,                                               \
     "per-worker partial aggregate hash tables merged at pipeline breakers")   \
   X(agg_rows_preaggregated, kWork,                                            \

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "exec/merge_update.h"
-#include "exec/row_index.h"
 #include "expr/vector_eval.h"
 
 namespace dbspinner {
@@ -272,34 +271,6 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         if (step.loop_id != 0) {
           ctx->loops[step.loop_id].last_update_count = merged.updated_rows;
         }
-        break;
-      }
-      case Step::Kind::kAppendResult: {
-        DBSP_ASSIGN_OR_RETURN(TablePtr target, ctx->registry->Get(step.target));
-        DBSP_ASSIGN_OR_RETURN(TablePtr source, ctx->registry->Get(step.source));
-        // Copy-on-write: the registry pointer may be aliased (a Delta
-        // snapshot, another name after a rename, a broadcast replica), so
-        // appending in place would silently mutate every alias.
-        TablePtr appended = target->Clone();
-        appended->AppendAll(*source);
-        ctx->registry->Put(step.target, std::move(appended));
-        break;
-      }
-      case Step::Kind::kDedupeResult: {
-        // target EXCEPT source: removes rows of `target` that already
-        // appear in `source`, and internal duplicates within `target`.
-        DBSP_ASSIGN_OR_RETURN(TablePtr target, ctx->registry->Get(step.target));
-        DBSP_ASSIGN_OR_RETURN(TablePtr source, ctx->registry->Get(step.source));
-        std::vector<uint32_t> kept =
-            DistinctRowIds(*target, source.get(), /*in_right=*/false);
-        ctx->registry->Put(step.target, target->Gather(kept));
-        break;
-      }
-      case Step::Kind::kCopyResult: {
-        DBSP_ASSIGN_OR_RETURN(TablePtr source, ctx->registry->Get(step.source));
-        ctx->registry->Put(step.target, source->Clone());
-        ctx->stats.rows_materialized +=
-            static_cast<int64_t>(source->num_rows());
         break;
       }
       case Step::Kind::kRemoveResult:

@@ -195,9 +195,6 @@ double CostModel::EstimateProgramCost(const Program& program) const {
       case Step::Kind::kMergeUpdate:
         step_cost = result_rows.count(s.target) ? result_rows[s.target] : 1000;
         break;
-      case Step::Kind::kCopyResult:
-      case Step::Kind::kAppendResult:
-      case Step::Kind::kDedupeResult:
       case Step::Kind::kComputeDelta:
         step_cost = result_rows.count(s.source) ? result_rows[s.source] : 1000;
         break;

@@ -68,9 +68,6 @@ std::vector<std::string> LoopBodyWrittenNames(const Program& program) {
       switch (s.kind) {
         case Step::Kind::kMaterialize:
         case Step::Kind::kMergeUpdate:
-        case Step::Kind::kAppendResult:
-        case Step::Kind::kDedupeResult:
-        case Step::Kind::kCopyResult:
         case Step::Kind::kRemoveResult:
         case Step::Kind::kComputeDelta:
           written.push_back(s.target);

@@ -66,15 +66,6 @@ std::string ExplainProgram(const Program& program, bool verbose) {
         out += "Merge '" + s.source + "' into '" + s.target + "' by key #" +
                std::to_string(s.key_col);
         break;
-      case Step::Kind::kAppendResult:
-        out += "Append '" + s.source + "' into '" + s.target + "'";
-        break;
-      case Step::Kind::kDedupeResult:
-        out += "Dedupe '" + s.target + "' against '" + s.source + "'";
-        break;
-      case Step::Kind::kCopyResult:
-        out += "Copy '" + s.source + "' as '" + s.target + "'";
-        break;
       case Step::Kind::kRemoveResult:
         out += "Remove '" + s.target + "'";
         break;

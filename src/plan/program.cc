@@ -70,9 +70,6 @@ const char* Step::KindName() const {
     case Kind::kMaterialize: return "Materialize";
     case Kind::kRename: return "Rename";
     case Kind::kMergeUpdate: return "MergeUpdate";
-    case Kind::kAppendResult: return "AppendResult";
-    case Kind::kDedupeResult: return "DedupeResult";
-    case Kind::kCopyResult: return "CopyResult";
     case Kind::kRemoveResult: return "RemoveResult";
     case Kind::kInitLoop: return "InitLoop";
     case Kind::kLoopCheck: return "LoopCheck";

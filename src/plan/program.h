@@ -46,16 +46,16 @@ struct LoopSpec {
 
 /// One step of a Program.
 struct Step {
+  /// A step that computes rows does so with a plan (kMaterialize, kFinal);
+  /// the other kinds move, merge, diff or unbind results, or steer a loop.
+  /// A recursive CTE's accumulator, for one, is a kMaterialize of
+  /// `acc UNION ALL delta` (rewrite/recursive_rewrite.cc).
   enum class Kind {
     kMaterialize,   ///< run `plan`, bind output as result `target`
     kRename,        ///< rename result `source` to `target` (O(1), §VI-A)
     kMergeUpdate,   ///< merge working `source` into CTE `target` by `key_col`
                     ///< (Algorithm 1 lines 8-10); counts updated rows; also
                     ///< the copy-back baseline when rename is disabled
-    kAppendResult,  ///< append rows of `source` into `target` (recursive CTEs)
-    kDedupeResult,  ///< remove from `target` rows present in result `source`
-                    ///< and internal duplicates (recursive UNION DISTINCT)
-    kCopyResult,    ///< deep-copy result `source` as `target`
     kRemoveResult,  ///< unbind result `target`
     kInitLoop,      ///< reset loop `loop_id` state; when `jump_to_id` is set
                     ///< and the termination condition already holds before
@@ -83,7 +83,7 @@ struct Step {
 
   std::string target;
   std::string source;
-  size_t key_col = 0;       ///< kMergeUpdate / kDedupeResult key ordinal
+  size_t key_col = 0;       ///< kMergeUpdate / kComputeDelta key ordinal
 
   int loop_id = 0;          ///< kInitLoop / kLoopCheck
   LoopSpec loop;            ///< kInitLoop (and echoed on kLoopCheck)

@@ -37,11 +37,13 @@ void CountRefsInTableRef(const TableRef& ref, const std::string& name,
 }
 
 // Widens `schema` in place against `other`'s column types; true if changed.
-Result<bool> WidenSchema(Schema* schema, const Schema& other) {
+Result<bool> WidenSchema(Schema* schema, const Schema& other,
+                         const std::string& cte_name) {
   if (schema->num_columns() != other.num_columns()) {
     return Status::BindError(
-        "iterative part returns " + std::to_string(other.num_columns()) +
-        " columns, expected " + std::to_string(schema->num_columns()));
+        "CTE '" + cte_name + "': the part that reads the CTE returns " +
+        std::to_string(other.num_columns()) + " columns, expected " +
+        std::to_string(schema->num_columns()));
   }
   bool changed = false;
   Schema widened;
@@ -153,10 +155,12 @@ Status ProgramBuilder::AddRegularCte(Program* program, const CteDef& def) {
   return Status::OK();
 }
 
-Status ProgramBuilder::BindIterativeParts(const CteDef& def, Schema* schema,
-                                          LogicalOpPtr* r0_plan,
-                                          LogicalOpPtr* ri_plan) {
-  DBSP_ASSIGN_OR_RETURN(LogicalOpPtr r0, binder_.BindQuery(*def.init_query));
+Status ProgramBuilder::BindLoopParts(const CteDef& def, const QueryNode& base,
+                                     const QueryNode& step,
+                                     const std::string& self_result,
+                                     Schema* schema, LogicalOpPtr* r0_plan,
+                                     LogicalOpPtr* ri_plan) {
+  DBSP_ASSIGN_OR_RETURN(LogicalOpPtr r0, binder_.BindQuery(base));
   DBSP_ASSIGN_OR_RETURN(
       Schema cte_schema,
       ApplyColumnNames(r0->output_schema, def.column_names, def.name));
@@ -165,16 +169,16 @@ Status ProgramBuilder::BindIterativeParts(const CteDef& def, Schema* schema,
   // in R0 overwritten by a DOUBLE in Ri) and rebind until fixpoint.
   LogicalOpPtr ri;
   for (int round = 0; round < 4; ++round) {
-    binder_.AddCte(def.name, CteBinding{def.name, cte_schema});
-    Result<LogicalOpPtr> bound = binder_.BindQuery(*def.iter_query);
+    binder_.AddCte(def.name, CteBinding{self_result, cte_schema});
+    Result<LogicalOpPtr> bound = binder_.BindQuery(step);
     binder_.RemoveCte(def.name);
     if (!bound.ok()) return bound.status();
     ri = std::move(bound).value();
-    DBSP_ASSIGN_OR_RETURN(bool changed,
-                          WidenSchema(&cte_schema, ri->output_schema));
+    DBSP_ASSIGN_OR_RETURN(
+        bool changed, WidenSchema(&cte_schema, ri->output_schema, def.name));
     if (!changed) break;
     if (round == 3) {
-      return Status::BindError("iterative CTE '" + def.name +
+      return Status::BindError("CTE '" + def.name +
                                "' schema failed to converge");
     }
   }
@@ -191,7 +195,8 @@ Status ProgramBuilder::AddIterativeCte(Program* program, const CteDef& def) {
   }
   Schema schema;
   LogicalOpPtr r0_plan, ri_plan;
-  DBSP_RETURN_NOT_OK(BindIterativeParts(def, &schema, &r0_plan, &ri_plan));
+  DBSP_RETURN_NOT_OK(BindLoopParts(def, *def.init_query, *def.iter_query,
+                                   def.name, &schema, &r0_plan, &ri_plan));
 
   // Row identifier: declared KEY column, else the first column (DESIGN.md).
   size_t key_col = 0;

@@ -2,7 +2,8 @@
 //
 // ProgramBuilder turns a parsed statement into a Program: regular CTEs
 // become single Materialize steps, recursive CTEs expand into an
-// accumulate-until-empty loop (recursive_rewrite.cc), and iterative CTEs
+// accumulate-until-empty loop of Materialize and Rename steps
+// (recursive_rewrite.cc), and iterative CTEs
 // expand exactly as Algorithm 1 prescribes:
 //
 //   1  materialize R0 into cteTable
@@ -48,11 +49,15 @@ class ProgramBuilder {
   Status AddIterativeCte(Program* program, const CteDef& def);
   Status AddRecursiveCte(Program* program, const CteDef& def);
 
-  /// Binds R0 and Ri with numeric type widening between them until the CTE
-  /// schema reaches a fixpoint. Outputs the final schema and cast-wrapped
-  /// plans.
-  Status BindIterativeParts(const CteDef& def, Schema* schema,
-                            LogicalOpPtr* r0_plan, LogicalOpPtr* ri_plan);
+  /// Binds a looping CTE's two parts — R0 and Ri of an iterative CTE, the
+  /// base and recursive part of a recursive one — with numeric type
+  /// widening between them until the CTE schema reaches a fixpoint. `step`
+  /// sees the CTE's name as result `self_result`. Outputs the final schema
+  /// and cast-wrapped plans.
+  Status BindLoopParts(const CteDef& def, const QueryNode& base,
+                       const QueryNode& step, const std::string& self_result,
+                       Schema* schema, LogicalOpPtr* r0_plan,
+                       LogicalOpPtr* ri_plan);
 
   Binder binder_;
   OptimizerOptions options_;

@@ -2,24 +2,42 @@
 //
 // Implemented for substrate completeness: the paper contrasts iterative CTEs
 // with recursive ones (fixed-point union semantics, no aggregates in the
-// recursive part). The rewrite expands into the classic semi-naive loop:
+// recursive part). The rewrite expands into the classic semi-naive loop,
+// built from the same steps as an iterative CTE — materialize, rename and
+// the loop operator — with every result-producing step a plain plan:
 //
-//   acc   := base            (deduped for UNION)
-//   delta := base
+//   base  := base part        (DISTINCT for UNION)
+//   acc   := Scan base
+//   delta := rename base
 //   while delta not empty:
 //     delta' := recursive(delta)
-//     delta' := delta' - acc (UNION only; UNION ALL keeps duplicates)
-//     acc    += delta'
-//     delta  := delta'
+//     delta' := delta' EXCEPT acc    (UNION only; UNION ALL keeps duplicates)
+//     acc    := acc UNION ALL delta'
+//     delta  := rename delta'
 //
 // References to the CTE inside the recursive part see the previous delta
 // (standard SQL working-table semantics); references after the CTE see the
-// accumulated result.
+// accumulated result. The CTE's schema is the base part's, widened against
+// the recursive part's to a fixpoint (BindLoopParts), as for iterative CTEs.
 
 #include "common/string_util.h"
 #include "rewrite/iterative_rewrite.h"
 
 namespace dbspinner {
+
+namespace {
+
+LogicalOpPtr MakeSetOp(LogicalOpKind kind, LogicalOpPtr left,
+                       LogicalOpPtr right) {
+  auto op = std::make_unique<LogicalOp>();
+  op->kind = kind;
+  op->output_schema = left->output_schema;
+  op->children.push_back(std::move(left));
+  op->children.push_back(std::move(right));
+  return op;
+}
+
+}  // namespace
 
 Status ProgramBuilder::AddRecursiveCte(Program* program, const CteDef& def) {
   if (binder_.HasCte(def.name)) {
@@ -38,23 +56,15 @@ Status ProgramBuilder::AddRecursiveCte(Program* program, const CteDef& def) {
   }
   bool distinct_union = q.set_op == SetOpKind::kUnion;
 
-  // Bind the base part.
-  DBSP_ASSIGN_OR_RETURN(LogicalOpPtr base_plan, binder_.BindQuery(*q.left));
-  Schema schema = base_plan->output_schema;
-  if (!def.column_names.empty()) {
-    if (def.column_names.size() != schema.num_columns()) {
-      return Status::BindError("CTE '" + def.name + "' declares " +
-                               std::to_string(def.column_names.size()) +
-                               " columns but its query returns " +
-                               std::to_string(schema.num_columns()));
-    }
-    Schema renamed;
-    for (size_t i = 0; i < def.column_names.size(); ++i) {
-      renamed.AddColumn(def.column_names[i], schema.column(i).type);
-    }
-    schema = renamed;
-  }
-  base_plan = MakeCastProject(std::move(base_plan), schema);
+  std::string delta_name = def.name + "__delta";
+  std::string new_delta_name = def.name + "__delta_next";
+  std::string tmp_name = def.name + "__base";
+
+  // The recursive part reads the previous delta.
+  Schema schema;
+  LogicalOpPtr base_plan, rec_plan;
+  DBSP_RETURN_NOT_OK(BindLoopParts(def, *q.left, *q.right, delta_name,
+                                   &schema, &base_plan, &rec_plan));
   if (distinct_union) {
     auto d = std::make_unique<LogicalOp>();
     d->kind = LogicalOpKind::kDistinct;
@@ -62,23 +72,9 @@ Status ProgramBuilder::AddRecursiveCte(Program* program, const CteDef& def) {
     d->children.push_back(std::move(base_plan));
     base_plan = std::move(d);
   }
-
-  std::string delta_name = def.name + "__delta";
-  std::string new_delta_name = def.name + "__delta_next";
-  std::string tmp_name = def.name + "__base";
-
-  // The recursive part reads the previous delta.
-  binder_.AddCte(def.name, CteBinding{delta_name, schema});
-  Result<LogicalOpPtr> rec = binder_.BindQuery(*q.right);
-  binder_.RemoveCte(def.name);
-  if (!rec.ok()) return rec.status();
-  LogicalOpPtr rec_plan = std::move(rec).value();
-  if (!schema.TypesCompatible(rec_plan->output_schema)) {
-    return Status::BindError("recursive CTE '" + def.name +
-                             "': base and recursive parts have incompatible "
-                             "schemas");
-  }
-  rec_plan = MakeCastProject(std::move(rec_plan), schema);
+  auto scan = [&](const std::string& name) {
+    return MakeScan(ScanSource::kResult, name, schema);
+  };
 
   int loop_id = ++loop_counter_;
   LoopSpec spec;
@@ -86,100 +82,74 @@ Status ProgramBuilder::AddRecursiveCte(Program* program, const CteDef& def) {
   spec.watch_name = delta_name;
   spec.cte_name = def.name;
 
-  auto add = [&](Step s) { program->steps.push_back(std::move(s)); };
-
-  {
+  auto add = [&](Step s) {
+    s.id = program->NewId();
+    int id = s.id;
+    program->steps.push_back(std::move(s));
+    return id;
+  };
+  auto materialize = [&](const std::string& target, LogicalOpPtr plan,
+                         std::string comment) {
     Step s;
     s.kind = Step::Kind::kMaterialize;
-    s.id = program->NewId();
-    s.target = tmp_name;
-    s.plan = std::move(base_plan);
-    s.comment = "materialize recursive base of '" + def.name + "'";
-    add(std::move(s));
-  }
-  {
-    Step s;  // acc gets a private copy (it is appended to in the loop)
-    s.kind = Step::Kind::kCopyResult;
-    s.id = program->NewId();
-    s.source = tmp_name;
-    s.target = def.name;
-    s.comment = "initialize accumulator '" + def.name + "'";
-    add(std::move(s));
-  }
-  {
+    s.target = target;
+    s.plan = std::move(plan);
+    s.comment = std::move(comment);
+    return add(std::move(s));
+  };
+  auto rename = [&](const std::string& source, const std::string& target,
+                    std::string comment) {
     Step s;
     s.kind = Step::Kind::kRename;
-    s.id = program->NewId();
-    s.source = tmp_name;
-    s.target = delta_name;
-    s.comment = "initial delta := base";
+    s.source = source;
+    s.target = target;
+    s.comment = std::move(comment);
     add(std::move(s));
-  }
+  };
+
+  materialize(tmp_name, std::move(base_plan),
+              "materialize recursive base of '" + def.name + "'");
+  // A bare scan binds the base's own table: every registry mutation is
+  // copy-on-write, so the accumulator needs no private copy.
+  materialize(def.name, scan(tmp_name),
+              "initialize accumulator '" + def.name + "'");
+  rename(tmp_name, delta_name, "initial delta := base");
   int init_id;
   {
     Step s;
     s.kind = Step::Kind::kInitLoop;
-    s.id = program->NewId();
     s.loop_id = loop_id;
     s.loop = spec.Clone();
     s.comment = "initialize recursive loop " + spec.ToString();
-    init_id = s.id;
-    add(std::move(s));
+    init_id = add(std::move(s));
   }
-  int body_id;
-  {
-    Step s;
-    s.kind = Step::Kind::kMaterialize;
-    s.id = program->NewId();
-    s.target = new_delta_name;
-    s.plan = std::move(rec_plan);
-    s.comment = "evaluate recursive part over the previous delta";
-    body_id = s.id;
-    add(std::move(s));
-  }
+  int body_id = materialize(new_delta_name, std::move(rec_plan),
+                            "evaluate recursive part over the previous delta");
   if (distinct_union) {
-    Step s;
-    s.kind = Step::Kind::kDedupeResult;
-    s.id = program->NewId();
-    s.target = new_delta_name;
-    s.source = def.name;
-    s.comment = "drop rows already in the accumulator (UNION semantics)";
-    add(std::move(s));
+    materialize(new_delta_name,
+                MakeSetOp(LogicalOpKind::kExcept, scan(new_delta_name),
+                          scan(def.name)),
+                "drop rows already in the accumulator (UNION semantics)");
   }
-  {
-    Step s;
-    s.kind = Step::Kind::kAppendResult;
-    s.id = program->NewId();
-    s.source = new_delta_name;
-    s.target = def.name;
-    s.comment = "append new delta to the accumulator";
-    add(std::move(s));
-  }
-  {
-    Step s;
-    s.kind = Step::Kind::kRename;
-    s.id = program->NewId();
-    s.source = new_delta_name;
-    s.target = delta_name;
-    s.comment = "delta := new delta";
-    add(std::move(s));
-  }
+  materialize(def.name,
+              MakeSetOp(LogicalOpKind::kUnionAll, scan(def.name),
+                        scan(new_delta_name)),
+              "append new delta to the accumulator");
+  rename(new_delta_name, delta_name, "delta := new delta");
   {
     Step s;
     s.kind = Step::Kind::kLoopCheck;
-    s.id = program->NewId();
     s.loop_id = loop_id;
     s.loop = spec.Clone();
     s.jump_to_id = body_id;
     s.comment = "loop while the delta is non-empty";
+    int check_id = add(std::move(s));
     // An empty base means an empty initial delta: skip the body outright.
-    program->steps[program->FindStep(init_id)].jump_to_id = s.id;
-    add(std::move(s));
+    program->steps[program->FindStep(init_id)].jump_to_id = check_id;
   }
   {
     Step s;
     s.kind = Step::Kind::kRemoveResult;
-    s.id = program->NewId();
     s.target = delta_name;
     s.comment = "release the final delta";
     add(std::move(s));

@@ -48,7 +48,7 @@ int ExpectedChildren(const std::string& name) {
 }
 
 /// The concrete class each fusible / sink pipeline role is compiled
-/// against. CompileStages and RunAggregatePipeline static_cast on the role,
+/// against. CompileStages and the aggregate sink static_cast on the role,
 /// so an operator claiming one of these roles under a different type is a
 /// memory-safety bug, not just a planning bug (V207). Roles outside this
 /// table (kBreaker) carry no fusion contract.
@@ -250,7 +250,7 @@ class PipelineChecker {
     }
   }
 
-  /// V207: CompileStages / RunAggregatePipeline static_cast each fused
+  /// V207: CompileStages and the aggregate sink static_cast each fused
   /// stage to the concrete class its role promises; those classes are the
   /// closed set audited to keep all mutable execution state in per-worker
   /// ExecStats slots / GroupedAggregator partials. An operator claiming a

@@ -104,16 +104,6 @@ StepIO ComputeStepIO(const Step& step) {
       io.moves.push_back(source);
       io.binds.push_back(target);
       break;
-    case Step::Kind::kAppendResult:
-    case Step::Kind::kDedupeResult:
-      io.reads.push_back(target);
-      io.reads.push_back(source);
-      io.binds.push_back(target);
-      break;
-    case Step::Kind::kCopyResult:
-      io.reads.push_back(source);
-      io.binds.push_back(target);
-      break;
     case Step::Kind::kRemoveResult:
       io.removes.push_back(target);
       break;
@@ -221,9 +211,8 @@ bool StatesEqual(const AbstractState& a, const AbstractState& b) {
 /// re-runnable after a mid-step failure: their only inputs are registry
 /// bindings they do not consume, and their side effects (re)bind a target
 /// from scratch rather than accumulating into it. kRename consumes its
-/// source (a re-run finds it unbound) and kAppendResult/kDedupeResult fold
-/// into the prior target value (a re-run would double-apply), so they are
-/// excluded. Cross-checked against the executor's retry whitelist (V109).
+/// source (a re-run finds it unbound), so it is excluded. Cross-checked
+/// against the executor's retry whitelist (V109).
 bool ModelStepIsIdempotent(Step::Kind kind) {
   switch (kind) {
     case Step::Kind::kMaterialize:
@@ -238,11 +227,9 @@ bool ModelStepIsIdempotent(Step::Kind kind) {
 
 constexpr Step::Kind kAllStepKinds[] = {
     Step::Kind::kMaterialize,  Step::Kind::kRename,
-    Step::Kind::kMergeUpdate,  Step::Kind::kAppendResult,
-    Step::Kind::kDedupeResult, Step::Kind::kCopyResult,
-    Step::Kind::kRemoveResult, Step::Kind::kInitLoop,
-    Step::Kind::kLoopCheck,    Step::Kind::kComputeDelta,
-    Step::Kind::kFinal,
+    Step::Kind::kMergeUpdate,  Step::Kind::kRemoveResult,
+    Step::Kind::kInitLoop,     Step::Kind::kLoopCheck,
+    Step::Kind::kComputeDelta, Step::Kind::kFinal,
 };
 
 /// True when output column `col` of `op` is a verbatim copy of column `col`
@@ -390,9 +377,6 @@ class ProgramChecker {
       }
       bool wants_source = step.kind == Step::Kind::kRename ||
                           step.kind == Step::Kind::kMergeUpdate ||
-                          step.kind == Step::Kind::kAppendResult ||
-                          step.kind == Step::Kind::kDedupeResult ||
-                          step.kind == Step::Kind::kCopyResult ||
                           step.kind == Step::Kind::kComputeDelta;
       if (wants_source && step.source.empty()) {
         Add(DefectCode::kV110, step,
@@ -761,8 +745,8 @@ class ProgramChecker {
     }
     for (const std::string& name : io.binds) {
       // Look up `out`, not `in`: a step that reads its own target before
-      // rebinding it (merge/append/dedupe) is itself the reader of the
-      // prior binding, so that binding is not a dead store.
+      // rebinding it (a merge, or a plan that scans it) is itself the
+      // reader of the prior binding, so that binding is not a dead store.
       NameInfo prev = GetOrDefault(out, name);
       if (report != nullptr && prev.definite &&
           prev.state == NameInfo::S::kBound && prev.unread &&
@@ -803,7 +787,6 @@ class ProgramChecker {
         }
         break;
       case Step::Kind::kRename:
-      case Step::Kind::kCopyResult:
       case Step::Kind::kComputeDelta: {
         NameInfo src = GetOrDefault(in, ToLower(step.source));
         if (src.definite && src.state == NameInfo::S::kBound &&
@@ -813,9 +796,7 @@ class ProgramChecker {
         }
         break;
       }
-      case Step::Kind::kMergeUpdate:
-      case Step::Kind::kAppendResult:
-      case Step::Kind::kDedupeResult: {
+      case Step::Kind::kMergeUpdate: {
         NameInfo prev = GetOrDefault(in, ToLower(step.target));
         if (prev.definite && prev.state == NameInfo::S::kBound &&
             prev.has_schema) {
@@ -855,19 +836,18 @@ class ProgramChecker {
   }
 
   /// V003/V008 for the key-addressed registry steps: the key ordinal must
-  /// exist in the addressed binding, and merge/append/dedupe pairs must be
+  /// exist in the addressed binding, and a merge's pair must be
   /// type-compatible.
   void CheckKeyColumns(const AbstractState& in, const Step& step) {
-    bool keyed = step.kind == Step::Kind::kMergeUpdate ||
-                 step.kind == Step::Kind::kDedupeResult ||
-                 step.kind == Step::Kind::kComputeDelta;
-    bool paired = keyed || step.kind == Step::Kind::kAppendResult;
-    if (!paired) return;
+    if (step.kind != Step::Kind::kMergeUpdate &&
+        step.kind != Step::Kind::kComputeDelta) {
+      return;
+    }
     std::string key_holder = step.kind == Step::Kind::kComputeDelta
                                  ? ToLower(step.source)
                                  : ToLower(step.target);
     NameInfo holder = GetOrDefault(in, key_holder);
-    if (keyed && holder.definite && holder.state == NameInfo::S::kBound &&
+    if (holder.definite && holder.state == NameInfo::S::kBound &&
         holder.has_schema &&
         step.key_col >= holder.schema.num_columns()) {
       Add(DefectCode::kV003, step,
@@ -875,9 +855,7 @@ class ProgramChecker {
                        step.KindName(), step.key_col, key_holder.c_str(),
                        holder.schema.ToString().c_str()));
     }
-    if (step.kind == Step::Kind::kMergeUpdate ||
-        step.kind == Step::Kind::kAppendResult ||
-        step.kind == Step::Kind::kDedupeResult) {
+    if (step.kind == Step::Kind::kMergeUpdate) {
       NameInfo src = GetOrDefault(in, ToLower(step.source));
       NameInfo dst = GetOrDefault(in, ToLower(step.target));
       if (src.definite && dst.definite &&
@@ -972,8 +950,7 @@ class ProgramChecker {
       for (size_t i = static_cast<size_t>(body); i < ci; ++i) {
         const Step& s = program_.steps[i];
         if (s.kind != Step::Kind::kMaterialize &&
-            s.kind != Step::Kind::kComputeDelta &&
-            s.kind != Step::Kind::kCopyResult) {
+            s.kind != Step::Kind::kComputeDelta) {
           continue;
         }
         std::set<std::string> live_out;

@@ -33,6 +33,16 @@ TablePtr MakeKV(std::vector<std::pair<int64_t, double>> rows) {
   return t;
 }
 
+// `left UNION ALL right` over two results of schema KV().
+LogicalOpPtr UnionAllOf(const std::string& left, const std::string& right) {
+  auto u = std::make_unique<LogicalOp>();
+  u->kind = LogicalOpKind::kUnionAll;
+  u->output_schema = KV();
+  u->children.push_back(MakeScan(ScanSource::kResult, left, KV()));
+  u->children.push_back(MakeScan(ScanSource::kResult, right, KV()));
+  return u;
+}
+
 struct Env {
   Catalog catalog;
   ResultRegistry registry;
@@ -46,9 +56,10 @@ struct Env {
   }
 };
 
-// kAppendResult must not mutate the table in place: any snapshot alias of
-// the target (Delta snapshots, pre-rename names, cached build sides) would
-// silently grow with it.
+// Appending to a result (`acc := acc UNION ALL extra`, the accumulator
+// step of a recursive CTE) must not mutate the table in place: any snapshot
+// alias of the target (Delta snapshots, pre-rename names, cached build
+// sides) would silently grow with it.
 TEST(AppendResultCowTest, SnapshotAliasSurvivesAppend) {
   Env env;
   env.registry.Put("acc", MakeKV({{1, 1.0}}));
@@ -58,10 +69,10 @@ TEST(AppendResultCowTest, SnapshotAliasSurvivesAppend) {
 
   Program program;
   Step append;
-  append.kind = Step::Kind::kAppendResult;
+  append.kind = Step::Kind::kMaterialize;
   append.id = program.NewId();
   append.target = "acc";
-  append.source = "extra";
+  append.plan = UnionAllOf("acc", "extra");
   program.steps.push_back(std::move(append));
 
   Step final_step;
@@ -114,10 +125,10 @@ TEST(ShuffleTest, EmptyDistributedTableDoesNotCrash) {
   EXPECT_EQ(back->num_columns(), 2u);
 }
 
-// A DELTA-terminated loop whose body appends into the watched CTE: before
-// the kAppendResult copy-on-write fix, the loop state's `previous` snapshot
-// aliased the CTE table, so CountChangedRows compared the table against
-// itself and terminated after one iteration.
+// A DELTA-terminated loop whose body appends into the watched CTE: if the
+// append grew the table in place, the loop state's `previous` snapshot
+// would alias the CTE table, so CountChangedRows would compare the table
+// against itself and terminate after one iteration.
 TEST(DeltaLessAliasingTest, AppendBodyIteratesUntilQuiescent) {
   Env env;
   env.registry.Put("grow", MakeKV({{1, 1.0}}));
@@ -137,11 +148,10 @@ TEST(DeltaLessAliasingTest, AppendBodyIteratesUntilQuiescent) {
   program.steps.push_back(std::move(init));
 
   Step body;
-  body.kind = Step::Kind::kAppendResult;
+  body.kind = Step::Kind::kMaterialize;
   body.id = program.NewId();
   body.target = "grow";
-  body.source = "dup";
-  body.loop_id = 1;
+  body.plan = UnionAllOf("grow", "dup");
   int body_id = body.id;
   program.steps.push_back(std::move(body));
 

@@ -74,6 +74,33 @@ TEST(RecursiveCteTest, BillOfMaterials) {
   EXPECT_EQ(t->GetValue(2, 1).int64_value(), 6);
 }
 
+// The CTE's schema widens to the recursive part's types, as an iterative
+// CTE's does, instead of casting the recursive rows to the base part's.
+TEST(RecursiveCteTest, RecursivePartWidensTheSchema) {
+  Database db;
+  auto t = MustQuery(&db,
+                     "WITH RECURSIVE r (n) AS (SELECT 1 UNION "
+                     "SELECT 1.5 FROM r) SELECT n FROM r ORDER BY n");
+  ASSERT_EQ(t->num_rows(), 2u);
+  EXPECT_EQ(t->schema().column(0).type, TypeId::kDouble);
+  EXPECT_EQ(t->GetValue(0, 0).double_value(), 1.0);
+  EXPECT_EQ(t->GetValue(1, 0).double_value(), 1.5);
+}
+
+TEST(RecursiveCteTest, UnionAllWidensTheSchema) {
+  Database db;
+  auto t = MustQuery(&db,
+                     "WITH RECURSIVE r (n) AS (SELECT 1 UNION ALL "
+                     "SELECT n + 0.5 FROM r WHERE n < 3) "
+                     "SELECT n FROM r ORDER BY n");
+  ASSERT_EQ(t->num_rows(), 5u);
+  EXPECT_EQ(t->schema().column(0).type, TypeId::kDouble);
+  const double expected[] = {1.0, 1.5, 2.0, 2.5, 3.0};
+  for (size_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(t->GetValue(r, 0).double_value(), expected[r]) << "row " << r;
+  }
+}
+
 TEST(RecursiveCteTest, NonSelfReferentialFallsBackToRegular) {
   Database db;
   auto t = MustQuery(&db,

@@ -249,12 +249,9 @@ VerifyReport BrokenReport(DefectCode code) {
       op.delta_source = "";
       return VerifyPlan(op);
     }
-    case DefectCode::kV101: {  // copy of a name nothing ever bound
+    case DefectCode::kV101: {  // rename of a name nothing ever bound
       std::vector<Step> steps;
-      Step copy = MakeStep(Step::Kind::kCopyResult, 1);
-      copy.source = "ghost";
-      copy.target = "g";
-      steps.push_back(std::move(copy));
+      steps.push_back(Rename(1, "ghost", "g"));
       steps.push_back(Final(2, ScanResult("g", OneInt())));
       return VerifyProgram(MakeProgram(std::move(steps)));
     }
@@ -262,10 +259,7 @@ VerifyReport BrokenReport(DefectCode code) {
       std::vector<Step> steps;
       steps.push_back(Mat(1, "a", Values(OneInt())));
       steps.push_back(Rename(2, "a", "b"));
-      Step copy = MakeStep(Step::Kind::kCopyResult, 3);
-      copy.source = "a";
-      copy.target = "c";
-      steps.push_back(std::move(copy));
+      steps.push_back(Mat(3, "c", ScanResult("a", OneInt())));
       steps.push_back(Final(4, ScanResult("b", OneInt())));
       return VerifyProgram(MakeProgram(std::move(steps)));
     }
@@ -507,17 +501,20 @@ TEST(VerifierDefects, JoinKeyTypesV204) {
   }
 }
 
-// A step that consumes its own target before rebinding it (append/merge/
-// dedupe) must NOT be flagged as a dead store of the previous binding —
-// the regression behind the verifier's own first field bug.
+// A step that reads its own target before rebinding it (a recursive CTE's
+// `acc := acc UNION ALL delta`, or a merge) must NOT be flagged as a dead
+// store of the previous binding — the regression behind the verifier's own
+// first field bug.
 TEST(VerifierDefects, AppendToOwnTargetIsNotADeadStore) {
   std::vector<Step> steps;
   steps.push_back(Mat(1, "acc", Values(OneInt())));
   steps.push_back(Mat(2, "delta", Values(OneInt())));
-  Step append = MakeStep(Step::Kind::kAppendResult, 3);
-  append.target = "acc";
-  append.source = "delta";
-  steps.push_back(std::move(append));
+  auto append = std::make_unique<LogicalOp>();
+  append->kind = LogicalOpKind::kUnionAll;
+  append->output_schema = OneInt();
+  append->children.push_back(ScanResult("acc", OneInt()));
+  append->children.push_back(ScanResult("delta", OneInt()));
+  steps.push_back(Mat(3, "acc", std::move(append)));
   steps.push_back(Final(4, ScanResult("acc", OneInt())));
   VerifyReport report = VerifyProgram(MakeProgram(std::move(steps)));
   EXPECT_TRUE(report.ok()) << report.ToString();
