@@ -6,7 +6,8 @@
 // (the semi-naive recompute frontier summed over all iterations) stays far
 // below `iterations * |cte|`, `build_cache_hits` counts loop-invariant
 // hash-join build sides reused across iterations, and at width 8
-// `rows_shuffled` drops because only deltas move between nodes. Run with
+// `rows_shuffled` counts the input rows of every parallel DISTINCT, the
+// delta rewrite's affected-key set among them. Run with
 // --benchmark_format=json for machine-readable output.
 
 #include <benchmark/benchmark.h>
@@ -100,7 +101,7 @@ BENCHMARK(BM_PageRankDeltaVsNaive)
 // Parallel fusion's materialization/movement accounting: the SSSP loop at
 // width 8. Every probe fuses against one shared build (no join
 // repartitioning) and aggregates consume chunks straight into per-worker
-// partials, so rows_shuffled counts only DISTINCT's partitioning, while
+// partials, so rows_shuffled counts only DISTINCT's logical shuffle, while
 // agg_rows_preaggregated accounts the (post-filter) aggregate input that
 // skipped the materializer entirely.
 void BM_SsspAggregateMaterialization(benchmark::State& state) {

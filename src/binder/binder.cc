@@ -282,22 +282,14 @@ Result<BoundExprPtr> Binder::BindScalarExpr(const ParseExpr& expr,
         }
         DBSP_ASSIGN_OR_RETURN(BoundExprPtr then,
                               BindScalarExpr(*expr.children[2 * i + 1], ctx));
-        if (result == TypeId::kNull) {
-          result = then->type;
-        } else if (then->type != TypeId::kNull && then->type != result) {
-          DBSP_ASSIGN_OR_RETURN(result, CommonNumericType(result, then->type));
-        }
+        DBSP_ASSIGN_OR_RETURN(result, CommonType(result, then->type));
         out->children.push_back(std::move(when));
         out->children.push_back(std::move(then));
       }
       if (expr.case_has_else) {
         DBSP_ASSIGN_OR_RETURN(BoundExprPtr els,
                               BindScalarExpr(*expr.children.back(), ctx));
-        if (result == TypeId::kNull) {
-          result = els->type;
-        } else if (els->type != TypeId::kNull && els->type != result) {
-          DBSP_ASSIGN_OR_RETURN(result, CommonNumericType(result, els->type));
-        }
+        DBSP_ASSIGN_OR_RETURN(result, CommonType(result, els->type));
         out->children.push_back(std::move(els));
       }
       out->type = result;
@@ -561,20 +553,12 @@ Result<BoundExprPtr> Binder::BindAggContextExpr(
           TypeId result = TypeId::kNull;
           size_t pairs = out->children.size() / 2;
           for (size_t i = 0; i < pairs; ++i) {
-            TypeId t = out->children[2 * i + 1]->type;
-            if (result == TypeId::kNull) {
-              result = t;
-            } else if (t != TypeId::kNull && t != result) {
-              DBSP_ASSIGN_OR_RETURN(result, CommonNumericType(result, t));
-            }
+            DBSP_ASSIGN_OR_RETURN(
+                result, CommonType(result, out->children[2 * i + 1]->type));
           }
           if (expr.case_has_else) {
-            TypeId t = out->children.back()->type;
-            if (result == TypeId::kNull) {
-              result = t;
-            } else if (t != TypeId::kNull && t != result) {
-              DBSP_ASSIGN_OR_RETURN(result, CommonNumericType(result, t));
-            }
+            DBSP_ASSIGN_OR_RETURN(
+                result, CommonType(result, out->children.back()->type));
           }
           out->type = result;
           break;
@@ -882,18 +866,9 @@ Result<LogicalOpPtr> Binder::BindSetOp(const QueryNode& q) {
   // Widen the output schema across both branches and coerce each side.
   Schema widened;
   for (size_t i = 0; i < left->output_schema.num_columns(); ++i) {
-    TypeId lt = left->output_schema.column(i).type;
-    TypeId rt = right->output_schema.column(i).type;
-    TypeId out = lt;
-    if (lt != rt) {
-      if (lt == TypeId::kNull) {
-        out = rt;
-      } else if (rt == TypeId::kNull) {
-        out = lt;
-      } else {
-        DBSP_ASSIGN_OR_RETURN(out, CommonNumericType(lt, rt));
-      }
-    }
+    DBSP_ASSIGN_OR_RETURN(
+        TypeId out, CommonType(left->output_schema.column(i).type,
+                               right->output_schema.column(i).type));
     widened.AddColumn(left->output_schema.column(i).name, out);
   }
   left = MakeCastProject(std::move(left), widened);

@@ -59,4 +59,10 @@ Result<TypeId> CommonNumericType(TypeId a, TypeId b) {
   return TypeId::kNull;
 }
 
+Result<TypeId> CommonType(TypeId a, TypeId b) {
+  if (a == b || b == TypeId::kNull) return a;
+  if (a == TypeId::kNull) return b;
+  return CommonNumericType(a, b);
+}
+
 }  // namespace dbspinner

@@ -37,6 +37,11 @@ bool IsImplicitlyCoercible(TypeId from, TypeId to);
 /// the "wider" of the two numeric types. Errors on non-numeric mixes.
 Result<TypeId> CommonNumericType(TypeId a, TypeId b);
 
+/// The one type two inputs unify to (UNION branches, CASE results, a
+/// looping CTE's parts): equal types give `a`, NULL gives the other type,
+/// anything else goes to CommonNumericType.
+Result<TypeId> CommonType(TypeId a, TypeId b);
+
 /// True for INT64 / DOUBLE (and NULL, which acts as a numeric wildcard).
 bool IsNumeric(TypeId t);
 

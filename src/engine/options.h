@@ -134,7 +134,7 @@ struct EngineOptions {
   PersistenceOptions persistence;
 
   /// Simulated shared-nothing width: number of worker "nodes" that drain a
-  /// parallel pipeline's morsels and DISTINCT's partitions. 1 = serial.
+  /// parallel pipeline's morsels. 1 = serial.
   int num_workers = 1;
 
   /// Safety guard: a loop exceeding this many iterations fails the query.

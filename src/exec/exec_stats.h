@@ -31,7 +31,8 @@ enum class CounterKind {
   X(loop_iterations, kWork, "loop iterations run (one per kLoopCheck)")       \
   X(rows_materialized, kWork,                                                 \
     "rows written into tables by pipeline sinks, breakers and copies")        \
-  X(rows_shuffled, kWork, "rows DISTINCT hash-partitions across workers")     \
+  X(rows_shuffled, kWork,                                                     \
+    "input rows of parallel DISTINCTs, counted as a logical shuffle")         \
   X(renames, kWork, "intermediate results renamed instead of copied")         \
   X(merge_updates, kWork, "updated rows identified by MergeUpdate")           \
   X(delta_rows, kWork,                                                        \

@@ -20,7 +20,7 @@ Result<MergeResult> MergeUpdateTables(const Table& cte, const Table& working,
   const KeyColumns cte_keys{&cte.column(key_col)};
   const KeyColumns working_keys{&working.column(key_col)};
   RowIndex index(working_keys, KeyTypes(cte_keys), RowIndex::Nulls::kMatch,
-                 working.num_rows());
+                 working.num_rows(), working.num_rows());
   for (uint32_t i = 0; i < working.num_rows(); ++i) {
     if (index.FindOrInsert(working_keys, i, i) != i) {
       return Status::ExecutionError(
@@ -59,22 +59,21 @@ int64_t CountChangedRows(const Table& prev, const Table& current,
   const RowIndex index = RowIndex::Build(
       {&prev.column(key_col)}, KeyTypes(cur_keys), RowIndex::Nulls::kMatch);
   int64_t changed = 0;
-  // Duplicate keys in `current` can match the same prev row several times,
-  // so count distinct matched prev rows (a per-row counter could exceed
-  // prev.num_rows() and make the disappeared-keys subtraction wrap).
-  std::vector<char> prev_matched(prev.num_rows(), 0);
+  // A current row counts unless some previous row of its key equals it (a
+  // key may hold several rows). A previous row counts only when its whole
+  // key is gone, so the count never exceeds the rows of both versions.
+  std::vector<char> key_kept(prev.num_rows(), 0);
   for (size_t i = 0; i < current.num_rows(); ++i) {
-    uint32_t match = index.Find(cur_keys, i);
-    if (match == kNoMatch) {
-      ++changed;  // new key
-    } else {
-      prev_matched[match] = 1;
-      if (!RowsEqual(prev, match, current, i)) ++changed;
+    bool same = false;
+    for (uint32_t r = index.Find(cur_keys, i); r != kNoMatch;
+         r = index.Next(r)) {
+      key_kept[r] = 1;
+      same = same || RowsEqual(prev, r, current, i);
     }
+    if (!same) ++changed;
   }
-  // Keys that disappeared.
   for (size_t i = 0; i < prev.num_rows(); ++i) {
-    if (!prev_matched[i]) ++changed;
+    if (!key_kept[i]) ++changed;
   }
   return changed;
 }

@@ -29,8 +29,9 @@ Result<MergeResult> MergeUpdateTables(const Table& cte, const Table& working,
                                       size_t key_col);
 
 /// Counts rows that differ between two versions of a table keyed by
-/// `key_col`: changed values + keys present in only one side. Used by the
-/// Delta termination condition.
+/// `key_col`: current rows equal to no previous row of their key, plus
+/// previous rows whose key is gone. Used by the Delta termination
+/// condition.
 int64_t CountChangedRows(const Table& prev, const Table& current,
                          size_t key_col);
 

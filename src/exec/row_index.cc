@@ -52,7 +52,7 @@ uint64_t HashKeys(const KeyColumns& keys, size_t row) {
 }
 
 RowIndex::RowIndex(KeyColumns build, const std::vector<TypeId>& probe_types,
-                   Nulls nulls, size_t expected_rows)
+                   Nulls nulls, size_t expected_keys, size_t expected_rows)
     : build_(std::move(build)),
       probe_types_(probe_types),
       nulls_(nulls),
@@ -63,7 +63,7 @@ RowIndex::RowIndex(KeyColumns build, const std::vector<TypeId>& probe_types,
                 probe_types[i] == TypeId::kDouble;
   }
   size_t capacity = 16;
-  while (capacity < 2 * expected_rows) capacity *= 2;
+  while (capacity < 2 * expected_keys) capacity *= 2;
   Resize(capacity);
   hashes_.reserve(expected_rows);
   next_.reserve(expected_rows);
@@ -72,7 +72,7 @@ RowIndex::RowIndex(KeyColumns build, const std::vector<TypeId>& probe_types,
 RowIndex RowIndex::Build(KeyColumns build,
                          const std::vector<TypeId>& probe_types, Nulls nulls) {
   const size_t n = build.empty() ? 0 : build[0]->size();
-  RowIndex index(std::move(build), probe_types, nulls, n);
+  RowIndex index(std::move(build), probe_types, nulls, n, n);
   index.hashes_.resize(n);
   index.next_.resize(n);
   // Descending rows, each prepended to its group: groups end up ascending.
@@ -207,7 +207,11 @@ std::vector<uint32_t> DistinctRowIds(const Table& left, const Table* right,
     right_rows = RowIndex::Build(AllColumnsOf(*right), types,
                                  RowIndex::Nulls::kMatch);
   }
-  RowIndex seen(cols, types, RowIndex::Nulls::kMatch, n);
+  // The slot table grows with the distinct keys, often far fewer than n.
+  // It starts sized for n / 8 keys (under 2n bytes, against 12n for the
+  // per-row arrays): growing from 16 slots raised sql_ops peak RSS by 1.5%
+  // through its many small doublings.
+  RowIndex seen(cols, types, RowIndex::Nulls::kMatch, n / 8, n);
   std::vector<uint32_t> ids;
   for (uint32_t i = 0; i < n; ++i) {
     if (right != nullptr &&

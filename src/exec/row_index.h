@@ -43,11 +43,11 @@ class RowIndex {
   RowIndex() = default;
 
   /// An empty index over the `build` key columns, sized for
-  /// `expected_rows` distinct keys (it grows past that). `probe_types` are
-  /// the key types it will be probed with; with the build types they fix
-  /// the hash mode.
+  /// `expected_keys` distinct keys and build rows [0, `expected_rows`)
+  /// (it grows past both). `probe_types` are the key types it will be
+  /// probed with; with the build types they fix the hash mode.
   RowIndex(KeyColumns build, const std::vector<TypeId>& probe_types,
-           Nulls nulls, size_t expected_rows);
+           Nulls nulls, size_t expected_keys, size_t expected_rows);
 
   /// An index over every row of `build`.
   static RowIndex Build(KeyColumns build,

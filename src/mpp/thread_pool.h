@@ -1,8 +1,9 @@
 // Fixed-size worker pool used by the shared-nothing (MPP) simulation.
 //
-// Each worker plays the role of one node of the paper's MPP cluster:
-// partitioned operators split their input by hash or range, run one task per
-// partition on the pool, and concatenate ("gather") the partial results.
+// Each worker plays the role of one node of the paper's MPP cluster: a
+// parallel pipeline's workers claim contiguous morsel ranges of its input,
+// steal from each other once their own range runs dry, and the results
+// concatenate in morsel order.
 
 #pragma once
 

@@ -49,17 +49,7 @@ Result<bool> WidenSchema(Schema* schema, const Schema& other,
   Schema widened;
   for (size_t i = 0; i < schema->num_columns(); ++i) {
     TypeId a = schema->column(i).type;
-    TypeId b = other.column(i).type;
-    TypeId out = a;
-    if (a != b) {
-      if (a == TypeId::kNull) {
-        out = b;
-      } else if (b == TypeId::kNull) {
-        out = a;
-      } else {
-        DBSP_ASSIGN_OR_RETURN(out, CommonNumericType(a, b));
-      }
-    }
+    DBSP_ASSIGN_OR_RETURN(TypeId out, CommonType(a, other.column(i).type));
     if (out != a) changed = true;
     widened.AddColumn(schema->column(i).name, out);
   }

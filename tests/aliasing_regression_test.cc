@@ -9,7 +9,6 @@
 #include "exec/merge_update.h"
 #include "exec/physical_planner.h"
 #include "exec/program_executor.h"
-#include "mpp/partition.h"
 #include "plan/program.h"
 #include "storage/catalog.h"
 #include "storage/result_registry.h"
@@ -109,20 +108,15 @@ TEST(CountChangedRowsTest, DuplicateCurrentKeysDoNotWrap) {
   EXPECT_EQ(CountChangedRows(*prev, *dup_only, 0), 0);
 }
 
-// Shuffling an empty input (an empty loop delta on an idle cluster) must
-// hand every node an empty partition of the input's schema, and gathering
-// those partitions must not lose the schema either.
-TEST(ShuffleTest, EmptyDistributedTableDoesNotCrash) {
-  auto empty = MakeKV({});
-  std::vector<TablePtr> parts = HashPartition(*empty, {0}, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  for (const TablePtr& p : parts) {
-    EXPECT_EQ(p->num_rows(), 0u);
-    EXPECT_EQ(p->num_columns(), 2u);
-  }
-  TablePtr back = Gather(parts);
-  EXPECT_EQ(back->num_rows(), 0u);
-  EXPECT_EQ(back->num_columns(), 2u);
+// A key held by several rows: each current row is compared with every
+// previous row of its key, not only the first, so a table diffed against
+// itself has no changes.
+TEST(CountChangedRowsTest, DuplicatePreviousKeysMatchAnyRowOfTheKey) {
+  auto t = MakeKV({{1, 1.0}, {1, 2.0}, {2, 5.0}});
+  EXPECT_EQ(CountChangedRows(*t, *t, 0), 0);
+  // One row of key 1 changed; the other still matches. Key 2 is gone.
+  auto cur = MakeKV({{1, 1.0}, {1, 3.0}});
+  EXPECT_EQ(CountChangedRows(*t, *cur, 0), 2);
 }
 
 // A DELTA-terminated loop whose body appends into the watched CTE: if the

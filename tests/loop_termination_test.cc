@@ -115,6 +115,21 @@ TEST(LoopTerminationTest, DeltaTerminationStopsWhenFirstIterationIsNoop) {
   EXPECT_EQ(t->GetValue(0, 1).int64_value(), 10);
 }
 
+TEST(LoopTerminationTest, DeltaTerminationStopsWithDuplicatedKey) {
+  Database db;
+  db.options().max_iterations_guard = 10;
+  MustExecute(&db, "CREATE TABLE t (k BIGINT, v BIGINT)");
+  MustExecute(&db, "INSERT INTO t VALUES (1, 1), (1, 2), (2, 5)");
+  // Key 1 holds two rows. Each row of the unchanged copy still equals a
+  // previous row of its key, so iteration 1 changes nothing.
+  auto result = db.Execute(
+      "WITH ITERATIVE r (k, v) AS (SELECT k, v FROM t "
+      "ITERATE SELECT k, v FROM r UNTIL DELTA < 1) SELECT * FROM r");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->table->num_rows(), 3u);
+  EXPECT_EQ(result->stats.loop_iterations, 1);
+}
+
 TEST(LoopTerminationTest, DeltaTerminationConvergesOnceValuesSettle) {
   Database db;
   LoadBase(&db);

@@ -1,33 +1,17 @@
-// Shared-nothing simulation tests: the thread pool, hash partitioning, and
-// parallel SQL execution equivalence (fused probes, pre-aggregation, the
-// DISTINCT shuffle).
+// Shared-nothing simulation tests: the thread pool and parallel SQL
+// execution equivalence (fused probes, pre-aggregation, DISTINCT's
+// partition order and shuffle counter).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <unordered_map>
 
-#include "mpp/partition.h"
+#include "exec/row_index.h"
 #include "mpp/thread_pool.h"
 #include "test_util.h"
 
 namespace dbspinner {
 namespace {
-
-Schema KV() {
-  Schema s;
-  s.AddColumn("k", TypeId::kInt64);
-  s.AddColumn("v", TypeId::kDouble);
-  return s;
-}
-
-TablePtr MakeKV(int64_t n) {
-  auto t = Table::Make(KV());
-  for (int64_t i = 0; i < n; ++i) {
-    t->AppendRow({Value::Int64(i % 17), Value::Double(static_cast<double>(i))});
-  }
-  return t;
-}
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexOnce) {
   ThreadPool pool(4);
@@ -51,28 +35,6 @@ TEST(ThreadPoolTest, ParallelForMorselsPropagatesFirstError) {
   EXPECT_EQ(st.message(), "boom");
   // A failed morsel does not stop the queue: every morsel still ran once.
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(PartitionTest, HashPartitionKeepsEqualKeysTogether) {
-  auto t = MakeKV(500);
-  auto parts = HashPartition(*t, {0}, 4);
-  ASSERT_EQ(parts.size(), 4u);
-  size_t total = 0;
-  // Each key appears in exactly one partition.
-  std::unordered_map<int64_t, size_t> owner;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    total += parts[p]->num_rows();
-    for (size_t r = 0; r < parts[p]->num_rows(); ++r) {
-      int64_t k = parts[p]->GetValue(r, 0).int64_value();
-      auto it = owner.find(k);
-      if (it == owner.end()) {
-        owner[k] = p;
-      } else {
-        EXPECT_EQ(it->second, p) << "key " << k << " split across partitions";
-      }
-    }
-  }
-  EXPECT_EQ(total, t->num_rows());
 }
 
 TEST(MppSqlTest, ParallelQueriesMatchSerial) {
@@ -112,8 +74,74 @@ TEST(MppSqlTest, ParallelQueriesMatchSerial) {
   }
 }
 
-// A parallel DISTINCT hash-partitions its whole input on every column, so
-// duplicates meet on one simulated node; the shuffle is a fault site.
+// DISTINCT keeps the first occurrence of each row. Above width 1 it emits
+// them in the MPP design's order: stably bucketed by the hash of the whole
+// row modulo the width, as if each simulated node emitted its own rows in
+// turn. The expected order is built here from the input table.
+TEST(MppSqlTest, DistinctOrderAtEveryWidth) {
+  Database db;
+  testing::MustExecute(&db, "CREATE TABLE t (k BIGINT, s TEXT)");
+  std::string insert = "INSERT INTO t VALUES (NULL, 'x')";
+  for (int i = 1; i < 300; ++i) {
+    insert += ", (" + (i % 23 == 0 ? std::string("NULL")
+                                   : std::to_string(i % 37)) +
+              ", '" + std::string(1, static_cast<char>('a' + i % 3)) + "')";
+  }
+  testing::MustExecute(&db, insert);
+  auto entry = db.catalog().Get("t");
+  ASSERT_TRUE(entry.ok());
+  const Table& input = *(*entry)->table;
+  const KeyColumns cols = AllColumnsOf(input);
+
+  std::vector<uint32_t> first;
+  for (uint32_t i = 0; i < input.num_rows(); ++i) {
+    bool seen = false;
+    for (uint32_t j : first) {
+      seen = seen || (cols[0]->EqualsAt(i, *cols[0], j) &&
+                      cols[1]->EqualsAt(i, *cols[1], j));
+    }
+    if (!seen) first.push_back(i);
+  }
+  ASSERT_LT(first.size(), input.num_rows());
+
+  for (int width : {1, 4, 8}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    std::vector<uint32_t> expected;
+    for (int p = 0; p < width; ++p) {
+      for (uint32_t i : first) {
+        if (width == 1 || HashKeys(cols, i) % width == static_cast<size_t>(p)) {
+          expected.push_back(i);
+        }
+      }
+    }
+    db.options().num_workers = width;
+    db.options().mpp_min_rows_per_task = 8;
+    TablePtr out = testing::MustQuery(&db, "SELECT DISTINCT k, s FROM t");
+    ASSERT_EQ(out->num_rows(), expected.size());
+    for (size_t r = 0; r < expected.size(); ++r) {
+      for (size_t c = 0; c < 2; ++c) {
+        EXPECT_TRUE(out->column(c).EqualsAt(r, *cols[c], expected[r]))
+            << "row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+TEST(MppSqlTest, DistinctOfEmptyTableKeepsSchema) {
+  Database db;
+  db.options().num_workers = 8;
+  db.options().mpp_min_rows_per_task = 1;
+  testing::MustExecute(&db, "CREATE TABLE e (k BIGINT, v DOUBLE)");
+  TablePtr out = testing::MustQuery(&db, "SELECT DISTINCT k, v FROM e");
+  EXPECT_EQ(out->num_rows(), 0u);
+  ASSERT_EQ(out->num_columns(), 2u);
+  EXPECT_EQ(out->schema().column(0).type, TypeId::kInt64);
+  EXPECT_EQ(out->schema().column(1).type, TypeId::kDouble);
+}
+
+// A parallel DISTINCT counts its whole input as shuffled on every column
+// (the MPP design moves each row to the node that owns its hash); the
+// shuffle is a fault site.
 TEST(MppSqlTest, ShuffleStatsReported) {
   Database db;
   db.options().num_workers = 4;

@@ -116,7 +116,7 @@ TEST(RowIndexTest, NullKeysSkippedOnBuildAndProbe) {
   // Under kMatch NULL is a key like any other.
   RowIndex grouped = RowIndex::Build({&build}, {TypeId::kInt64}, Nulls::kMatch);
   EXPECT_EQ(Matches(grouped, {&probe}, 0), (std::vector<uint32_t>{0, 2}));
-  RowIndex dedupe({&build}, {TypeId::kInt64}, Nulls::kMatch, 0);
+  RowIndex dedupe({&build}, {TypeId::kInt64}, Nulls::kMatch, 0, 0);
   EXPECT_EQ(dedupe.FindOrInsert({&build}, 0, 0), 0u);
   EXPECT_EQ(dedupe.FindOrInsert({&build}, 1, 1), 1u);
   EXPECT_EQ(dedupe.FindOrInsert({&build}, 2, 2), 0u);
@@ -155,7 +155,7 @@ TEST(RowIndexTest, FitReindexesForOtherProbeTypes) {
 
 TEST(RowIndexTest, FindOrInsertGrowsPastItsSizing) {
   ColumnVector keys(TypeId::kInt64);
-  RowIndex index({&keys}, {TypeId::kInt64}, Nulls::kMatch, 0);
+  RowIndex index({&keys}, {TypeId::kInt64}, Nulls::kMatch, 0, 0);
   for (int64_t round = 0; round < 2; ++round) {
     ColumnVector probe = Ints({});
     for (int64_t v = 0; v < 5000; ++v) probe.AppendInt64(v * 3);
