@@ -53,7 +53,7 @@ void BM_MergeUpdate(benchmark::State& state) {
   TablePtr main_table = MakeWide(rows, 0);
   TablePtr working = MakeWide(rows, 1);
   for (auto _ : state) {
-    auto merged = MergeUpdateTables(*main_table, *working, 0);
+    auto merged = MergeUpdateTables(main_table, *working, 0);
     if (!merged.ok()) {
       state.SkipWithError(merged.status().ToString().c_str());
       return;
@@ -82,8 +82,8 @@ void BM_DeltaDiff(benchmark::State& state) {
   TablePtr prev = MakeWide(rows, 0);
   TablePtr cur = MakeWide(rows, 1);
   for (auto _ : state) {
-    int64_t changed = CountChangedRows(*prev, *cur, 0);
-    benchmark::DoNotOptimize(changed);
+    ChangeSet changes = DiffVersions(*prev, *cur, 0);
+    benchmark::DoNotOptimize(changes.count);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }

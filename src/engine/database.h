@@ -166,9 +166,8 @@ struct SessionState {
 /// API.
 class Database {
  public:
-  Database() = default;
-  explicit Database(EngineOptions options)
-      : default_session_(std::move(options)) {}
+  Database() : Database(EngineOptions()) {}
+  explicit Database(EngineOptions options);
 
   /// The default session's options (historical single-session API).
   EngineOptions& options() { return default_session_.options; }

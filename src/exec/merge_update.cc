@@ -1,22 +1,149 @@
 #include "exec/merge_update.h"
 
-#include "exec/row_index.h"
+#include <algorithm>
+#include <cmath>
 
 namespace dbspinner {
 
 namespace {
 
+// Row equality as DISTINCT compares rows: ColumnVector::EqualsAt, except
+// that NaN equals NaN. A row that keeps a NaN has not changed; were it
+// otherwise, it would count as a change on every iteration, and a change
+// set built from the rows a write touched could not agree with a diff of
+// whole versions.
 bool RowsEqual(const Table& a, size_t ar, const Table& b, size_t br) {
   for (size_t c = 0; c < a.num_columns(); ++c) {
-    if (!a.column(c).EqualsAt(ar, b.column(c), br)) return false;
+    const ColumnVector& x = a.column(c);
+    const ColumnVector& y = b.column(c);
+    if (x.EqualsAt(ar, y, br)) continue;
+    if (x.type() != TypeId::kDouble || y.type() != TypeId::kDouble ||
+        x.IsNull(ar) || y.IsNull(br) || !std::isnan(x.DoubleAt(ar)) ||
+        !std::isnan(y.DoubleAt(br))) {
+      return false;
+    }
   }
   return true;
 }
 
+// Rows `prev_ids` of `prev`, then rows `cur_ids` of `current`, in the
+// schema of `current`.
+TablePtr GatherBoth(const Table& prev, const std::vector<uint32_t>& prev_ids,
+                    const Table& current,
+                    const std::vector<uint32_t>& cur_ids) {
+  std::vector<ColumnVectorPtr> cols;
+  cols.reserve(current.num_columns());
+  for (size_t c = 0; c < current.num_columns(); ++c) {
+    auto col = std::make_shared<ColumnVector>(current.schema().column(c).type);
+    col->Reserve(prev_ids.size() + cur_ids.size());
+    col->AppendGathered(prev.column(c), prev_ids);
+    col->AppendGathered(current.column(c), cur_ids);
+    cols.push_back(std::move(col));
+  }
+  return Table::FromColumns(current.schema(), std::move(cols));
+}
+
+// The rows of one version chained by key: head[g] is the first row of
+// group g, next[r] the row after r in its group, kNoMatch ends a chain.
+struct Chains {
+  std::vector<uint32_t> head;
+  std::vector<uint32_t> next;
+};
+
+// Chains each row of `t` under the group that `index` finds for its key
+// (the group's lowest build row, below `num_groups`). A row whose key the
+// index lacks goes to `*missing` when that is given, ascending.
+Chains ChainByKey(const Table& t, size_t key_col, const RowIndex& index,
+                  size_t num_groups, std::vector<uint32_t>* missing) {
+  const KeyColumns keys{&t.column(key_col)};
+  RowIndex scratch;
+  const RowIndex& fit = index.Fit(keys, &scratch);
+  Chains chains{std::vector<uint32_t>(num_groups, kNoMatch),
+                std::vector<uint32_t>(t.num_rows(), kNoMatch)};
+  // Descending rows, each prepended to its chain: chains end up ascending.
+  for (size_t r = t.num_rows(); r-- > 0;) {
+    const uint32_t g = fit.Find(keys, r);
+    if (g == kNoMatch) {
+      if (missing != nullptr) missing->push_back(static_cast<uint32_t>(r));
+      continue;
+    }
+    chains.next[r] = chains.head[g];
+    chains.head[g] = static_cast<uint32_t>(r);
+  }
+  if (missing != nullptr) std::reverse(missing->begin(), missing->end());
+  return chains;
+}
+
+void WalkChain(const Chains& chains, uint32_t g, std::vector<uint32_t>* out) {
+  out->clear();
+  for (uint32_t r = chains.head[g]; r != kNoMatch; r = chains.next[r]) {
+    out->push_back(r);
+  }
+}
+
+// Compares one key's rows `p` of `prev` with its rows `c` of `current`.
+// When the key's row multiset changed, appends both lists to the change
+// set's ids. Returns the key's UNTIL DELTA count (0 when unchanged).
+int64_t DiffKey(const Table& prev, const std::vector<uint32_t>& p,
+                const Table& current, const std::vector<uint32_t>& c,
+                std::vector<uint32_t>* prev_ids,
+                std::vector<uint32_t>* cur_ids) {
+  int64_t count = 0;
+  bool same;
+  if (p.size() == 1 && c.size() == 1) {
+    same = RowsEqual(prev, p[0], current, c[0]);
+    count = same ? 0 : 1;
+  } else {
+    auto unmatched = [](const Table& a, const std::vector<uint32_t>& as,
+                        const Table& b, const std::vector<uint32_t>& bs) {
+      int64_t n = 0;
+      for (uint32_t ar : as) {
+        bool found = false;
+        for (uint32_t br : bs) {
+          if (RowsEqual(a, ar, b, br)) {
+            found = true;
+            break;
+          }
+        }
+        if (!found) ++n;
+      }
+      return n;
+    };
+    const int64_t cur_unmatched = unmatched(current, c, prev, p);
+    const int64_t prev_unmatched = unmatched(prev, p, current, c);
+    count = std::max(cur_unmatched, prev_unmatched);
+    // Equal multisets: pair every current row with its own previous row.
+    same = p.size() == c.size() && count == 0;
+    std::vector<char> used(p.size(), 0);
+    for (size_t i = 0; same && i < c.size(); ++i) {
+      same = false;
+      for (size_t k = 0; k < p.size(); ++k) {
+        if (!used[k] && RowsEqual(prev, p[k], current, c[i])) {
+          used[k] = 1;
+          same = true;
+          break;
+        }
+      }
+    }
+  }
+  if (!same) {
+    prev_ids->insert(prev_ids->end(), p.begin(), p.end());
+    cur_ids->insert(cur_ids->end(), c.begin(), c.end());
+  }
+  return count;
+}
+
 }  // namespace
 
-Result<MergeResult> MergeUpdateTables(const Table& cte, const Table& working,
-                                      size_t key_col) {
+KeySet::KeySet(TablePtr keys, TypeId probe_type)
+    : table(std::move(keys)),
+      index(RowIndex::Build({&table->column(0)}, {probe_type},
+                            RowIndex::Nulls::kMatch)) {}
+
+Result<MergeResult> MergeUpdateTables(const TablePtr& cte_ptr,
+                                      const Table& working, size_t key_col,
+                                      ChangeSet* changes) {
+  const Table& cte = *cte_ptr;
   const KeyColumns cte_keys{&cte.column(key_col)};
   const KeyColumns working_keys{&working.column(key_col)};
   RowIndex index(working_keys, KeyTypes(cte_keys), RowIndex::Nulls::kMatch,
@@ -34,12 +161,23 @@ Result<MergeResult> MergeUpdateTables(const Table& cte, const Table& working,
   // CTE column whole, with the matched rows overwritten from `working`.
   MergeResult result;
   std::vector<uint32_t> rows, from;
+  // Every CTE row of a key takes the same working row: a key changed when
+  // any of its rows did.
+  std::vector<char> key_changed(changes != nullptr ? working.num_rows() : 0);
   for (uint32_t i = 0; i < cte.num_rows(); ++i) {
     uint32_t match = index.Find(cte_keys, i);
     if (match == kNoMatch) continue;
-    if (!RowsEqual(cte, i, working, match)) ++result.updated_rows;
+    if (!RowsEqual(cte, i, working, match)) {
+      ++result.updated_rows;
+      if (changes != nullptr) key_changed[match] = 1;
+    }
     rows.push_back(i);
     from.push_back(match);
+  }
+  if (result.updated_rows == 0) {
+    result.merged = cte_ptr;
+    if (changes != nullptr) *changes = ChangeSet{Table::Make(cte.schema()), 0};
+    return result;
   }
   std::vector<ColumnVectorPtr> cols;
   cols.reserve(cte.num_columns());
@@ -50,92 +188,53 @@ Result<MergeResult> MergeUpdateTables(const Table& cte, const Table& working,
     cols.push_back(std::move(col));
   }
   result.merged = Table::FromColumns(cte.schema(), std::move(cols));
+  if (changes != nullptr) {
+    // All rows of a changed key enter the change set. Per key, the previous
+    // rows equal to no current row are the ones that differ, and the
+    // current rows (copies of one working row) equal no previous row only
+    // when all of them differ: the key counts its differing rows, and the
+    // change set `updated_rows`.
+    std::vector<uint32_t> ids;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      if (key_changed[from[k]]) ids.push_back(rows[k]);
+    }
+    *changes = ChangeSet{GatherBoth(cte, ids, *result.merged, ids),
+                         result.updated_rows};
+  }
   return result;
 }
 
-int64_t CountChangedRows(const Table& prev, const Table& current,
-                         size_t key_col) {
-  const KeyColumns cur_keys{&current.column(key_col)};
-  const RowIndex index = RowIndex::Build(
-      {&prev.column(key_col)}, KeyTypes(cur_keys), RowIndex::Nulls::kMatch);
-  int64_t changed = 0;
-  // A current row counts unless some previous row of its key equals it (a
-  // key may hold several rows). A previous row counts only when its whole
-  // key is gone, so the count never exceeds the rows of both versions.
-  std::vector<char> key_kept(prev.num_rows(), 0);
-  for (size_t i = 0; i < current.num_rows(); ++i) {
-    bool same = false;
-    for (uint32_t r = index.Find(cur_keys, i); r != kNoMatch;
-         r = index.Next(r)) {
-      key_kept[r] = 1;
-      same = same || RowsEqual(prev, r, current, i);
-    }
-    if (!same) ++changed;
+ChangeSet DiffVersions(const Table& prev, const Table& current,
+                       size_t key_col, const KeySet* keys) {
+  // Group ids come from one index: the key set's, or one over the current
+  // version's keys, where a previous row whose key is missing belongs to
+  // a vanished key.
+  RowIndex own;
+  if (keys == nullptr) {
+    const KeyColumns cur_keys{&current.column(key_col)};
+    own = RowIndex::Build(cur_keys, KeyTypes(cur_keys),
+                          RowIndex::Nulls::kMatch);
   }
-  for (size_t i = 0; i < prev.num_rows(); ++i) {
-    if (!key_kept[i]) ++changed;
-  }
-  return changed;
-}
+  const RowIndex& index = keys != nullptr ? keys->index : own;
+  const size_t num_groups =
+      keys != nullptr ? keys->table->num_rows() : current.num_rows();
+  std::vector<uint32_t> vanished;
+  const Chains before = ChainByKey(prev, key_col, index, num_groups,
+                                   keys == nullptr ? &vanished : nullptr);
+  const Chains after = ChainByKey(current, key_col, index, num_groups, nullptr);
 
-TablePtr BuildChangedRowsTable(const Table& prev, const Table& current,
-                               size_t key_col) {
-  auto delta = Table::Make(current.schema());
-  const KeyColumns cur_keys{&current.column(key_col)};
-  const std::vector<TypeId> types = KeyTypes(cur_keys);
-  const RowIndex prev_idx = RowIndex::Build({&prev.column(key_col)}, types,
-                                            RowIndex::Nulls::kMatch);
-  const RowIndex cur_idx =
-      RowIndex::Build(cur_keys, types, RowIndex::Nulls::kMatch);
-
-  std::vector<char> prev_visited(prev.num_rows(), 0);
-  std::vector<char> cur_visited(current.num_rows(), 0);
-  std::vector<uint32_t> prev_rows, cur_rows;
-  std::vector<char> used;
-  for (size_t i = 0; i < current.num_rows(); ++i) {
-    if (cur_visited[i]) continue;
-    // Gather every row of this key from both versions.
-    prev_rows.clear();
-    cur_rows.clear();
-    for (uint32_t r = cur_idx.Find(cur_keys, i); r != kNoMatch;
-         r = cur_idx.Next(r)) {
-      cur_visited[r] = 1;
-      cur_rows.push_back(r);
-    }
-    for (uint32_t r = prev_idx.Find(cur_keys, i); r != kNoMatch;
-         r = prev_idx.Next(r)) {
-      prev_visited[r] = 1;
-      prev_rows.push_back(r);
-    }
-    // Multiset comparison (duplicate keys are rare; per-key sets are tiny).
-    bool same = prev_rows.size() == cur_rows.size();
-    if (same) {
-      used.assign(prev_rows.size(), 0);
-      for (uint32_t cr : cur_rows) {
-        bool found = false;
-        for (size_t p = 0; p < prev_rows.size(); ++p) {
-          if (!used[p] && RowsEqual(prev, prev_rows[p], current, cr)) {
-            used[p] = 1;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          same = false;
-          break;
-        }
-      }
-    }
-    if (!same) {
-      for (uint32_t pr : prev_rows) delta->AppendRowFrom(prev, pr);
-      for (uint32_t cr : cur_rows) delta->AppendRowFrom(current, cr);
-    }
+  std::vector<uint32_t> prev_ids, cur_ids, p, c;
+  int64_t count = 0;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    if (before.head[g] == kNoMatch && after.head[g] == kNoMatch) continue;
+    WalkChain(before, g, &p);
+    WalkChain(after, g, &c);
+    count += DiffKey(prev, p, current, c, &prev_ids, &cur_ids);
   }
-  // Keys that disappeared entirely.
-  for (size_t i = 0; i < prev.num_rows(); ++i) {
-    if (!prev_visited[i]) delta->AppendRowFrom(prev, i);
-  }
-  return delta;
+  // A vanished key counts each of its previous rows.
+  prev_ids.insert(prev_ids.end(), vanished.begin(), vanished.end());
+  count += static_cast<int64_t>(vanished.size());
+  return ChangeSet{GatherBoth(prev, prev_ids, current, cur_ids), count};
 }
 
 }  // namespace dbspinner

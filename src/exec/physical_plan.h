@@ -24,6 +24,7 @@
 #include "engine/options.h"
 #include "exec/data_chunk.h"
 #include "exec/exec_stats.h"
+#include "exec/merge_update.h"
 #include "exec/row_index.h"
 #include "expr/aggregate_functions.h"
 #include "expr/expr.h"
@@ -45,7 +46,22 @@ struct StepProfile {
   int64_t last_rows = -1;  ///< rows produced by the last execution (-1: n/a)
 };
 
-/// Per-loop runtime state (the paper's loop-operator bookkeeping).
+/// The body's last write of a loop's CTE, `from` -> `to`, and what it
+/// changed (DESIGN.md §4c). A merge fills `changes` as it writes. A rename
+/// leaves it to the first reader: with `keys`, the affected-key set whose
+/// carry re-added every other key's rows unchanged, only those keys are
+/// diffed. A reader diffing another pair of versions ignores the record.
+/// Every reader keys the diff by the CTE's key column, as the write does.
+struct LoopWrite {
+  TablePtr from;
+  TablePtr to;
+  std::shared_ptr<const KeySet> keys;
+  std::optional<ChangeSet> changes;
+};
+
+/// Per-loop runtime state (the paper's loop-operator bookkeeping). Only
+/// the counters and the two snapshots are part of a durable checkpoint; a
+/// resumed loop rebuilds the rest, diffing whole versions once.
 struct LoopState {
   int64_t iteration = 0;
   int64_t last_update_count = 0;
@@ -54,6 +70,11 @@ struct LoopState {
   TablePtr delta_snapshot;  ///< CTE version diffed by the last ComputeDelta
                             ///< step (semi-naive iteration); null before the
                             ///< first body execution
+  /// Semi-naive: the running iteration's affected-key set, indexed once by
+  /// the step that binds it, for both DeltaRestrict stages and the diff of
+  /// the rename that follows.
+  std::shared_ptr<const KeySet> affected;
+  LoopWrite write;
 };
 
 class PhysicalOp;

@@ -42,10 +42,9 @@ struct Stage {
   std::shared_ptr<const RowIndex> build;
   PhysicalHashJoin::ProbePlan probe;
 
-  // kDeltaRestrict: the affected-key set snapshot for this pipeline run
-  // (kept alive here for its index) and the input chunk's key column.
-  TablePtr keys;
-  RowIndex set_index;
+  // kDeltaRestrict: the indexed key set for this pipeline run and the
+  // input chunk's key column.
+  std::shared_ptr<const KeySet> keys;
   size_t key_col = 0;
 };
 
@@ -178,6 +177,22 @@ Result<TablePtr> CollectChain(const PhysicalOp& start, ExecContext& ctx,
   return ExecuteOp(*cur, ctx);
 }
 
+// The index over key set `keys` for probes of `probe_type`: the one a
+// loop's key-set step built when `keys` is that loop's affected-key set
+// (so the driving and carry restricts of one iteration share it), else a
+// new one.
+std::shared_ptr<const KeySet> SharedKeySet(const ExecContext& ctx,
+                                           const TablePtr& keys,
+                                           TypeId probe_type) {
+  for (const auto& [id, loop] : ctx.loops) {
+    if (loop.affected != nullptr && loop.affected->table == keys &&
+        loop.affected->index.Accepts({probe_type})) {
+      return loop.affected;
+    }
+  }
+  return std::make_shared<const KeySet>(keys, probe_type);
+}
+
 // Compiles stages bottom→top. Build sides and key sets materialize here —
 // these are the pipeline's breakers on the non-streaming inputs. All stage
 // state is read-only during execution, so one compiled stage vector is
@@ -237,16 +252,15 @@ Result<std::vector<Stage>> CompileStages(
       }
       case PipelineRole::kDeltaRestrict: {
         const auto* dr = static_cast<const PhysicalDeltaRestrict*>(op);
-        DBSP_ASSIGN_OR_RETURN(s.keys, ctx.registry->Get(dr->delta_source()));
-        if (s.keys->num_columns() == 0) {
+        DBSP_ASSIGN_OR_RETURN(TablePtr keys,
+                              ctx.registry->Get(dr->delta_source()));
+        if (keys->num_columns() == 0) {
           return Status::Internal("DeltaRestrict key set '" +
                                   dr->delta_source() + "' has no columns");
         }
-        s.set_index = RowIndex::Build(
-            {&s.keys->column(0)},
-            SchemaKeyTypes(dr->children()[0]->output_schema(),
-                           {dr->key_col()}),
-            RowIndex::Nulls::kMatch);
+        s.keys = SharedKeySet(
+            ctx, keys,
+            dr->children()[0]->output_schema().column(dr->key_col()).type);
         s.key_col = (*layout)[dr->key_col()];
         break;
       }
@@ -310,7 +324,7 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
       }
       case PipelineRole::kDeltaRestrict: {
         const auto* dr = static_cast<const PhysicalDeltaRestrict*>(s.op);
-        size_t kept = dr->Restrict(&chunk, s.key_col, s.set_index);
+        size_t kept = dr->Restrict(&chunk, s.key_col, s.keys->index);
         if (dr->keep_matching()) stats->delta_probe_rows += kept;
         break;
       }

@@ -49,6 +49,23 @@ Result<bool> EvaluateStart(const LoopSpec& spec, ExecContext* ctx) {
   return Status::Internal("unhandled loop condition");
 }
 
+// The change set from `from` to `to` of the loop's CTE: the one the loop's
+// last write recorded when it made exactly that change, else a diff of
+// the whole versions, kept for the next reader of the same pair.
+const ChangeSet& ChangesOf(LoopState* state, const TablePtr& from,
+                           const TablePtr& to, size_t key_col) {
+  LoopWrite& write = state->write;
+  if (write.from != from || write.to != to) {
+    write = LoopWrite{from, to, nullptr, std::nullopt};
+  }
+  if (!write.changes) {
+    write.changes = from == to
+                        ? ChangeSet{Table::Make(to->schema()), 0}
+                        : DiffVersions(*from, *to, key_col, write.keys.get());
+  }
+  return *write.changes;
+}
+
 // Decides whether the loop should run another iteration, updating state.
 Result<bool> EvaluateContinue(const LoopSpec& spec, LoopState* state,
                               ExecContext* ctx) {
@@ -70,12 +87,10 @@ Result<bool> EvaluateContinue(const LoopSpec& spec, LoopState* state,
     }
     case LoopSpec::Kind::kDeltaLess: {
       DBSP_ASSIGN_OR_RETURN(TablePtr cte, ctx->registry->Get(spec.cte_name));
-      int64_t changed = 0;
-      if (state->previous) {
-        changed = CountChangedRows(*state->previous, *cte, spec.key_col);
-      } else {
-        changed = static_cast<int64_t>(cte->num_rows());
-      }
+      const int64_t changed =
+          state->previous
+              ? ChangesOf(state, state->previous, cte, spec.key_col).count
+              : static_cast<int64_t>(cte->num_rows());
       state->previous = cte;
       return changed >= spec.n;
     }
@@ -225,6 +240,11 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
       case Step::Kind::kMaterialize: {
         DBSP_ASSIGN_OR_RETURN(TablePtr table, ExecuteOp(*step.physical, *ctx));
         profile_rows = static_cast<int64_t>(table->num_rows());
+        if (step.loop_id != 0 && table->num_columns() > 0) {
+          // A loop's affected-key set: indexed here, once per iteration.
+          ctx->loops[step.loop_id].affected = std::make_shared<const KeySet>(
+              table, table->schema().column(0).type);
+        }
         ctx->registry->Put(step.target, table);
         break;
       }
@@ -233,6 +253,10 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         // row count is recorded as this iteration's update count (a full
         // replacement updates every row). Rename goes first so that an
         // unbound source surfaces as the registry's Internal error.
+        TablePtr replaced;
+        if (step.loop_id != 0 && ctx->registry->Exists(step.target)) {
+          DBSP_ASSIGN_OR_RETURN(replaced, ctx->registry->Get(step.target));
+        }
         DBSP_RETURN_NOT_OK(ctx->registry->Rename(step.source, step.target));
         DBSP_ASSIGN_OR_RETURN(TablePtr moved,
                               ctx->registry->Get(step.target));
@@ -251,8 +275,14 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         }
         ++ctx->stats.renames;
         if (step.loop_id != 0) {
-          ctx->loops[step.loop_id].last_update_count =
-              static_cast<int64_t>(moved->num_rows());
+          LoopState& state = ctx->loops[step.loop_id];
+          state.last_update_count = static_cast<int64_t>(moved->num_rows());
+          // In a semi-naive body the working table is the restricted Ri
+          // plus the carry of every key outside the affected set, so only
+          // those keys can differ; a reader diffs just them.
+          state.write = replaced ? LoopWrite{replaced, moved, state.affected,
+                                             std::nullopt}
+                                 : LoopWrite{};
         }
         break;
       }
@@ -260,16 +290,30 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         DBSP_ASSIGN_OR_RETURN(TablePtr cte, ctx->registry->Get(step.target));
         DBSP_ASSIGN_OR_RETURN(TablePtr working,
                               ctx->registry->Get(step.source));
-        DBSP_ASSIGN_OR_RETURN(MergeResult merged,
-                              MergeUpdateTables(*cte, *working, step.key_col));
+        LoopState* loop =
+            step.loop_id != 0 ? &ctx->loops[step.loop_id] : nullptr;
+        // The write is diffed when its loop keeps a snapshot: a semi-naive
+        // body past its first ComputeDelta, or an UNTIL DELTA condition.
+        const bool diffed =
+            loop != nullptr && (loop->delta_snapshot || loop->previous);
+        ChangeSet changes;
+        DBSP_ASSIGN_OR_RETURN(
+            MergeResult merged,
+            MergeUpdateTables(cte, *working, step.key_col,
+                              diffed ? &changes : nullptr));
         profile_rows = static_cast<int64_t>(merged.merged->num_rows());
         ctx->registry->Put(step.target, merged.merged);
         ctx->registry->Remove(step.source);
         ctx->stats.merge_updates += merged.updated_rows;
-        ctx->stats.rows_materialized +=
-            static_cast<int64_t>(merged.merged->num_rows());
-        if (step.loop_id != 0) {
-          ctx->loops[step.loop_id].last_update_count = merged.updated_rows;
+        if (merged.merged != cte) {
+          ctx->stats.rows_materialized +=
+              static_cast<int64_t>(merged.merged->num_rows());
+        }
+        if (loop != nullptr) {
+          loop->last_update_count = merged.updated_rows;
+          loop->write = diffed ? LoopWrite{cte, merged.merged, nullptr,
+                                           std::move(changes)}
+                               : LoopWrite{};
         }
         break;
       }
@@ -326,20 +370,19 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
       case Step::Kind::kComputeDelta: {
         DBSP_ASSIGN_OR_RETURN(TablePtr cur, ctx->registry->Get(step.source));
         LoopState& state = ctx->loops[step.loop_id];
-        TablePtr delta;
-        if (!state.delta_snapshot) {
-          // First body execution: everything is new, so the whole CTE is the
-          // delta (the first semi-naive iteration is always full).
-          delta = cur;
-        } else if (state.delta_snapshot == cur) {
-          // Identical table version: nothing can have changed (copy-on-write
-          // makes pointer equality imply content equality).
-          delta = Table::Make(cur->schema());
-        } else {
-          delta = BuildChangedRowsTable(*state.delta_snapshot, *cur,
-                                        step.key_col);
-        }
+        // On the first body execution everything is new, so the whole CTE
+        // is the delta (the first semi-naive iteration is always full).
+        // Copy-on-write makes an unchanged version the same pointer, whose
+        // change set is empty.
+        TablePtr delta =
+            state.delta_snapshot
+                ? ChangesOf(&state, state.delta_snapshot, cur, step.key_col)
+                      .rows
+                : cur;
         state.delta_snapshot = cur;
+        // The snapshot moved past the write's `from`: no reader can use
+        // the record again.
+        state.write = LoopWrite{};
         profile_rows = static_cast<int64_t>(delta->num_rows());
         ctx->stats.delta_rows += static_cast<int64_t>(delta->num_rows());
         ctx->registry->Put(step.target, std::move(delta));

@@ -355,15 +355,39 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
   }
   for (size_t s : secondaries) {
     int comp = uf.Find(static_cast<int>(s));
-    std::vector<size_t> members;
+    size_t comp_size = 0;
     for (size_t i = 0; i < rels.size(); ++i) {
       if (uf.Find(static_cast<int>(i)) != comp) continue;
       if (i != s && !rels[i].invariant) return false;  // two varying rels
-      members.push_back(i);
+      ++comp_size;
+    }
+    // Join order: the secondary first, so the delta probes every
+    // dependency join and the loop-invariant members are the build sides,
+    // which the join build cache keeps across iterations. Each later member
+    // shares a conjunct with one before it, so no join is a cross product.
+    std::vector<size_t> members{s};
+    auto is_member = [&](size_t rel) {
+      return std::find(members.begin(), members.end(), rel) != members.end();
+    };
+    for (bool grew = true; grew && members.size() < comp_size;) {
+      grew = false;
+      for (const auto& c : conjuncts) {
+        std::vector<size_t> touched = TouchedRels(*c.expr, rels);
+        if (std::find(touched.begin(), touched.end(), driving) !=
+                touched.end() ||
+            std::none_of(touched.begin(), touched.end(), is_member)) {
+          continue;
+        }
+        for (size_t t : touched) {
+          if (!is_member(t)) {
+            members.push_back(t);
+            grew = true;
+          }
+        }
+      }
     }
     auto in_comp = [&](size_t ord) {
-      size_t rel = RelOfOrdinal(rels, ord);
-      return std::find(members.begin(), members.end(), rel) != members.end();
+      return is_member(RelOfOrdinal(rels, ord));
     };
     // The key link maps component rows back to driving keys.
     size_t link_ord = SIZE_MAX;
@@ -419,13 +443,7 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
       // materialization cost per iteration).
       std::vector<size_t> touched = TouchedRels(*c.expr, rels);
       if (touched.empty()) continue;
-      bool all_in = true;
-      for (size_t t : touched) {
-        if (std::find(members.begin(), members.end(), t) == members.end()) {
-          all_in = false;
-        }
-      }
-      if (!all_in) continue;
+      if (!std::all_of(touched.begin(), touched.end(), is_member)) continue;
       BoundExprPtr clone = c.expr->Clone();
       clone->RemapColumns(mapping);
       kept.push_back(std::move(clone));

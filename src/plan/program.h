@@ -85,7 +85,11 @@ struct Step {
   std::string source;
   size_t key_col = 0;       ///< kMergeUpdate / kComputeDelta key ordinal
 
-  int loop_id = 0;          ///< kInitLoop / kLoopCheck
+  int loop_id = 0;          ///< kInitLoop / kLoopCheck, and the loop whose
+                            ///< CTE a kRename / kMergeUpdate /
+                            ///< kComputeDelta writes or diffs; on a
+                            ///< kMaterialize, the loop whose affected-key
+                            ///< set it binds (semi-naive iteration)
   LoopSpec loop;            ///< kInitLoop (and echoed on kLoopCheck)
   int jump_to_id = 0;       ///< kLoopCheck: body start step id;
                             ///< kInitLoop: loop-check id to skip past when

@@ -419,6 +419,7 @@ Status ApplyDeltaIterationRewrite(Program* program,
     Step s;  // 3b: the keys whose recomputation could differ this iteration
     s.kind = Step::Kind::kMaterialize;
     s.id = program->NewId();
+    s.loop_id = loop_id;  // also bound as the loop's indexed key set
     s.target = affected_name;
     s.plan = std::move(affected_plan);
     s.comment = "materialize affected keys into '" + affected_name + "'";

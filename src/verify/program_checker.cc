@@ -131,6 +131,8 @@ StepIO ComputeStepIO(const Step& step) {
       }
       break;
     case Step::Kind::kComputeDelta:
+      // The write record and the previous iteration's affected keys it
+      // may diff by live in the loop state, not in the registry.
       io.reads.push_back(source);
       io.binds.push_back(target);
       break;

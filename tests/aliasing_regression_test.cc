@@ -1,7 +1,8 @@
 // Regression tests for table-aliasing and delta-count bugs: registry
 // TablePtrs are shared (snapshots, renames, cached build sides), so every
-// mutation path must copy-on-write, and CountChangedRows must stay correct
-// when duplicate keys make the matched-row count exceed the prev row count.
+// mutation path must copy-on-write, and the UNTIL DELTA count (DiffVersions)
+// must stay correct when duplicate keys make the matched-row count exceed
+// the prev row count.
 
 #include <gtest/gtest.h>
 
@@ -101,11 +102,11 @@ TEST(CountChangedRowsTest, DuplicateCurrentKeysDoNotWrap) {
   auto cur = MakeKV({{1, 10.0}, {1, 10.0}, {2, 25.0}});
   // Key 1 rows are byte-identical to prev (twice); only key 2's value
   // changed. Every prev row was matched, so nothing disappeared.
-  EXPECT_EQ(CountChangedRows(*prev, *cur, 0), 1);
+  EXPECT_EQ(DiffVersions(*prev, *cur, 0).count, 1);
 
   // All-duplicates, no value change: zero changes, not a wrapped count.
   auto dup_only = MakeKV({{1, 10.0}, {1, 10.0}, {2, 20.0}, {2, 20.0}});
-  EXPECT_EQ(CountChangedRows(*prev, *dup_only, 0), 0);
+  EXPECT_EQ(DiffVersions(*prev, *dup_only, 0).count, 0);
 }
 
 // A key held by several rows: each current row is compared with every
@@ -113,15 +114,15 @@ TEST(CountChangedRowsTest, DuplicateCurrentKeysDoNotWrap) {
 // itself has no changes.
 TEST(CountChangedRowsTest, DuplicatePreviousKeysMatchAnyRowOfTheKey) {
   auto t = MakeKV({{1, 1.0}, {1, 2.0}, {2, 5.0}});
-  EXPECT_EQ(CountChangedRows(*t, *t, 0), 0);
+  EXPECT_EQ(DiffVersions(*t, *t, 0).count, 0);
   // One row of key 1 changed; the other still matches. Key 2 is gone.
   auto cur = MakeKV({{1, 1.0}, {1, 3.0}});
-  EXPECT_EQ(CountChangedRows(*t, *cur, 0), 2);
+  EXPECT_EQ(DiffVersions(*t, *cur, 0).count, 2);
 }
 
 // A DELTA-terminated loop whose body appends into the watched CTE: if the
 // append grew the table in place, the loop state's `previous` snapshot
-// would alias the CTE table, so CountChangedRows would compare the table
+// would alias the CTE table, so the DELTA count would compare the table
 // against itself and terminate after one iteration.
 TEST(DeltaLessAliasingTest, AppendBodyIteratesUntilQuiescent) {
   Env env;

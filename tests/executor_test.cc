@@ -55,7 +55,7 @@ struct Env {
 TEST(MergeUpdateTest, MatchedRowsTakeWorkingValues) {
   auto cte = MakeKV({{1, 1.0}, {2, 2.0}, {3, 3.0}});
   auto working = MakeKV({{2, 20.0}, {3, 3.0}});
-  auto result = MergeUpdateTables(*cte, *working, 0);
+  auto result = MergeUpdateTables(cte, *working, 0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->merged->num_rows(), 3u);
   // Only key 2 actually changed (key 3 got identical values).
@@ -67,7 +67,7 @@ TEST(MergeUpdateTest, MatchedRowsTakeWorkingValues) {
 TEST(MergeUpdateTest, WorkingKeysNotInCteAreIgnored) {
   auto cte = MakeKV({{1, 1.0}});
   auto working = MakeKV({{9, 9.0}});
-  auto result = MergeUpdateTables(*cte, *working, 0);
+  auto result = MergeUpdateTables(cte, *working, 0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->merged->num_rows(), 1u);
   EXPECT_EQ(result->updated_rows, 0);
@@ -76,7 +76,7 @@ TEST(MergeUpdateTest, WorkingKeysNotInCteAreIgnored) {
 TEST(MergeUpdateTest, DuplicateKeyFails) {
   auto cte = MakeKV({{1, 1.0}});
   auto working = MakeKV({{1, 2.0}, {1, 3.0}});
-  auto result = MergeUpdateTables(*cte, *working, 0);
+  auto result = MergeUpdateTables(cte, *working, 0);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
 }
@@ -85,8 +85,8 @@ TEST(MergeUpdateTest, CountChangedRows) {
   auto prev = MakeKV({{1, 1.0}, {2, 2.0}, {3, 3.0}});
   auto cur = MakeKV({{1, 1.0}, {2, 9.0}, {4, 4.0}});
   // key 2 changed, key 4 new, key 3 disappeared => 3 changes.
-  EXPECT_EQ(CountChangedRows(*prev, *cur, 0), 3);
-  EXPECT_EQ(CountChangedRows(*prev, *prev, 0), 0);
+  EXPECT_EQ(DiffVersions(*prev, *cur, 0).count, 3);
+  EXPECT_EQ(DiffVersions(*prev, *prev, 0).count, 0);
 }
 
 TEST(ProgramExecutorTest, JumpLoopRunsBodyNTimes) {

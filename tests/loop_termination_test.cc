@@ -130,6 +130,30 @@ TEST(LoopTerminationTest, DeltaTerminationStopsWithDuplicatedKey) {
   EXPECT_EQ(result->stats.loop_iterations, 1);
 }
 
+// Iteration 1 turns key 1's rows {(1,1),(1,2)} into {(1,1),(1,1)}: every
+// current row still equals a previous row, but (1,2) equals no current row,
+// so the change counts 1 and the loop runs a second, unchanging iteration
+// before DELTA < 1 stops it. With and without the delta rewrite.
+TEST(LoopTerminationTest, DeltaTerminationCountsDroppedRowOfDuplicatedKey) {
+  for (bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta on" : "delta off");
+    Database db;
+    db.options().optimizer.enable_delta_iteration = delta;
+    db.options().max_iterations_guard = 10;
+    MustExecute(&db, "CREATE TABLE t (k BIGINT, v BIGINT)");
+    MustExecute(&db, "INSERT INTO t VALUES (1, 1), (1, 2), (2, 5)");
+    auto result = db.Execute(
+        "WITH ITERATIVE r (k, v) AS (SELECT k, v FROM t "
+        "ITERATE SELECT k, CASE WHEN k = 1 THEN 1 ELSE v END FROM r "
+        "UNTIL DELTA < 1) SELECT k, v FROM r ORDER BY k, v");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.loop_iterations, 2);
+    ASSERT_EQ(result->table->num_rows(), 3u);
+    EXPECT_EQ(result->table->GetValue(1, 1).int64_value(), 1);
+    EXPECT_EQ(result->table->GetValue(2, 1).int64_value(), 5);
+  }
+}
+
 TEST(LoopTerminationTest, DeltaTerminationConvergesOnceValuesSettle) {
   Database db;
   LoadBase(&db);
