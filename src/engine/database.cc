@@ -36,7 +36,12 @@ namespace {
 /// `proc_dblp` and from ~6,100 to ~280 on `cte_pokec_w4`, and no
 /// workload's peak RSS rose by more than 0.2%. Mapping from 1 MiB instead
 /// re-faulted the indexes over `sql_ops`' 100k-row tables on every query;
-/// from 4 MiB, it raised `cte_pokec_w4` peak RSS by ~5%.
+/// from 4 MiB, it raised `cte_pokec_w4` peak RSS by ~5%. Re-measured once
+/// hash probes no longer built a table per chunk (two 8 s runs a side):
+/// without the pinning, minor faults a round rose from ~23 to ~615 on
+/// `cte_dblp`, ~18 to ~720 on `proc_dblp` and ~87 to ~565 on
+/// `cte_pokec_w4`, and `sql_ops` peak RSS from 32.9 to 35.2 MB, so it
+/// stays.
 void PinAllocatorThresholds() {
 #if defined(__GLIBC__)
   static const bool pinned = [] {

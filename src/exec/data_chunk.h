@@ -1,17 +1,27 @@
-// DataChunk: a morsel-sized view over a materialized table.
+// DataChunk: a morsel-sized set of column views.
 //
 // The vectorized pipeline executor (exec/pipeline.cc, DESIGN.md §11) never
-// copies rows between streaming operators. A chunk is a shared TablePtr plus
-// either a contiguous row window or an absolute selection vector; filters
-// and semi-joins refine the selection in place, projections and probes swap
-// in a new dense base. Rows are copied exactly once, at the pipeline sink
-// (or at a pipeline breaker), via the batch Append* paths of ColumnVector.
+// copies rows between streaming operators. A chunk column is a base
+// ColumnVector read through the row set of its *source*: a contiguous
+// window or a list of row ids. Columns that come from one source share its
+// row set, as in DuckDB's dictionary vectors. A row id of kNoMatch, which
+// only a LEFT probe's padding emits, reads as NULL.
 //
-// A projection or probe emits only its live columns: the ones a later
-// stage or the sink reads. Its base is a table of just those columns, and
-// the stages above it read them through ordinals remapped when the
-// pipeline is compiled, so a chunk's column c is not necessarily column c
-// of the operator's output schema.
+// Filters and delta restricts refine every source's rows by position. A
+// hash probe composes each left source's rows with its pair list (one
+// uint32 gather per source, not one per column) and adds the build table,
+// read through the pair list's build rows, as a new source. A project
+// passes a plain column reference through as the same view and evaluates
+// every other output into a dense column. Rows are copied only where they
+// are kept: at the materialize sink, via the batch Append* paths of
+// ColumnVector.
+//
+// A chunk holds only its live columns: the ones a later stage or the sink
+// reads (DESIGN.md §11, "Live columns"). The stages above a probe or
+// project read them through ordinals remapped when the pipeline is
+// compiled, so a chunk's column c is not necessarily column c of the
+// operator's output schema. The chunk carries its own row count, so it may
+// hold no column at all (a COUNT(*) above a probe).
 
 #pragma once
 
@@ -23,64 +33,87 @@
 
 namespace dbspinner {
 
-/// A view of `size()` rows of a backing table. Cheap to copy when
-/// contiguous; the selection vector moves with the chunk otherwise.
 class DataChunk {
  public:
   DataChunk() = default;
 
-  /// Contiguous window [begin, begin + count) over `base`.
-  DataChunk(TablePtr base, size_t begin, size_t count)
-      : base_(std::move(base)),
-        begin_(static_cast<uint32_t>(begin)),
-        count_(static_cast<uint32_t>(count)) {}
+  /// Every column of `base`, over the rows [begin, begin + count).
+  DataChunk(TablePtr base, size_t begin, size_t count);
 
-  const TablePtr& base() const { return base_; }
-  const Table& table() const { return *base_; }
+  /// A chunk of `size` rows with no source and no column yet.
+  explicit DataChunk(size_t size) : size_(size) {}
 
-  size_t size() const { return has_sel_ ? sel_.size() : count_; }
-  bool empty() const { return size() == 0; }
-  bool contiguous() const { return !has_sel_; }
-  uint32_t begin() const { return begin_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  /// Absolute base-table row id at chunk position `i`.
-  uint32_t RowAt(size_t i) const {
-    return has_sel_ ? sel_[i] : begin_ + static_cast<uint32_t>(i);
+  /// Column c's base column; position i reads its row rows(c).RowAt(i).
+  const ColumnVector& column(size_t c) const { return *columns_[c].data; }
+  const ColumnVectorPtr& column_ptr(size_t c) const {
+    return columns_[c].data;
   }
+  /// The source column c reads through.
+  size_t source(size_t c) const { return columns_[c].source; }
+  RowSet rows(size_t c) const { return source_rows(columns_[c].source); }
 
-  /// The absolute selection (valid only when !contiguous()).
-  const std::vector<uint32_t>& selection() const { return sel_; }
+  size_t num_sources() const { return sources_.size(); }
+  RowSet source_rows(size_t s) const;
 
-  /// The chunk's rows of base(), for the expression evaluator (valid
-  /// until the selection changes).
-  RowSet rows() const {
-    return has_sel_ ? RowSet::Of(sel_) : RowSet::Window(begin_, count_);
-  }
+  /// Every column through its own rows, for the expression evaluator
+  /// (valid until the chunk changes).
+  EvalInput Input() const;
 
-  /// Replaces the view with an absolute selection into base().
-  void SetSelection(std::vector<uint32_t> sel) {
-    sel_ = std::move(sel);
-    has_sel_ = true;
-  }
+  /// Adds a source reading the window [begin, begin + size()); returns its
+  /// index.
+  size_t AddWindow(uint32_t begin);
+  /// Adds a source reading the row ids `ids` (size() of them; `padded`
+  /// when some may be kNoMatch); returns its index.
+  size_t AddList(std::vector<uint32_t> ids, bool padded);
+  /// Moves source `s` of `from`, a chunk of the same size, into this one
+  /// and returns its index here. `from` must not read it afterwards.
+  size_t TakeSource(DataChunk* from, size_t s);
+  /// Adds a column reading `data` through source `source`.
+  void AddColumn(ColumnVectorPtr data, size_t source);
 
-  /// Keeps only the given positions (indices into the *current* view, in
-  /// increasing order), refining the selection in place.
+  /// Keeps only the given positions (indices into the *current* rows, in
+  /// increasing order), refining every source's rows in place.
   void Restrict(const std::vector<uint32_t>& positions);
 
-  /// Dense copy of the chunk's rows (base schema), using the batch
-  /// range/gather column paths.
-  TablePtr Materialize() const;
-
-  /// Appends the chunk's rows to `out` — one accumulator per base column,
-  /// types already matching. This is the pipeline sink's copy.
+  /// Appends the chunk's rows to `out`, one accumulator per column (the
+  /// pipeline sink's copy; a kNoMatch row appends NULL).
   void AppendTo(std::vector<ColumnVectorPtr>* out) const;
 
+  /// Column c's rows copied into a new dense column of its type.
+  ColumnVectorPtr Dense(size_t c) const;
+
+  /// The chunk's rows as a table of `schema` (one column per chunk
+  /// column): the viewed table itself when WholeBase() is set, a table
+  /// sharing the base columns when every column reads all of its base in
+  /// order, else a dense copy.
+  TablePtr Materialize(const Schema& schema) const;
+
  private:
-  TablePtr base_;
-  uint32_t begin_ = 0;
-  uint32_t count_ = 0;
-  bool has_sel_ = false;
-  std::vector<uint32_t> sel_;
+  /// The table a chunk made from one (first constructor) views, while the
+  /// view is still that whole table, unchanged: every column, in order,
+  /// over every row. Null otherwise.
+  TablePtr WholeBase() const;
+  /// Appends column c's rows to `out`.
+  void AppendColumn(size_t c, ColumnVector* out) const;
+
+  struct Source {
+    uint32_t begin = 0;  ///< window start, when not listed
+    bool listed = false;
+    bool padded = false;        ///< ids may hold kNoMatch
+    std::vector<uint32_t> ids;  ///< when listed
+  };
+  struct Column {
+    ColumnVectorPtr data;
+    uint32_t source = 0;
+  };
+
+  TablePtr base_;  ///< the table a chunk made from one views
+  size_t size_ = 0;
+  std::vector<Source> sources_;
+  std::vector<Column> columns_;
 };
 
 /// Splits `table` into contiguous chunks of at most `morsel_size` rows

@@ -12,14 +12,24 @@ namespace dbspinner {
 
 size_t PhysicalDeltaRestrict::Restrict(DataChunk* chunk, size_t chunk_key,
                                        const RowIndex& keys) const {
-  const KeyColumns in_keys{&chunk->table().column(chunk_key)};
-  RowIndex scratch;
-  const RowIndex& set_index = keys.Fit(in_keys, &scratch);
-  size_t n = chunk->size();
+  // The key read in place, or, when NULL padding may read through it,
+  // gathered densely: the set matches a NULL key only if it holds NULL.
+  const size_t n = chunk->size();
+  RowSet rows = chunk->rows(chunk_key);
+  ColumnVectorPtr dense;
+  const ColumnVector* key = &chunk->column(chunk_key);
+  if (rows.padded) {
+    dense = chunk->Dense(chunk_key);
+    key = dense.get();
+    rows = RowSet::Window(0, n);
+  }
+  thread_local std::vector<uint32_t> heads;
+  heads.resize(n);
+  keys.FindAll(KeyColumns{key}, rows, heads.data());
   std::vector<uint32_t> keep;
   keep.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    bool in_set = set_index.Find(in_keys, chunk->RowAt(i)) != kNoMatch;
+    bool in_set = heads[i] != kNoMatch;
     if (in_set == keep_matching_) keep.push_back(static_cast<uint32_t>(i));
   }
   if (keep.size() != n) chunk->Restrict(keep);

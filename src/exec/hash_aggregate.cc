@@ -1,6 +1,7 @@
 #include "exec/hash_aggregate.h"
 
 #include <cmath>
+#include <optional>
 #include <type_traits>
 
 namespace dbspinner {
@@ -9,35 +10,32 @@ namespace {
 
 using AggColumn = GroupedAggregator::AggColumn;
 
-/// One input column of a chunk: chunk position i is row sel[i] of `col`,
-/// or row begin + i when there is no selection.
+/// One input column of a chunk: chunk position i is row rows.RowAt(i) of
+/// `col`, and a kNoMatch row of padded rows is NULL.
 struct Input {
   const ColumnVector* col = nullptr;
-  const uint32_t* sel = nullptr;
-  uint32_t begin = 0;
+  RowSet rows;
 };
 
-/// Position i of `chunk` in one of its base columns.
-Input BaseInput(const DataChunk& chunk, size_t column) {
-  return Input{&chunk.table().column(column),
-               chunk.contiguous() ? nullptr : chunk.selection().data(),
-               chunk.contiguous() ? chunk.begin() : 0};
+/// A chunk column read in place.
+Input ChunkInput(const DataChunk& chunk, size_t column) {
+  return Input{&chunk.column(column), chunk.rows(column)};
 }
 
-/// A plain reference to a base column of the expression's own type: read
+/// A plain reference to a chunk column of the expression's own type: read
 /// in place.
-bool IsBaseColumn(const BoundExpr& expr, const DataChunk& chunk) {
+bool IsChunkColumn(const BoundExpr& expr, const DataChunk& chunk) {
   return expr.kind == BoundExprKind::kColumnRef &&
-         chunk.table().column(expr.column_index).type() == expr.type;
+         chunk.column(expr.column_index).type() == expr.type;
 }
 
 /// Calls fn(i, row) for every chunk position i with its row in `in`.
 template <typename Fn>
 void ForEachRow(const Input& in, size_t n, Fn&& fn) {
-  if (in.sel != nullptr) {
-    for (size_t i = 0; i < n; ++i) fn(i, in.sel[i]);
+  if (in.rows.sel != nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i, in.rows.sel[i]);
   } else {
-    for (uint32_t i = 0; i < n; ++i) fn(i, in.begin + i);
+    for (uint32_t i = 0; i < n; ++i) fn(i, in.rows.begin + i);
   }
 }
 
@@ -47,6 +45,12 @@ template <typename Fn>
 void ForEachValue(const Input& in, const std::vector<uint32_t>& gids,
                   Fn&& fn) {
   const uint8_t* nulls = in.col->nulls().data();
+  if (in.rows.padded) {
+    ForEachRow(in, gids.size(), [&](size_t i, uint32_t r) {
+      if (r != kNoMatch && !nulls[r]) fn(gids[i], r);
+    });
+    return;
+  }
   ForEachRow(in, gids.size(), [&](size_t i, uint32_t r) {
     if (!nulls[r]) fn(gids[i], r);
   });
@@ -428,24 +432,31 @@ Result<bool> GroupedAggregator::Fold(const DataChunk& chunk, bool retract) {
 
   // Computed keys and arguments are evaluated over the chunk's rows into
   // dense columns, which `evaluated` keeps alive.
-  const EvalInput in(chunk.table(), chunk.rows());
+  std::optional<EvalInput> input;
   std::vector<ColumnVectorPtr> evaluated;
   auto evaluate = [&](const CompiledExpr& expr) -> Result<Input> {
-    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col, expr.Evaluate(in));
+    if (!input) input.emplace(chunk.Input());
+    DBSP_ASSIGN_OR_RETURN(ColumnVectorPtr col, expr.Evaluate(*input));
     evaluated.push_back(col);
-    return Input{col.get(), nullptr, 0};
+    return Input{col.get(), RowSet::Window(0, n)};
   };
   auto resolve = [&](const BoundExpr& expr,
                      const CompiledExpr& compiled) -> Result<Input> {
-    if (IsBaseColumn(expr, chunk)) return BaseInput(chunk, expr.column_index);
+    if (IsChunkColumn(expr, chunk)) return ChunkInput(chunk, expr.column_index);
     return evaluate(compiled);
   };
 
   gids_.assign(n, 0);
   if (ng > 0) {
-    // The keys share one row mapping: all base columns, or all evaluated.
+    // The keys share one row mapping: all chunk columns of one source
+    // without padding, or all evaluated.
     bool all_base = true;
-    for (const auto& g : *group_exprs_) all_base &= IsBaseColumn(*g, chunk);
+    for (const auto& g : *group_exprs_) {
+      all_base = all_base && IsChunkColumn(*g, chunk) &&
+                 chunk.source(g->column_index) ==
+                     chunk.source((*group_exprs_)[0]->column_index) &&
+                 !chunk.rows(g->column_index).padded;
+    }
     KeyColumns keys;
     Input rows;
     for (size_t k = 0; k < ng; ++k) {

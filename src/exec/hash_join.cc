@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <numeric>
 #include <optional>
 
 #include "exec/physical_plan.h"
@@ -21,32 +20,100 @@ std::string PhysicalHashJoin::Describe() const {
 
 namespace {
 
-// The join rows for the row pairs (lrows[i], rrows[i]), restricted to the
-// ordinals `cols` (ascending) of `join_schema` = [left ++ right], as a
-// table of `schema`. Left ordinal c reads column chunk_col[c] of `left`
-// (chunk_col has one entry per left ordinal) and keeps its type; a right
-// one is typed as `join_schema`, and a right row of kNoMatch emits NULLs
-// (left-outer padding). Every join's output is gathered here, column by
-// column.
-TablePtr BuildJoinOutput(const Schema& join_schema, const Schema& schema,
-                         const std::vector<size_t>& cols,
-                         const std::vector<size_t>& chunk_col,
-                         const Table& left, const Table& right,
+// The join rows for the row pairs (lrows[i], rrows[i]) of `left` and
+// `right`, as a dense table of `schema` = [left ++ right]; a right row of
+// kNoMatch emits NULLs (left-outer padding). The nested-loop join's
+// output; a hash probe emits views instead (PhysicalHashJoin::Probe).
+TablePtr BuildJoinOutput(const Schema& schema, const Table& left,
+                         const Table& right,
                          const std::vector<uint32_t>& lrows,
                          const std::vector<uint32_t>& rrows) {
-  const size_t ln = chunk_col.size();
+  const size_t ln = left.num_columns();
   std::vector<ColumnVectorPtr> out;
-  out.reserve(cols.size());
-  for (size_t c : cols) {
+  out.reserve(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (c < ln) {
-      out.push_back(left.column(chunk_col[c]).Gather(lrows));
+      out.push_back(left.column(c).Gather(lrows));
       continue;
     }
-    auto col = std::make_shared<ColumnVector>(join_schema.column(c).type);
+    auto col = std::make_shared<ColumnVector>(schema.column(c).type);
     col->AppendGathered(right.column(c - ln), rrows);
     out.push_back(std::move(col));
   }
   return Table::FromColumns(schema, std::move(out));
+}
+
+// The probe keys of `chunk` (its columns `cols`), all read at the rows
+// `*rows`: in place when they share one source, else gathered into
+// `*dense`, which keeps them alive.
+KeyColumns ProbeKeys(const DataChunk& chunk, const std::vector<size_t>& cols,
+                     RowSet* rows, std::vector<ColumnVectorPtr>* dense) {
+  KeyColumns keys;
+  bool shared = true;
+  for (size_t c : cols) shared &= chunk.source(c) == chunk.source(cols[0]);
+  if (shared) {
+    for (size_t c : cols) keys.push_back(&chunk.column(c));
+    *rows = chunk.rows(cols[0]);
+    return keys;
+  }
+  for (size_t c : cols) {
+    dense->push_back(chunk.Dense(c));
+    keys.push_back(dense->back().get());
+  }
+  *rows = RowSet::Window(0, chunk.size());
+  return keys;
+}
+
+// The chunk of the pairs (chunk position lpos[k], build row rrows[k]) with
+// the output ordinals `cols` of [left ++ right]. Left ordinal c reads
+// chunk column chunk_col[c] through its source's rows composed with
+// `lpos`, once per source; a right one reads `right` through `rrows`
+// (`padded` when some are kNoMatch).
+DataChunk EmitPairs(const DataChunk& chunk, const Table& right,
+                    const std::vector<size_t>& cols,
+                    const std::vector<size_t>& chunk_col,
+                    std::vector<uint32_t> lpos, std::vector<uint32_t> rrows,
+                    bool padded) {
+  const size_t ln = chunk_col.size();
+  DataChunk out(lpos.size());
+  // The left sources the output reads, in first-use order; the last one
+  // is composed in place in `lpos`.
+  std::vector<size_t> used;
+  for (size_t c : cols) {
+    if (c >= ln) continue;
+    const size_t s = chunk.source(chunk_col[c]);
+    if (std::find(used.begin(), used.end(), s) == used.end()) {
+      used.push_back(s);
+    }
+  }
+  constexpr size_t kUnset = static_cast<size_t>(-1);
+  std::vector<size_t> out_source(chunk.num_sources(), kUnset);
+  for (size_t u = 0; u < used.size(); ++u) {
+    const RowSet in = chunk.source_rows(used[u]);
+    const bool last = u + 1 == used.size();
+    std::vector<uint32_t> ids =
+        last ? std::move(lpos) : std::vector<uint32_t>(lpos.size());
+    const uint32_t* pos = last ? ids.data() : lpos.data();
+    if (in.sel != nullptr) {
+      for (size_t k = 0; k < ids.size(); ++k) ids[k] = in.sel[pos[k]];
+    } else {
+      for (size_t k = 0; k < ids.size(); ++k) ids[k] = in.begin + pos[k];
+    }
+    out_source[used[u]] = out.AddList(std::move(ids), in.padded);
+  }
+  size_t right_source = kUnset;
+  for (size_t c : cols) {
+    if (c < ln) {
+      out.AddColumn(chunk.column_ptr(chunk_col[c]),
+                    out_source[chunk.source(chunk_col[c])]);
+      continue;
+    }
+    if (right_source == kUnset) {
+      right_source = out.AddList(std::move(rrows), padded);
+    }
+    out.AddColumn(right.column_ptr(c - ln), right_source);
+  }
+  return out;
 }
 
 }  // namespace
@@ -57,7 +124,6 @@ PhysicalHashJoin::ProbePlan PhysicalHashJoin::PlanProbe(
   plan.chunk_keys.reserve(left_keys_.size());
   for (size_t k : left_keys_) plan.chunk_keys.push_back(chunk_col[k]);
   plan.chunk_col = std::move(chunk_col);
-  plan.out_schema = output_schema_.Select(out_cols);
   plan.out_cols = std::move(out_cols);
   if (residual_) {
     std::vector<size_t> refs;
@@ -69,7 +135,6 @@ PhysicalHashJoin::ProbePlan PhysicalHashJoin::PlanProbe(
     plan.residual = residual_->Clone();
     plan.residual->RemapColumns(to_residual);
     plan.residual_eval.emplace(*plan.residual);
-    plan.residual_schema = output_schema_.Select(refs);
     plan.residual_cols = std::move(refs);
   }
   return plan;
@@ -77,65 +142,83 @@ PhysicalHashJoin::ProbePlan PhysicalHashJoin::PlanProbe(
 
 Result<DataChunk> PhysicalHashJoin::Probe(const DataChunk& chunk,
                                           const Table& right,
-                                          const RowIndex& index,
+                                          const RowIndex& build,
                                           const ProbePlan& plan) const {
-  const Table& left = chunk.table();
-  const KeyColumns lkeys = KeyColumnsOf(left, plan.chunk_keys);
-  RowIndex scratch;
-  const RowIndex& build = index.Fit(lkeys, &scratch);
-  size_t n = chunk.size();
-
-  // Candidate pairs. For LEFT OUTER, lpos[i] is the chunk position of pair
-  // i's probe row; a probe row lives in exactly one chunk, so chunk-local
-  // tracking of unmatched rows equals a global scan.
+  const size_t n = chunk.size();
   const bool left_outer = type_ == JoinType::kLeft;
-  std::vector<uint32_t> lrows, rrows, lpos;
-  lrows.reserve(n);
+
+  // Every probe row's group head, for the whole chunk at once.
+  RowSet key_rows;
+  std::vector<ColumnVectorPtr> dense_keys;
+  const KeyColumns keys =
+      ProbeKeys(chunk, plan.chunk_keys, &key_rows, &dense_keys);
+  thread_local std::vector<uint32_t> heads;
+  heads.resize(n);
+  build.FindAll(keys, key_rows, heads.data());
+
+  // The pairs in probe-row order, each row's matches in chain order. A
+  // LEFT probe without a residual pads its unmatched rows after them in
+  // the same pass.
+  const bool pad = left_outer && !plan.residual_eval;
+  std::vector<uint32_t> lpos;
+  std::vector<uint32_t> rrows;
+  lpos.reserve(n);
   rrows.reserve(n);
+  thread_local std::vector<uint32_t> unmatched;
+  unmatched.clear();
   for (size_t i = 0; i < n; ++i) {
-    uint32_t row = chunk.RowAt(i);
-    for (uint32_t r = build.Find(lkeys, row); r != kNoMatch;
-         r = build.Next(r)) {
-      lrows.push_back(row);
+    uint32_t r = heads[i];
+    if (r == kNoMatch) {
+      if (pad) unmatched.push_back(static_cast<uint32_t>(i));
+      continue;
+    }
+    do {
+      lpos.push_back(static_cast<uint32_t>(i));
       rrows.push_back(r);
-      if (left_outer) lpos.push_back(static_cast<uint32_t>(i));
-    }
+      r = build.Next(r);
+    } while (r != kNoMatch);
+  }
+  if (!unmatched.empty()) {
+    lpos.insert(lpos.end(), unmatched.begin(), unmatched.end());
+    rrows.resize(lpos.size(), kNoMatch);
+  }
+  if (!plan.residual_eval) {
+    return EmitPairs(chunk, right, plan.out_cols, plan.chunk_col,
+                     std::move(lpos), std::move(rrows), !unmatched.empty());
   }
 
-  // The residual filters the candidate pairs, reading only its own
-  // columns; the kept pairs move to the front of lrows/rrows.
-  if (plan.residual_eval) {
-    TablePtr candidates = BuildJoinOutput(
-        output_schema_, plan.residual_schema, plan.residual_cols,
-        plan.chunk_col, left, right, lrows, rrows);
-    std::vector<uint32_t> sel;
-    DBSP_RETURN_NOT_OK(plan.residual_eval->Filter(
-        EvalInput(*candidates, RowSet::Window(0, candidates->num_rows())),
-        &sel));
-    for (size_t k = 0; k < sel.size(); ++k) {
-      lrows[k] = lrows[sel[k]];
-      rrows[k] = rrows[sel[k]];
-      if (left_outer) lpos[k] = lpos[sel[k]];
-    }
-    lrows.resize(sel.size());
-    rrows.resize(sel.size());
-    if (left_outer) lpos.resize(sel.size());
+  // The residual reads its own columns through the candidate pairs; the
+  // kept pairs move to the front of lpos/rrows.
+  std::vector<uint32_t> keep;
+  DBSP_RETURN_NOT_OK(plan.residual_eval->Filter(
+      EmitPairs(chunk, right, plan.residual_cols, plan.chunk_col, lpos, rrows,
+                false)
+          .Input(),
+      &keep));
+  for (size_t k = 0; k < keep.size(); ++k) {
+    lpos[k] = lpos[keep[k]];
+    rrows[k] = rrows[keep[k]];
   }
+  lpos.resize(keep.size());
+  rrows.resize(keep.size());
 
-  // LEFT OUTER: NULL-padded rows for the probe rows no pair kept.
+  // LEFT OUTER: the probe rows no pair kept, NULL-padded after the pairs.
+  // Kept pairs ascend by probe row.
+  bool padded = false;
   if (left_outer) {
-    std::vector<uint8_t> matched(n, 0);
-    for (uint32_t p : lpos) matched[p] = 1;
-    for (size_t i = 0; i < n; ++i) {
-      if (matched[i]) continue;
-      lrows.push_back(chunk.RowAt(i));
+    const size_t kept = lpos.size();
+    for (size_t i = 0, k = 0; i < n; ++i) {
+      if (k < kept && lpos[k] == i) {
+        while (k < kept && lpos[k] == i) ++k;
+        continue;
+      }
+      lpos.push_back(static_cast<uint32_t>(i));
       rrows.push_back(kNoMatch);
+      padded = true;
     }
   }
-  TablePtr out =
-      BuildJoinOutput(output_schema_, plan.out_schema, plan.out_cols,
-                      plan.chunk_col, left, right, lrows, rrows);
-  return DataChunk(out, 0, out->num_rows());
+  return EmitPairs(chunk, right, plan.out_cols, plan.chunk_col,
+                   std::move(lpos), std::move(rrows), padded);
 }
 
 std::shared_ptr<const RowIndex> PhysicalHashJoin::GetOrBuildHash(
@@ -192,12 +275,7 @@ Result<TablePtr> PhysicalNestedLoopJoin::Execute(ExecContext& ctx) const {
     lrows.insert(lrows.end(), unmatched.begin(), unmatched.end());
     rrows.insert(rrows.end(), unmatched.size(), kNoMatch);
   }
-  std::vector<size_t> cols(output_schema_.num_columns());
-  std::iota(cols.begin(), cols.end(), size_t{0});
-  const std::vector<size_t> left_cols(cols.begin(),
-                                      cols.begin() + left->num_columns());
-  TablePtr out = BuildJoinOutput(output_schema_, output_schema_, cols,
-                                 left_cols, *left, *right, lrows, rrows);
+  TablePtr out = BuildJoinOutput(output_schema_, *left, *right, lrows, rrows);
   ctx.stats.rows_materialized += static_cast<int64_t>(out->num_rows());
   return out;
 }

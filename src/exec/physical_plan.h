@@ -284,9 +284,7 @@ class PhysicalHashJoin final : public PhysicalOp {
     std::vector<size_t> chunk_col;      ///< left ordinal -> input chunk column
     std::vector<size_t> chunk_keys;     ///< input chunk columns of the keys
     std::vector<size_t> out_cols;       ///< ordinals emitted, ascending
-    Schema out_schema;                  ///< the output chunk's schema
     std::vector<size_t> residual_cols;  ///< ordinals the residual reads
-    Schema residual_schema;
     BoundExprPtr residual;  ///< residual(), over residual_cols; may be null
     std::optional<CompiledExpr> residual_eval;
   };
@@ -298,11 +296,14 @@ class PhysicalHashJoin final : public PhysicalOp {
                       std::vector<size_t> out_cols) const;
 
   /// Joins the probe rows of `chunk` with the build side `right`, indexed
-  /// by `index`: the matching pairs that pass the residual, then for LEFT
-  /// each unmatched probe row padded with NULLs. Only `plan.out_cols` are
-  /// gathered, once per chunk.
+  /// by `build` for the chunk's key types: the matching pairs that pass
+  /// the residual, in probe-row order and chain order within a row, then
+  /// for LEFT each unmatched probe row padded with NULLs. Copies no
+  /// column: the output chunk views `plan.out_cols`, the left ones through
+  /// their sources' rows composed with the pairs' probe positions, the
+  /// right ones through the pairs' build rows (DESIGN.md §11).
   Result<DataChunk> Probe(const DataChunk& chunk, const Table& right,
-                          const RowIndex& index, const ProbePlan& plan) const;
+                          const RowIndex& build, const ProbePlan& plan) const;
 
  private:
   JoinType type_;
@@ -430,8 +431,9 @@ class PhysicalDeltaRestrict final : public PhysicalOp {
   bool keep_matching() const { return keep_matching_; }
 
   /// Restricts `chunk` to the rows whose key, in chunk column `chunk_key`,
-  /// passes against the key set indexed by `keys`; returns how many were
-  /// kept. The pipeline executor's delta-restrict stage.
+  /// passes against the key set indexed by `keys` (for the key column's
+  /// type); returns how many were kept. The pipeline executor's
+  /// delta-restrict stage.
   size_t Restrict(DataChunk* chunk, size_t chunk_key,
                   const RowIndex& keys) const;
 

@@ -13,15 +13,6 @@ namespace dbspinner {
 
 namespace {
 
-// Key types of columns `cols` under `schema`.
-std::vector<TypeId> SchemaKeyTypes(const Schema& schema,
-                                   const std::vector<size_t>& cols) {
-  std::vector<TypeId> types;
-  types.reserve(cols.size());
-  for (size_t c : cols) types.push_back(schema.column(c).type);
-  return types;
-}
-
 /// One compiled streaming stage of a pipeline. Its expressions are clones
 /// of the operator's, remapped onto the columns of the stage's input chunk.
 struct Stage {
@@ -33,11 +24,15 @@ struct Stage {
   std::unique_ptr<CompiledExpr> filter;
 
   // kProject: the live outputs only, and the schema of the chunk they make.
+  // Output c passes input chunk column pass[c] through, or, when that is
+  // kDead, evaluates projections[c].
   std::vector<BoundExprPtr> exprs;
   std::vector<CompiledExpr> projections;
+  std::vector<size_t> pass;
   Schema schema;
 
-  // kHashProbe: fully materialized build side + shared index.
+  // kHashProbe: fully materialized build side + shared index, indexed for
+  // the input chunk's key types.
   TablePtr right;
   std::shared_ptr<const RowIndex> build;
   PhysicalHashJoin::ProbePlan probe;
@@ -105,16 +100,13 @@ BoundExprPtr Remapped(const BoundExpr& expr,
 /// reads; entry i of the result marks those of chain[i] that a later stage
 /// or the sink reads. A filter adds its predicate's refs to what passes
 /// through it, a delta restrict its key, a project the refs of its live
-/// outputs only, a probe its left keys and residual. A project or probe
-/// builds a new chunk, so it keeps one column even when nothing reads any:
-/// the chunk's columns carry its row count.
+/// outputs only, a probe its left keys and residual.
 std::vector<LiveMask> LiveColumns(const std::vector<const PhysicalOp*>& chain,
                                   LiveMask need) {
   std::vector<LiveMask> live(chain.size());
   for (size_t i = 0; i < chain.size(); ++i) {
     const PhysicalOp* op = chain[i];
     LiveMask reads(op->children()[0]->output_schema().num_columns(), 0);
-    const bool none = std::find(need.begin(), need.end(), 1) == need.end();
     switch (op->pipeline_role()) {
       case PipelineRole::kFilter:
         reads = need;
@@ -126,7 +118,6 @@ std::vector<LiveMask> LiveColumns(const std::vector<const PhysicalOp*>& chain,
         break;
       case PipelineRole::kProject: {
         const auto& exprs = static_cast<const PhysicalProject*>(op)->exprs();
-        if (none && !need.empty()) need[0] = 1;
         for (size_t c = 0; c < exprs.size(); ++c) {
           if (need[c]) MarkRefs(*exprs[c], &reads);
         }
@@ -135,7 +126,6 @@ std::vector<LiveMask> LiveColumns(const std::vector<const PhysicalOp*>& chain,
       case PipelineRole::kHashProbe: {
         const auto* join = static_cast<const PhysicalHashJoin*>(op);
         const std::vector<size_t>& keys = join->left_keys();
-        if (none) need[keys[0]] = 1;
         for (size_t c = 0; c < reads.size(); ++c) reads[c] = need[c];
         for (size_t k : keys) reads[k] = 1;
         if (join->residual() != nullptr) {
@@ -193,25 +183,37 @@ std::shared_ptr<const KeySet> SharedKeySet(const ExecContext& ctx,
   return std::make_shared<const KeySet>(keys, probe_type);
 }
 
+// The types of chunk columns `cols`.
+std::vector<TypeId> TypesOf(const std::vector<TypeId>& types,
+                            const std::vector<size_t>& cols) {
+  std::vector<TypeId> out;
+  out.reserve(cols.size());
+  for (size_t c : cols) out.push_back(types[c]);
+  return out;
+}
+
 // Compiles stages bottom→top. Build sides and key sets materialize here —
 // these are the pipeline's breakers on the non-streaming inputs. All stage
 // state is read-only during execution, so one compiled stage vector is
 // shared by every morsel worker. `need` marks the top's output ordinals
-// the sink reads; a probe or project materializes only the live columns
-// of its output (LiveColumns), and every expression above it is remapped
-// onto that narrower chunk. `*layout` receives the top chunk's ordinal ->
-// column map for the sink's own expressions.
+// the sink reads; a probe or project emits only the live columns of its
+// output (LiveColumns), and every expression above it is remapped onto
+// that narrower chunk. The chunk columns' types are tracked from the
+// `source` table up, so every probe's build and every key set is indexed
+// once, here, for the key types its chunks carry. `*layout` receives the
+// top chunk's ordinal -> column map for the sink's own expressions.
 Result<std::vector<Stage>> CompileStages(
-    const std::vector<const PhysicalOp*>& chain, LiveMask need,
-    ExecContext& ctx, std::vector<size_t>* layout) {
+    const std::vector<const PhysicalOp*>& chain, const Table& source,
+    LiveMask need, ExecContext& ctx, std::vector<size_t>* layout) {
   // The source chunk is the breaker's whole table.
-  const size_t source_width =
-      chain.empty()
-          ? need.size()
-          : chain.back()->children()[0]->output_schema().num_columns();
+  const size_t source_width = source.num_columns();
   const std::vector<LiveMask> live = LiveColumns(chain, std::move(need));
   layout->resize(source_width);
-  for (size_t c = 0; c < source_width; ++c) (*layout)[c] = c;
+  std::vector<TypeId> types(source_width);
+  for (size_t c = 0; c < source_width; ++c) {
+    (*layout)[c] = c;
+    types[c] = source.column(c).type();
+  }
 
   std::vector<Stage> stages(chain.size());
   for (size_t i = 0; i < chain.size(); ++i) {
@@ -230,23 +232,41 @@ Result<std::vector<Stage>> CompileStages(
       case PipelineRole::kProject: {
         const auto& exprs = static_cast<const PhysicalProject*>(op)->exprs();
         std::vector<size_t> cols = LiveOrdinals(live[top_down]);
-        for (size_t c : cols) s.exprs.push_back(Remapped(*exprs[c], *layout));
-        for (const auto& e : s.exprs) s.projections.emplace_back(*e);
         s.schema = op->output_schema().Select(cols);
+        for (size_t k = 0; k < cols.size(); ++k) {
+          s.exprs.push_back(Remapped(*exprs[cols[k]], *layout));
+          const BoundExpr& e = *s.exprs.back();
+          const TypeId type = s.schema.column(k).type;
+          const bool plain = e.kind == BoundExprKind::kColumnRef &&
+                             e.type == type && types[e.column_index] == type;
+          s.pass.push_back(plain ? e.column_index : kDead);
+        }
+        for (const auto& e : s.exprs) s.projections.emplace_back(*e);
         *layout = DenseLayout(cols, width);
+        types.clear();
+        for (size_t k = 0; k < cols.size(); ++k) {
+          types.push_back(s.schema.column(k).type);
+        }
         break;
       }
       case PipelineRole::kHashProbe: {
         const auto* join = static_cast<const PhysicalHashJoin*>(op);
         DBSP_ASSIGN_OR_RETURN(s.right,
                               ExecuteOp(*join->children()[1], ctx));
-        s.build = join->GetOrBuildHash(
-            ctx, s.right,
-            SchemaKeyTypes(join->children()[0]->output_schema(),
-                           join->left_keys()));
         std::vector<size_t> cols = LiveOrdinals(live[top_down]);
         std::vector<size_t> next = DenseLayout(cols, width);
-        s.probe = join->PlanProbe(std::move(*layout), std::move(cols));
+        s.probe = join->PlanProbe(std::move(*layout), cols);
+        s.build = join->GetOrBuildHash(ctx, s.right,
+                                       TypesOf(types, s.probe.chunk_keys));
+        // Left columns keep their chunk types; right ones read the build
+        // table's columns.
+        const size_t ln = s.probe.chunk_col.size();
+        std::vector<TypeId> out_types;
+        for (size_t c : cols) {
+          out_types.push_back(c < ln ? types[s.probe.chunk_col[c]]
+                                     : s.right->column(c - ln).type());
+        }
+        types = std::move(out_types);
         *layout = std::move(next);
         break;
       }
@@ -258,10 +278,8 @@ Result<std::vector<Stage>> CompileStages(
           return Status::Internal("DeltaRestrict key set '" +
                                   dr->delta_source() + "' has no columns");
         }
-        s.keys = SharedKeySet(
-            ctx, keys,
-            dr->children()[0]->output_schema().column(dr->key_col()).type);
         s.key_col = (*layout)[dr->key_col()];
+        s.keys = SharedKeySet(ctx, keys, types[s.key_col]);
         break;
       }
       default:
@@ -271,26 +289,46 @@ Result<std::vector<Stage>> CompileStages(
   return stages;
 }
 
-// Evaluates a projection stage's live outputs over `chunk` into a new
-// dense chunk.
-Result<DataChunk> Project(const Stage& s, const DataChunk& chunk,
-                          ExecStats* stats) {
-  const EvalInput in(chunk.table(), chunk.rows());
-  std::vector<ColumnVectorPtr> cols;
-  cols.reserve(s.projections.size());
+// A projection stage's live outputs over `chunk`: a plain column
+// reference passes its view through (the output takes over the source's
+// rows), and the other outputs evaluate into dense columns of one new
+// source.
+Result<DataChunk> Project(const Stage& s, DataChunk chunk, ExecStats* stats) {
+  const size_t n = chunk.size();
+  std::vector<ColumnVectorPtr> computed(s.projections.size());
+  std::optional<EvalInput> in;
   for (size_t c = 0; c < s.projections.size(); ++c) {
-    DBSP_ASSIGN_OR_RETURN(
-        ColumnVectorPtr col,
-        s.projections[c].Evaluate(in, &stats->kernel_rows_project));
-    if (col->type() != s.schema.column(c).type) {
-      auto cast = std::make_shared<ColumnVector>(s.schema.column(c).type);
-      cast->AppendAll(*col);
-      col = std::move(cast);
+    if (s.pass[c] != kDead) {
+      stats->kernel_rows_project += static_cast<int64_t>(n);
+      continue;
     }
-    cols.push_back(std::move(col));
+    if (!in) in.emplace(chunk.Input());
+    DBSP_ASSIGN_OR_RETURN(
+        computed[c],
+        s.projections[c].Evaluate(*in, &stats->kernel_rows_project));
+    if (computed[c]->type() != s.schema.column(c).type) {
+      auto cast = std::make_shared<ColumnVector>(s.schema.column(c).type);
+      cast->AppendAll(*computed[c]);
+      computed[c] = std::move(cast);
+    }
   }
-  return DataChunk(Table::FromColumns(s.schema, std::move(cols)), 0,
-                   chunk.size());
+  in.reset();
+
+  DataChunk out(n);
+  std::vector<size_t> out_source(chunk.num_sources(), kDead);
+  size_t dense = kDead;
+  for (size_t c = 0; c < s.projections.size(); ++c) {
+    if (s.pass[c] == kDead) {
+      if (dense == kDead) dense = out.AddWindow(0);
+      out.AddColumn(std::move(computed[c]), dense);
+      continue;
+    }
+    const size_t from = s.pass[c];
+    size_t& src = out_source[chunk.source(from)];
+    if (src == kDead) src = out.TakeSource(&chunk, chunk.source(from));
+    out.AddColumn(chunk.column_ptr(from), src);
+  }
+  return out;
 }
 
 // Streams one chunk through every compiled stage, counting into `stats`:
@@ -303,16 +341,15 @@ Result<DataChunk> RunChunk(const std::vector<Stage>& stages, DataChunk chunk,
     if (chunk.empty()) break;
     switch (s.role) {
       case PipelineRole::kFilter: {
-        std::vector<uint32_t> sel;
-        sel.reserve(chunk.size());
-        DBSP_RETURN_NOT_OK(s.filter->Filter(
-            EvalInput(chunk.table(), chunk.rows()), &sel,
-            &stats->kernel_rows_filter));
-        chunk.SetSelection(std::move(sel));
+        std::vector<uint32_t> pass;
+        pass.reserve(chunk.size());
+        DBSP_RETURN_NOT_OK(s.filter->Filter(chunk.Input(), &pass,
+                                            &stats->kernel_rows_filter));
+        if (pass.size() != chunk.size()) chunk.Restrict(pass);
         break;
       }
       case PipelineRole::kProject: {
-        DBSP_ASSIGN_OR_RETURN(chunk, Project(s, chunk, stats));
+        DBSP_ASSIGN_OR_RETURN(chunk, Project(s, std::move(chunk), stats));
         break;
       }
       case PipelineRole::kHashProbe: {
@@ -347,19 +384,14 @@ class Sink {
   virtual Result<TablePtr> Finish(ExecContext& ctx) = 0;
 };
 
-// A dense table of `chunk`'s rows.
-TablePtr DenseTable(const Schema& schema, const DataChunk& chunk) {
-  std::vector<ColumnVectorPtr> cols = MakeAccumulator(schema);
-  chunk.AppendTo(&cols);
-  return Table::FromColumns(schema, std::move(cols));
-}
-
-/// Materializes the pipeline's output. Parallel workers each make a table
-/// per morsel, concatenated in morsel order, so the output does not depend
-/// on which worker claimed which morsel. The serial path appends straight
-/// into one accumulator, and a single morsel passes its result through
-/// without the sink copy: a chunk that still spans its whole base
-/// unchanged returns the base table itself (an all-pass filter or delta
+/// Materializes the pipeline's output: the one sink that keeps rows, so
+/// the one place a pipeline gathers its views. Parallel workers each make
+/// a table per morsel, concatenated in morsel order, so the output does
+/// not depend on which worker claimed which morsel. The serial path
+/// appends straight into one accumulator, and a single morsel passes its
+/// result through without the sink copy where it can
+/// (DataChunk::Materialize): a chunk that still views its whole source
+/// table unchanged returns that table itself (an all-pass filter or delta
 /// restrict keeps the input's pointer identity, which rename relies on).
 class MaterializeSink final : public Sink {
  public:
@@ -374,18 +406,15 @@ class MaterializeSink final : public Sink {
 
   Status Consume(size_t morsel, size_t, const DataChunk& chunk) override {
     if (!parts_.empty()) {
-      if (!chunk.empty()) parts_[morsel] = DenseTable(schema_, chunk);
+      if (!chunk.empty()) parts_[morsel] = chunk.Materialize(schema_);
     } else if (!single_) {
       if (!chunk.empty()) chunk.AppendTo(&acc_);
     } else if (chunk.empty()) {
-      // An empty chunk may have short-circuited mid-pipeline, so its base
-      // can carry an intermediate schema: never pass it through.
+      // An empty chunk may have short-circuited mid-pipeline, so its
+      // columns can be an intermediate stage's: never pass it through.
       out_ = Table::Make(schema_);
-    } else if (chunk.contiguous() && chunk.begin() == 0 && chunk.base() &&
-               chunk.size() == chunk.base()->num_rows()) {
-      out_ = chunk.base();
     } else {
-      out_ = DenseTable(schema_, chunk);
+      out_ = chunk.Materialize(schema_);
     }
     return Status::OK();
   }
@@ -488,8 +517,9 @@ Result<TablePtr> RunPipeline(const PhysicalOp& top, ExecContext& ctx) {
                       ? AggregateSink::Reads(*agg)
                       : LiveMask(top.output_schema().num_columns(), 1);
   std::vector<size_t> layout;
-  DBSP_ASSIGN_OR_RETURN(std::vector<Stage> stages,
-                        CompileStages(chain, std::move(need), ctx, &layout));
+  DBSP_ASSIGN_OR_RETURN(
+      std::vector<Stage> stages,
+      CompileStages(chain, *source, std::move(need), ctx, &layout));
 
   const size_t n = source->num_rows();
   std::vector<DataChunk> morsels =

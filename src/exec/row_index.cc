@@ -1,5 +1,6 @@
 #include "exec/row_index.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -109,12 +110,8 @@ bool RowIndex::KeysEqual(const KeyColumns& keys, size_t row,
   return true;
 }
 
-bool RowIndex::HashKey(const KeyColumns& keys, size_t row,
-                       uint64_t* h) const {
-  if (int_mode_) {
-    *h = static_cast<uint64_t>(keys[0]->Int64At(row));
-    return true;
-  }
+bool RowIndex::HashGeneric(const KeyColumns& keys, size_t row,
+                           uint64_t* h) const {
   if (nulls_ == Nulls::kSkip && RowHasNullKey(keys, row)) return false;
   *h = HashKeys(keys, row);
   return true;
@@ -135,6 +132,71 @@ uint32_t RowIndex::FindGeneric(const KeyColumns& probe, size_t row) const {
   uint64_t h;
   if (!HashKey(probe, row, &h)) return kNoMatch;
   return slots_[Locate(probe, row, h)];
+}
+
+void RowIndex::FindAll(const KeyColumns& probe, RowSet rows,
+                       uint32_t* heads) const {
+  if (int_mode_) {
+    if (rows.sel != nullptr) {
+      FindAllInt<true>(*probe[0], rows, heads);
+    } else {
+      FindAllInt<false>(*probe[0], rows, heads);
+    }
+    return;
+  }
+  for (size_t i = 0; i < rows.size; ++i) {
+    const uint32_t row = rows.RowAt(i);
+    heads[i] = row == kNoMatch ? kNoMatch : FindGeneric(probe, row);
+  }
+}
+
+template <bool kListed>
+void RowIndex::FindAllInt(const ColumnVector& key, RowSet rows,
+                          uint32_t* heads) const {
+  constexpr size_t kBatch = 256;
+  constexpr size_t kMiss = static_cast<size_t>(-1);
+  const int64_t* values = key.ints().data();
+  const uint8_t* nulls = key.nulls().data();
+  const uint32_t* slots = slots_.data();
+  const uint64_t* hashes = hashes_.data();
+  const uint32_t null_head = nulls_ == Nulls::kSkip ? kNoMatch : null_head_;
+  auto row_at = [&](size_t i) -> uint32_t {
+    return kListed ? rows.sel[i] : rows.begin + static_cast<uint32_t>(i);
+  };
+  size_t slot[kBatch];
+  for (size_t off = 0; off < rows.size; off += kBatch) {
+    const size_t m = std::min(kBatch, rows.size - off);
+    uint32_t* out = heads + off;
+    // The slot of every key, its line prefetched; NULL keys resolve here.
+    for (size_t k = 0; k < m; ++k) {
+      const uint32_t row = row_at(off + k);
+      if ((kListed && row == kNoMatch) || nulls[row]) {
+        out[k] = null_head;
+        slot[k] = kMiss;
+        continue;
+      }
+      // In this mode the stored hash is the key itself.
+      slot[k] = Slot(static_cast<uint64_t>(values[row]));
+      __builtin_prefetch(&slots[slot[k]]);
+    }
+    // Each slot's head, its hash line prefetched.
+    for (size_t k = 0; k < m; ++k) {
+      if (slot[k] == kMiss) continue;
+      out[k] = slots[slot[k]];
+      if (out[k] != kNoMatch) __builtin_prefetch(&hashes[out[k]]);
+    }
+    // The compares, probing on past other keys' groups.
+    for (size_t k = 0; k < m; ++k) {
+      if (slot[k] == kMiss) continue;
+      const uint64_t h = static_cast<uint64_t>(values[row_at(off + k)]);
+      uint32_t e = out[k];
+      for (size_t s = slot[k]; e != kNoMatch && hashes[e] != h;) {
+        s = (s + 1) & mask_;
+        e = slots[s];
+      }
+      out[k] = e;
+    }
+  }
 }
 
 void RowIndex::Prepend(uint32_t r) {

@@ -75,6 +75,15 @@ class RowIndex {
     }
   }
 
+  /// Find() for a whole chunk: heads[i] is the group head of row
+  /// rows.RowAt(i) of `probe` (every key column read at that row). A row
+  /// id of kNoMatch is a NULL-padded key and misses; only kSkip indexes,
+  /// where every NULL key misses, may be probed with one. A single INT64
+  /// key runs in passes over batches of rows: the slots first,
+  /// prefetching each slot's line, then each head's hash line, then the
+  /// compares.
+  void FindAll(const KeyColumns& probe, RowSet rows, uint32_t* heads) const;
+
   /// The next build row after `r` with the same key, or kNoMatch.
   uint32_t Next(uint32_t r) const { return next_[r]; }
 
@@ -92,9 +101,18 @@ class RowIndex {
   /// index groups keys.
   bool KeysEqual(const KeyColumns& keys, size_t row, uint32_t e) const;
   uint32_t FindGeneric(const KeyColumns& probe, size_t row) const;
+  /// FindAll() in INT64 mode; kListed when `rows` is a list.
+  template <bool kListed>
+  void FindAllInt(const ColumnVector& key, RowSet rows, uint32_t* heads) const;
   /// Hash of row `row` of `keys` in this index's mode; false (and no hash)
   /// when the row has a NULL key that kSkip leaves out.
-  bool HashKey(const KeyColumns& keys, size_t row, uint64_t* h) const;
+  bool HashKey(const KeyColumns& keys, size_t row, uint64_t* h) const {
+    if (!int_mode_) return HashGeneric(keys, row, h);
+    // In this mode the stored hash is the key itself.
+    *h = static_cast<uint64_t>(keys[0]->Int64At(row));
+    return true;
+  }
+  bool HashGeneric(const KeyColumns& keys, size_t row, uint64_t* h) const;
   /// Slot of the group whose key equals `keys`[row] (hash `h`), or the
   /// empty slot where that group would go.
   size_t Locate(const KeyColumns& keys, size_t row, uint64_t h) const;

@@ -478,9 +478,10 @@ Status StoreCast(const Vec& v, TypeId to, const Active& a, Buf* b) {
 /// One evaluation of a compiled tree over one batch of rows.
 class Evaluation {
  public:
-  Evaluation(const std::vector<Node>& nodes, const EvalInput& in,
-             RowSet rows, EvalScratch* s)
-      : nodes_(nodes), in_(in), rows_(rows), s_(s) {}
+  /// Evaluates rows [off, off + n) of `in`.
+  Evaluation(const std::vector<Node>& nodes, const EvalInput& in, size_t off,
+             size_t n, EvalScratch* s)
+      : nodes_(nodes), in_(in), off_(off), n_(n), s_(s) {}
 
   /// Evaluates node `id` at the active positions into *out.
   Status Eval(uint32_t id, const Active& a, Vec* out);
@@ -489,7 +490,7 @@ class Evaluation {
   int64_t boxed_rows() const { return boxed_rows_; }
 
  private:
-  size_t n() const { return rows_.size; }
+  size_t n() const { return n_; }
   Buf& BufOf(uint32_t id) { return s_->bufs[id]; }
 
   Status EvalColumn(uint32_t id, const Active& a, Vec* out);
@@ -504,16 +505,10 @@ class Evaluation {
   Status EvalBetween(uint32_t id, const Active& a, Vec* out);
   Status EvalLike(uint32_t id, const Active& a, Vec* out);
 
-  /// The column an input ordinal names, and whether it is pinned.
-  const ColumnVector& InputColumn(size_t c, bool* pinned) const {
-    size_t np = in_.pinned != nullptr ? in_.pinned->num_columns() : 0;
-    *pinned = c < np;
-    return *pinned ? in_.pinned->column(c) : in_.base->column(c - np);
-  }
-
   const std::vector<Node>& nodes_;
   const EvalInput& in_;
-  RowSet rows_;
+  size_t off_;
+  size_t n_;
   EvalScratch* s_;
   int64_t boxed_rows_ = 0;
 };
@@ -575,45 +570,70 @@ Status Evaluation::Eval(uint32_t id, const Active& a, Vec* out) {
   return Status::Internal("unhandled expression kind");
 }
 
+/// Gathers the active positions of `rows` from `col` into `b`; with
+/// kPadded, a row id of kNoMatch reads as NULL.
+template <bool kPadded>
+void GatherRows(const ColumnVector& col, const uint32_t* sel, const Active& a,
+                Buf* b) {
+  const uint8_t* nulls = col.nulls().data();
+  auto gather = [&](auto* out, const auto* src) {
+    ForEach(a, [&](uint32_t p) {
+      const uint32_t r = sel[p];
+      if (kPadded && r == kNoMatch) {
+        b->nulls[p] = 1;
+        return;
+      }
+      b->nulls[p] = nulls[r];
+      out[p] = src[r];
+    });
+  };
+  switch (col.type()) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+      gather(b->ints.data(), col.ints().data());
+      break;
+    case TypeId::kDouble:
+      gather(b->doubles.data(), col.doubles().data());
+      break;
+    case TypeId::kString:
+      ForEach(a, [&](uint32_t p) {
+        const uint32_t r = sel[p];
+        b->nulls[p] = (kPadded && r == kNoMatch) ? 1 : nulls[r];
+        if (!b->nulls[p]) b->strings[p] = col.strings()[r];
+      });
+      break;
+    case TypeId::kNull:
+      ForEach(a, [&](uint32_t p) { b->nulls[p] = 1; });
+      break;
+  }
+}
+
 Status Evaluation::EvalColumn(uint32_t id, const Active& a, Vec* out) {
   const Node& node = nodes_[id];
-  bool pinned = false;
-  const ColumnVector& col = InputColumn(node.expr->column_index, &pinned);
+  const size_t c = node.expr->column_index;
+  const size_t np = in_.pinned != nullptr ? in_.pinned->num_columns() : 0;
   Buf& b = BufOf(id);
   Vec raw;
-  if (pinned) {
-    raw = ColumnView(col, in_.pinned_row, 0);
-  } else if (rows_.sel == nullptr) {
-    raw = ColumnView(col, rows_.begin, ~0u);
+  if (c < np) {
+    raw = ColumnView(in_.pinned->column(c), in_.pinned_row, 0);
   } else {
-    // Gather the active rows of the selection.
-    Prepare(&b, col.type(), n());
-    const uint8_t* nulls = col.nulls().data();
-    const uint32_t* sel = rows_.sel;
-    ForEach(a, [&](uint32_t p) { b.nulls[p] = nulls[sel[p]]; });
-    switch (col.type()) {
-      case TypeId::kBool:
-      case TypeId::kInt64: {
-        const int64_t* src = col.ints().data();
-        ForEach(a, [&](uint32_t p) { b.ints[p] = src[sel[p]]; });
-        break;
+    // The column read through its own rows: in place over a window, else
+    // the active rows of its list gathered.
+    const ColumnRead& read = in_.columns[c - np];
+    const ColumnVector& col = *read.data;
+    if (read.rows.sel == nullptr) {
+      raw = ColumnView(col, read.rows.begin + static_cast<uint32_t>(off_),
+                       ~0u);
+    } else {
+      Prepare(&b, col.type(), n());
+      const uint32_t* sel = read.rows.sel + off_;
+      if (read.rows.padded) {
+        GatherRows<true>(col, sel, a, &b);
+      } else {
+        GatherRows<false>(col, sel, a, &b);
       }
-      case TypeId::kDouble: {
-        const double* src = col.doubles().data();
-        ForEach(a, [&](uint32_t p) { b.doubles[p] = src[sel[p]]; });
-        break;
-      }
-      case TypeId::kString: {
-        const std::string* src = col.strings().data();
-        ForEach(a, [&](uint32_t p) {
-          if (!b.nulls[p]) b.strings[p] = src[sel[p]];
-        });
-        break;
-      }
-      case TypeId::kNull:
-        break;
+      raw = View(b, col.type());
     }
-    raw = View(b, col.type());
   }
   if (raw.type == node.type) {
     *out = raw;
@@ -1125,11 +1145,6 @@ void CollectConjuncts(const std::vector<Node>& nodes, uint32_t id,
   out->push_back(id);
 }
 
-RowSet Slice(const RowSet& rows, size_t off, size_t n) {
-  if (rows.sel != nullptr) return RowSet{rows.sel + off, 0, n};
-  return RowSet::Window(rows.begin + off, n);
-}
-
 /// Appends the n values of `v` to `out` (of v's type).
 void AppendVec(const Vec& v, size_t n, ColumnVector* out) {
   if (v.mask != 0) {
@@ -1142,6 +1157,13 @@ void AppendVec(const Vec& v, size_t n, ColumnVector* out) {
 }
 
 }  // namespace
+
+EvalInput::EvalInput(const Table& table, RowSet rows) : size(rows.size) {
+  columns.reserve(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    columns.push_back(ColumnRead{table.column_ptr(c), rows});
+  }
+}
 
 CompiledExpr::CompiledExpr(const BoundExpr& expr) {
   root_ = CompileNode(expr, &nodes_);
@@ -1157,24 +1179,24 @@ TypeId CompiledExpr::type() const { return nodes_[root_].type; }
 Result<ColumnVectorPtr> CompiledExpr::Evaluate(const EvalInput& in,
                                                int64_t* unboxed_rows) const {
   const Node& root = nodes_[root_];
-  const size_t total = in.rows.size;
+  const size_t total = in.size;
   const size_t pinned = in.pinned != nullptr ? in.pinned->num_columns() : 0;
   if (root.expr->kind == BoundExprKind::kColumnRef &&
       root.expr->column_index >= pinned) {
-    // A plain base column: the column itself, or one copy of its rows.
-    const ColumnVectorPtr& col =
-        in.base->column_ptr(root.expr->column_index - pinned);
+    // A plain column: the column itself, or one copy of its rows.
+    const ColumnRead& read = in.columns[root.expr->column_index - pinned];
+    const ColumnVectorPtr& col = read.data;
     if (col->type() == root.type) {
       if (unboxed_rows != nullptr) *unboxed_rows += static_cast<int64_t>(total);
-      if (in.rows.sel == nullptr && in.rows.begin == 0 &&
-          total == in.base->num_rows()) {
+      if (read.rows.sel == nullptr && read.rows.begin == 0 &&
+          total == col->size()) {
         return col;
       }
       auto out = std::make_shared<ColumnVector>(root.type);
-      if (in.rows.sel == nullptr) {
-        out->AppendRange(*col, in.rows.begin, total);
+      if (read.rows.sel == nullptr) {
+        out->AppendRange(*col, read.rows.begin, total);
       } else {
-        out->AppendGathered(*col, in.rows.sel, total);
+        out->AppendGathered(*col, read.rows.sel, total);
       }
       return out;
     }
@@ -1184,7 +1206,7 @@ Result<ColumnVectorPtr> CompiledExpr::Evaluate(const EvalInput& in,
   out->Reserve(total);
   for (size_t off = 0; off < total; off += kBatch) {
     const size_t n = std::min(kBatch, total - off);
-    Evaluation ev(nodes_, in, Slice(in.rows, off, n), scratch);
+    Evaluation ev(nodes_, in, off, n, scratch);
     Vec v;
     DBSP_RETURN_NOT_OK(
         ev.Eval(root_, Active{nullptr, static_cast<uint32_t>(n)}, &v));
@@ -1201,11 +1223,10 @@ Status CompiledExpr::Filter(const EvalInput& in,
                             std::vector<uint32_t>* rows_out,
                             int64_t* unboxed_rows) const {
   EvalScratch* scratch = &ThreadScratch(nodes_.size());
-  const size_t total = in.rows.size;
+  const size_t total = in.size;
   for (size_t off = 0; off < total; off += kBatch) {
     const size_t n = std::min(kBatch, total - off);
-    const RowSet batch = Slice(in.rows, off, n);
-    Evaluation ev(nodes_, in, batch, scratch);
+    Evaluation ev(nodes_, in, off, n, scratch);
     if (scratch->not_true.size() < n) scratch->not_true.resize(n);
     uint8_t* not_true = scratch->not_true.data();
     bool any_null = false;
@@ -1240,15 +1261,10 @@ Status CompiledExpr::Filter(const EvalInput& in,
       alive = Active{scratch->alive[cur].data(), m};
     }
     // The survivors: alive, and TRUE wherever a conjunct ran.
-    if (batch.sel == nullptr) {
-      ForEach(alive, [&](uint32_t p) {
-        if (!any_null || not_true[p] == 0) rows_out->push_back(batch.begin + p);
-      });
-    } else {
-      ForEach(alive, [&](uint32_t p) {
-        if (!any_null || not_true[p] == 0) rows_out->push_back(batch.sel[p]);
-      });
-    }
+    const uint32_t base = static_cast<uint32_t>(off);
+    ForEach(alive, [&](uint32_t p) {
+      if (!any_null || not_true[p] == 0) rows_out->push_back(base + p);
+    });
   }
   return Status::OK();
 }

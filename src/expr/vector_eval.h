@@ -1,8 +1,9 @@
 // The vectorized expression evaluator (DESIGN.md §11, "One evaluator").
 //
-// A CompiledExpr evaluates a BoundExpr over a set of rows of a base table —
-// a contiguous window or a selection — into a typed column with a NULL
-// mask, or, as a filter, into the ids of the rows where it is TRUE. It is
+// A CompiledExpr evaluates a BoundExpr over the rows of its input, each
+// column read through its own row set (a contiguous window or a list of
+// row ids), into a typed column with a NULL mask, or, as a filter, into the
+// positions of the rows where it is TRUE. It is
 // the engine's one evaluator: constant folding and INSERT … VALUES run it
 // over one row (EvaluateConstant). It returns exactly what row-at-a-time
 // evaluation returns (the reference in testing/reference_eval.h), row for
@@ -47,34 +48,27 @@
 
 namespace dbspinner {
 
-/// Rows of a base table: the window [begin, begin + size), or, when `sel`
-/// is set, the absolute row ids sel[0, size).
-struct RowSet {
-  const uint32_t* sel = nullptr;
-  uint32_t begin = 0;
-  size_t size = 0;
-
-  uint32_t RowAt(size_t i) const {
-    return sel != nullptr ? sel[i] : begin + static_cast<uint32_t>(i);
-  }
-  static RowSet Window(size_t begin, size_t count) {
-    return RowSet{nullptr, static_cast<uint32_t>(begin), count};
-  }
-  static RowSet Of(const std::vector<uint32_t>& rows) {
-    return RowSet{rows.data(), 0, rows.size()};
-  }
+/// One input column and the rows it is read at. A row id of kNoMatch in
+/// a padded list reads as NULL.
+struct ColumnRead {
+  ColumnVectorPtr data;
+  RowSet rows;
 };
 
-/// What one evaluation reads. Column c is column c of `base` at the rows
-/// of `rows`; when `pinned` is set, its columns come first and read its
-/// row `pinned_row` for every row, and base's columns follow (a
-/// nested-loop join evaluates one left row against every right row so).
+/// What one evaluation reads: `size` rows, column c read through its own
+/// row set columns[c].rows (a chunk's columns from different sources read
+/// different lists). When `pinned` is set, its columns come first and read
+/// its row `pinned_row` for every row, and `columns` follow (a nested-loop
+/// join evaluates one left row against every right row so).
 struct EvalInput {
-  EvalInput(const Table& base_table, RowSet row_set)
-      : base(&base_table), rows(row_set) {}
+  /// Every column of `table`, read at `rows`.
+  EvalInput(const Table& table, RowSet rows);
+  /// `columns`, each read at `size` rows of its own row set.
+  EvalInput(std::vector<ColumnRead> columns, size_t size)
+      : columns(std::move(columns)), size(size) {}
 
-  const Table* base;
-  RowSet rows;
+  std::vector<ColumnRead> columns;
+  size_t size = 0;
   const Table* pinned = nullptr;
   uint32_t pinned_row = 0;
 };
@@ -92,17 +86,17 @@ class CompiledExpr {
   TypeId type() const;
 
   /// Evaluates every row of `in`, in order, into a new column of type()
-  /// (a plain column reference over all of an unpinned base returns that
-  /// column itself). `unboxed_rows`, when set, grows by the rows evaluated
-  /// without a boxed function call.
+  /// (a plain column reference read at every row of its column, in order,
+  /// returns that column itself). `unboxed_rows`, when set, grows by the
+  /// rows evaluated without a boxed function call.
   Result<ColumnVectorPtr> Evaluate(const EvalInput& in,
                                    int64_t* unboxed_rows = nullptr) const;
 
-  /// Appends to `rows_out` the base row ids of the rows of `in` (in order)
-  /// where the expression is TRUE (SQL WHERE semantics). Top-level
-  /// conjuncts refine the rows in turn: each one runs on the rows where no
-  /// earlier conjunct was FALSE. `unboxed_rows` counts, per conjunct, the
-  /// rows it ran on without a boxed function call.
+  /// Appends to `rows_out` the positions (0 .. in.size - 1, ascending) of
+  /// the rows of `in` where the expression is TRUE (SQL WHERE semantics).
+  /// Top-level conjuncts refine the rows in turn: each one runs on the rows
+  /// where no earlier conjunct was FALSE. `unboxed_rows` counts, per
+  /// conjunct, the rows it ran on without a boxed function call.
   Status Filter(const EvalInput& in, std::vector<uint32_t>* rows_out,
                 int64_t* unboxed_rows = nullptr) const;
 

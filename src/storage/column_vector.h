@@ -25,6 +25,26 @@ using ColumnVectorPtr = std::shared_ptr<ColumnVector>;
 /// finds nothing returns it.
 inline constexpr uint32_t kNoMatch = 0xffffffffu;
 
+/// Rows of a column: the window [begin, begin + size), or, when `sel` is
+/// set, the row ids sel[0, size). `padded` marks a list that may hold
+/// kNoMatch, which reads as NULL.
+struct RowSet {
+  const uint32_t* sel = nullptr;
+  uint32_t begin = 0;
+  size_t size = 0;
+  bool padded = false;
+
+  uint32_t RowAt(size_t i) const {
+    return sel != nullptr ? sel[i] : begin + static_cast<uint32_t>(i);
+  }
+  static RowSet Window(size_t begin, size_t count) {
+    return RowSet{nullptr, static_cast<uint32_t>(begin), count, false};
+  }
+  static RowSet Of(const std::vector<uint32_t>& rows, bool padded = false) {
+    return RowSet{rows.data(), 0, rows.size(), padded};
+  }
+};
+
 /// A single column of nullable values of a fixed TypeId.
 class ColumnVector {
  public:

@@ -491,8 +491,10 @@ std::string Outcome(const Status& st) {
   return st.ok() ? "succeeds" : "fails (" + st.ToString() + ")";
 }
 
-/// Checks `e` over `rows` of `t`; "" when both evaluators agree.
-std::string CheckRows(const BoundExpr& e, const Table& t, RowSet rows) {
+/// Checks `e` over `in` against the reference reading rows `rows` of `t`,
+/// the same values; "" when both evaluators agree.
+std::string CheckRows(const BoundExpr& e, const EvalInput& in, const Table& t,
+                      RowSet rows) {
   std::vector<Value> want;
   Status ref;
   for (size_t i = 0; i < rows.size && ref.ok(); ++i) {
@@ -504,7 +506,6 @@ std::string CheckRows(const BoundExpr& e, const Table& t, RowSet rows) {
     }
   }
   const CompiledExpr compiled(e);
-  const EvalInput in(t, rows);
   Result<ColumnVectorPtr> got = compiled.Evaluate(in);
   if (got.ok() != ref.ok()) {
     return "evaluation: row-wise " + Outcome(ref) + ", vectorized " +
@@ -514,8 +515,8 @@ std::string CheckRows(const BoundExpr& e, const Table& t, RowSet rows) {
     for (size_t i = 0; i < rows.size; ++i) {
       Value g = (*got)->GetValue(i);
       if (!SameValue(g, want[i])) {
-        return StringPrintf("row %u: row-wise %s, vectorized %s",
-                            rows.RowAt(i), want[i].ToString().c_str(),
+        return StringPrintf("row %zu: row-wise %s, vectorized %s", i,
+                            want[i].ToString().c_str(),
                             g.ToString().c_str());
       }
     }
@@ -530,7 +531,7 @@ std::string CheckRows(const BoundExpr& e, const Table& t, RowSet rows) {
   std::vector<uint32_t> expected;
   for (size_t i = 0; i < rows.size; ++i) {
     if (!want[i].is_null() && want[i].bool_value()) {
-      expected.push_back(rows.RowAt(i));
+      expected.push_back(static_cast<uint32_t>(i));
     }
   }
   if (pass != expected) {
@@ -589,12 +590,41 @@ std::string CheckExprOracle(const Table& table, uint64_t seed, int trees) {
         {"window", RowSet::Window(begin, count)},
         {"selection", RowSet::Of(sel)}};
     for (const auto& [label, rows] : sets) {
-      std::string diff = CheckRows(*e, table, rows);
+      std::string diff = CheckRows(*e, EvalInput(table, rows), table, rows);
       if (!diff.empty()) {
         return StringPrintf("expression %s over %s (%zu rows): %s",
                             e->ToString().c_str(), label, rows.size,
                             diff.c_str());
       }
+    }
+    // Views: each column read through a row-id list of its own, as a
+    // chunk's columns from different probe sources are, with kNoMatch
+    // (a LEFT probe's padding) reading as NULL. The reference reads the
+    // same values from a table gathered row by row.
+    const size_t m = static_cast<size_t>(rng.Range(0, 2 * n + 2));
+    std::vector<std::vector<uint32_t>> lists(table.num_columns());
+    std::vector<ColumnRead> reads;
+    std::vector<ColumnVectorPtr> gathered;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      for (size_t i = 0; i < m; ++i) {
+        lists[c].push_back(n == 0 || rng.Chance(20)
+                               ? kNoMatch
+                               : static_cast<uint32_t>(rng.Range(0, n - 1)));
+      }
+      reads.push_back(ColumnRead{table.column_ptr(c),
+                                 RowSet::Of(lists[c], /*padded=*/true)});
+      auto col = std::make_shared<ColumnVector>(table.column(c).type());
+      for (uint32_t r : lists[c]) {
+        r == kNoMatch ? col->AppendNull() : col->AppendFrom(table.column(c), r);
+      }
+      gathered.push_back(std::move(col));
+    }
+    const TablePtr flat = Table::FromColumns(table.schema(), gathered);
+    std::string diff = CheckRows(*e, EvalInput(std::move(reads), m), *flat,
+                                 RowSet::Window(0, m));
+    if (!diff.empty()) {
+      return StringPrintf("expression %s over views (%zu rows): %s",
+                          e->ToString().c_str(), m, diff.c_str());
     }
   }
   return "";

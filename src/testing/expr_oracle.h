@@ -5,9 +5,11 @@
 // function — and checks the vectorized evaluator (CompiledExpr) against the
 // row-wise reference EvaluateExpr over the same rows in order: each value
 // (doubles bit for bit), each NULL, and whether evaluation fails at all.
-// Both the evaluation form and the filter form run, over contiguous windows
-// and random selections. The oracle uses no query, plan or pipeline, so a
-// wrong kernel cannot hide behind an oracle that runs the same kernel.
+// Both the evaluation form and the filter form run, over contiguous windows,
+// random selections and views (each column read through a row-id list of
+// its own, kNoMatch reading as NULL). The oracle uses no query, plan or
+// pipeline, so a wrong kernel cannot hide behind an oracle that runs the
+// same kernel.
 
 #pragma once
 
@@ -33,8 +35,9 @@ BoundExprPtr RandomExpr(FuzzRng* rng, const Schema& schema, TypeId type,
                         int depth);
 
 /// Checks `trees` random expressions over `table`, each on the whole table,
-/// a contiguous window and a random selection. Returns "" when CompiledExpr
-/// agrees with EvaluateExpr everywhere, else the first disagreement.
+/// a contiguous window, a random selection and random per-column views.
+/// Returns "" when CompiledExpr agrees with EvaluateExpr everywhere, else
+/// the first disagreement.
 std::string CheckExprOracle(const Table& table, uint64_t seed, int trees);
 
 /// The oracle over a fuzz case's tables (edges, vertexstatus) and over a

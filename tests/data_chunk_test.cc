@@ -46,24 +46,24 @@ TEST(DataChunkTest, ContiguousWindowBasics) {
   TablePtr t = MakeTable(10);
   DataChunk c(t, 3, 4);
   EXPECT_EQ(c.size(), 4u);
-  EXPECT_TRUE(c.contiguous());
+  EXPECT_EQ(c.rows(0).sel, nullptr);
   EXPECT_FALSE(c.empty());
-  EXPECT_EQ(c.RowAt(0), 3u);
-  EXPECT_EQ(c.RowAt(3), 6u);
+  EXPECT_EQ(c.rows(0).RowAt(0), 3u);
+  EXPECT_EQ(c.rows(1).RowAt(3), 6u);
 }
 
-TEST(DataChunkTest, SetSelectionAndRestrict) {
+TEST(DataChunkTest, RestrictTwiceComposesPositions) {
   TablePtr t = MakeTable(10);
   DataChunk c(t, 0, 10);
-  c.SetSelection({1, 4, 7, 9});
-  EXPECT_FALSE(c.contiguous());
+  c.Restrict({1, 4, 7, 9});
+  EXPECT_NE(c.rows(0).sel, nullptr);
   EXPECT_EQ(c.size(), 4u);
-  EXPECT_EQ(c.RowAt(2), 7u);
+  EXPECT_EQ(c.rows(0).RowAt(2), 7u);
   // Restrict takes positions into the current view, not base row ids.
   c.Restrict({0, 2});
   EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.RowAt(0), 1u);
-  EXPECT_EQ(c.RowAt(1), 7u);
+  EXPECT_EQ(c.rows(0).RowAt(0), 1u);
+  EXPECT_EQ(c.rows(1).RowAt(1), 7u);
 }
 
 TEST(DataChunkTest, RestrictOnContiguousWindowUsesPositions) {
@@ -71,15 +71,15 @@ TEST(DataChunkTest, RestrictOnContiguousWindowUsesPositions) {
   DataChunk c(t, 5, 5);  // rows 5..9
   c.Restrict({1, 3});
   EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.RowAt(0), 6u);
-  EXPECT_EQ(c.RowAt(1), 8u);
+  EXPECT_EQ(c.rows(0).RowAt(0), 6u);
+  EXPECT_EQ(c.rows(0).RowAt(1), 8u);
 }
 
 TEST(DataChunkTest, MaterializePropagatesNulls) {
   TablePtr t = MakeTable(9);
   DataChunk c(t, 0, 9);
-  c.SetSelection({0, 3, 4, 6});
-  TablePtr m = c.Materialize();
+  c.Restrict({0, 3, 4, 6});
+  TablePtr m = c.Materialize(t->schema());
   ASSERT_EQ(m->num_rows(), 4u);
   // Rows 0, 3, 6 carry NULL b (i % 3 == 0); row 4 does not.
   EXPECT_TRUE(m->column(1).IsNull(0));
@@ -93,9 +93,9 @@ TEST(DataChunkTest, MaterializePropagatesNulls) {
 TEST(DataChunkTest, EmptySelectionMaterializesEmptyTypedColumns) {
   TablePtr t = MakeTable(5);
   DataChunk c(t, 0, 5);
-  c.SetSelection({});
+  c.Restrict({});
   EXPECT_TRUE(c.empty());
-  TablePtr m = c.Materialize();
+  TablePtr m = c.Materialize(t->schema());
   ASSERT_EQ(m->num_rows(), 0u);
   ASSERT_EQ(m->num_columns(), 2u);
   EXPECT_EQ(m->column(0).type(), TypeId::kInt64);
@@ -109,8 +109,8 @@ TEST(DataChunkTest, SplitIntoMorselsCoversTableExactlyOnce) {
     size_t total = 0;
     uint32_t expect_next = 0;
     for (const DataChunk& m : morsels) {
-      EXPECT_TRUE(m.contiguous());
-      EXPECT_EQ(m.begin(), expect_next);
+      EXPECT_EQ(m.rows(0).sel, nullptr);
+      EXPECT_EQ(m.rows(0).begin, expect_next);
       EXPECT_LE(m.size(), ms);
       expect_next += static_cast<uint32_t>(m.size());
       total += m.size();
@@ -202,7 +202,7 @@ TEST(DataChunkPropertyTest, RandomMorselSplitsReassembleIdentically) {
   for (int round = 0; round < 10; ++round) {
     size_t n = 1 + rng() % 2000;
     TablePtr t = MakeTable(n);
-    TablePtr reference = DataChunk(t, 0, n).Materialize();
+    TablePtr reference = DataChunk(t, 0, n).Materialize(t->schema());
     for (size_t ms : {size_t{1}, size_t{7}, size_t{1024}, n}) {
       std::vector<DataChunk> morsels = SplitIntoMorsels(t, ms);
       // Reassemble through the sink path (AppendTo accumulators).

@@ -491,14 +491,14 @@ TEST(GroupedAggregatorTest, MatchesRowWiseAggStateFold) {
           size_t p = rng() % width;
           DataChunk chunk(input, begin, count);
           if (rng() % 3 == 0) {
-            std::vector<uint32_t> sel;
-            for (size_t r = begin; r < begin + count; ++r) {
-              if (rng() % 2) sel.push_back(static_cast<uint32_t>(r));
+            std::vector<uint32_t> positions;
+            for (size_t i = 0; i < count; ++i) {
+              if (rng() % 2) positions.push_back(static_cast<uint32_t>(i));
             }
-            chunk.SetSelection(sel);
+            chunk.Restrict(positions);
           }
           for (size_t i = 0; i < chunk.size(); ++i) {
-            fold_row(p, chunk.RowAt(i));
+            fold_row(p, chunk.rows(0).RowAt(i));
           }
           ASSERT_TRUE(partials[p].Consume(chunk).ok());
           begin += count;
@@ -680,7 +680,7 @@ TEST(GroupedAggregatorTest, RetractMatchesRowWiseAggState) {
       };
       auto chunk_of = [](const TablePtr& t, std::vector<uint32_t> rows) {
         DataChunk chunk(t, 0, t->num_rows());
-        chunk.SetSelection(std::move(rows));
+        chunk.Restrict(rows);
         return chunk;
       };
       auto rebuild = [&]() {

@@ -134,8 +134,8 @@ TEST_P(VectorizedEvalTest, PredicateMatchesRowWise) {
 }
 
 // The evaluator runs over a chunk's view of its base table: a contiguous
-// window, or an absolute selection vector. Chunks are short (7 rows), so
-// some hold no NULL and others do.
+// window, or a list of row ids; a filter returns chunk positions. Chunks
+// are short (7 rows), so some hold no NULL and others do.
 TEST_P(VectorizedEvalTest, ChunkKernelsMatchRowWise) {
   const Case& c = GetParam();
   TablePtr input = MakeInput(13 + static_cast<uint64_t>(c.op), c.left_int,
@@ -148,12 +148,10 @@ TEST_P(VectorizedEvalTest, ChunkKernelsMatchRowWise) {
   for (size_t begin = 0; begin + 14 <= input->num_rows(); begin += 14) {
     DataChunk selected(input, begin, 14);
     std::vector<uint32_t> odd;
-    for (uint32_t r = 1; r < 14; r += 2) {
-      odd.push_back(static_cast<uint32_t>(begin) + r);
-    }
-    selected.SetSelection(odd);
+    for (uint32_t r = 1; r < 14; r += 2) odd.push_back(r);
+    selected.Restrict(odd);
     for (const DataChunk& chunk : {DataChunk(input, begin, 7), selected}) {
-      const EvalInput in(chunk.table(), chunk.rows());
+      const EvalInput in = chunk.Input();
       bool has_null = false;
       std::vector<uint32_t> want_rows;
       int64_t unboxed = 0;
@@ -162,7 +160,7 @@ TEST_P(VectorizedEvalTest, ChunkKernelsMatchRowWise) {
       ASSERT_EQ((*projected)->size(), chunk.size());
       EXPECT_EQ(unboxed, static_cast<int64_t>(chunk.size()));
       for (size_t i = 0; i < chunk.size(); ++i) {
-        uint32_t row = chunk.RowAt(i);
+        uint32_t row = chunk.rows(0).RowAt(i);
         has_null = has_null || input->column(0).IsNull(row) ||
                    input->column(1).IsNull(row);
         auto want = EvaluateExpr(expr, *input, row);
@@ -173,14 +171,17 @@ TEST_P(VectorizedEvalTest, ChunkKernelsMatchRowWise) {
           EXPECT_TRUE(got.Equals(*want))
               << "row " << row << ": " << got.ToString() << " vs "
               << want->ToString();
-          if (IsCmp(c.op) && want->bool_value()) want_rows.push_back(row);
+          if (IsCmp(c.op) && want->bool_value()) {
+            want_rows.push_back(static_cast<uint32_t>(i));
+          }
         }
       }
       if (!has_null) ++null_free_chunks;
       if (!IsCmp(c.op)) continue;
       std::vector<uint32_t> got_rows;
       ASSERT_TRUE(compiled.Filter(in, &got_rows).ok());
-      EXPECT_EQ(got_rows, want_rows) << "chunk at row " << chunk.RowAt(0);
+      EXPECT_EQ(got_rows, want_rows)
+          << "chunk at row " << chunk.rows(0).RowAt(0);
     }
   }
   EXPECT_GT(null_free_chunks, 0u);
@@ -426,7 +427,10 @@ TEST(VectorizedEvalEdge, SharedAcrossThreads) {
     std::vector<uint32_t> joined;
     for (size_t w = 0; w < 4; ++w) {
       all_ok &= statuses[w].ok();
-      joined.insert(joined.end(), parts[w].begin(), parts[w].end());
+      // Each worker's positions count from its window's first row.
+      for (uint32_t p : parts[w]) {
+        joined.push_back(static_cast<uint32_t>(w * quarter) + p);
+      }
     }
     EXPECT_EQ(all_ok, serial_status.ok()) << e->ToString();
     if (all_ok && serial_status.ok()) {
