@@ -5,8 +5,9 @@
 // The output of the PR query reproduces the logical plan of the paper's
 // Table I: materialize R0, initialize the loop operator, materialize Ri,
 // rename, loop check, final query. PR-VS additionally shows the hoisted
-// __common#1 materialization (Fig 5), and FF shows the Qf predicate pushed
-// into R0 (Fig 10 / §V-B).
+// __common#1 materialization (Fig 5); SSSP-VS shows it together with the
+// delta-restricted loop body and its dependency join (DESIGN.md §4c); and
+// FF shows the Qf predicate pushed into R0 (Fig 10 / §V-B).
 
 #include <iostream>
 
@@ -47,6 +48,9 @@ int main() {
        workloads::PRVSQuery(10));
   Show(&db, "SSSP (Fig 7): merge path (Ri has a WHERE clause)",
        workloads::SSSPQuery(10, 1, 10));
+  Show(&db,
+       "SSSP-VS (Fig 9): common result hoisted, loop body delta-restricted",
+       workloads::SSSPVSQuery(10, 1, 10));
   Show(&db, "FF (Fig 6 / Fig 10): Qf predicate pushed into R0",
        workloads::FFQuery(25, 100));
   Show(&db, "FF with Delta termination", workloads::FFDeltaQuery(1, 100));

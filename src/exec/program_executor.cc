@@ -13,42 +13,6 @@ namespace dbspinner {
 
 namespace {
 
-// Rows of the loop's CTE currently satisfying a kAny/kAll condition.
-Result<int64_t> CountSatisfiedRows(const LoopSpec& spec, const Table& cte) {
-  std::vector<uint32_t> rows;
-  DBSP_RETURN_NOT_OK(CompiledExpr(*spec.expr).Filter(
-      EvalInput(cte, RowSet::Window(0, cte.num_rows())), &rows));
-  return static_cast<int64_t>(rows.size());
-}
-
-// Decides whether the loop body should run at all, evaluated at kInitLoop
-// over the freshly materialized R0 (the Fig 4 loop operator's 0-iteration
-// case). Delta conditions need two versions to compare, so they always run
-// the first iteration.
-Result<bool> EvaluateStart(const LoopSpec& spec, ExecContext* ctx) {
-  switch (spec.kind) {
-    case LoopSpec::Kind::kIterations:
-    case LoopSpec::Kind::kUpdates:
-      return spec.n > 0;
-    case LoopSpec::Kind::kAny:
-    case LoopSpec::Kind::kAll: {
-      DBSP_ASSIGN_OR_RETURN(TablePtr cte, ctx->registry->Get(spec.cte_name));
-      DBSP_ASSIGN_OR_RETURN(int64_t satisfied,
-                            CountSatisfiedRows(spec, *cte));
-      if (spec.kind == LoopSpec::Kind::kAny) return satisfied == 0;
-      return satisfied < static_cast<int64_t>(cte->num_rows());
-    }
-    case LoopSpec::Kind::kDeltaLess:
-      return true;
-    case LoopSpec::Kind::kWhileResultNonEmpty: {
-      DBSP_ASSIGN_OR_RETURN(TablePtr watched,
-                            ctx->registry->Get(spec.watch_name));
-      return watched->num_rows() > 0;
-    }
-  }
-  return Status::Internal("unhandled loop condition");
-}
-
 // The change set from `from` to `to` of the loop's CTE: the one the loop's
 // last write recorded when it made exactly that change, else a diff of
 // the whole versions, kept for the next reader of the same pair.
@@ -78,12 +42,13 @@ Result<bool> EvaluateContinue(const LoopSpec& spec, LoopState* state,
     case LoopSpec::Kind::kAny:
     case LoopSpec::Kind::kAll: {
       DBSP_ASSIGN_OR_RETURN(TablePtr cte, ctx->registry->Get(spec.cte_name));
-      DBSP_ASSIGN_OR_RETURN(int64_t satisfied,
-                            CountSatisfiedRows(spec, *cte));
+      std::vector<uint32_t> satisfied;
+      DBSP_RETURN_NOT_OK(CompiledExpr(*spec.expr).Filter(
+          EvalInput(*cte, RowSet::Window(0, cte->num_rows())), &satisfied));
       if (spec.kind == LoopSpec::Kind::kAny) {
-        return satisfied == 0;  // continue until at least one row satisfies
+        return satisfied.empty();  // continue until at least one row satisfies
       }
-      return satisfied < static_cast<int64_t>(cte->num_rows());
+      return satisfied.size() < cte->num_rows();
     }
     case LoopSpec::Kind::kDeltaLess: {
       DBSP_ASSIGN_OR_RETURN(TablePtr cte, ctx->registry->Get(spec.cte_name));
@@ -99,6 +64,27 @@ Result<bool> EvaluateContinue(const LoopSpec& spec, LoopState* state,
                             ctx->registry->Get(spec.watch_name));
       return watched->num_rows() > 0;
     }
+  }
+  return Status::Internal("unhandled loop condition");
+}
+
+// Decides whether the loop body should run at all, evaluated at kInitLoop
+// over the freshly materialized R0 (the Fig 4 loop operator's 0-iteration
+// case). Delta conditions need two versions to compare, so they always run
+// the first iteration; conditions on the current rows alone decide as they
+// do after every iteration.
+Result<bool> EvaluateStart(const LoopSpec& spec, LoopState* state,
+                           ExecContext* ctx) {
+  switch (spec.kind) {
+    case LoopSpec::Kind::kIterations:
+    case LoopSpec::Kind::kUpdates:
+      return spec.n > 0;
+    case LoopSpec::Kind::kDeltaLess:
+      return true;
+    case LoopSpec::Kind::kAny:
+    case LoopSpec::Kind::kAll:
+    case LoopSpec::Kind::kWhileResultNonEmpty:
+      return EvaluateContinue(spec, state, ctx);
   }
   return Status::Internal("unhandled loop condition");
 }
@@ -331,7 +317,8 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         if (step.jump_to_id != 0) {
           // 0-iteration loops: when the termination condition already holds
           // over R0, skip the body entirely (jump past the loop check).
-          DBSP_ASSIGN_OR_RETURN(bool run_body, EvaluateStart(step.loop, ctx));
+          DBSP_ASSIGN_OR_RETURN(bool run_body,
+                                EvaluateStart(step.loop, &state, ctx));
           if (!run_body) {
             int target = program.FindStep(step.jump_to_id);
             if (target < 0) {

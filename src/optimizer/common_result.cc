@@ -4,7 +4,9 @@
 // the iterative reference produce the same result every iteration. This
 // rewrite finds maximal inner-join regions of the Ri plan, groups the
 // loop-invariant relations connected by join predicates, and hoists each
-// group as a __common#k materialization placed before the loop. The region
+// group as a __common#k materialization placed before the loop. A relation
+// is loop-invariant when it reads no result that a loop body writes
+// (join_region.h), so a join with a plain CTE hoists too. The region
 // is rebuilt with a single scan of the materialized result, and a trailing
 // Project restores the original column order so parent operators are
 // untouched.
@@ -14,130 +16,16 @@
 // work is saved once per iteration.
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
 
+#include "optimizer/join_region.h"
 #include "optimizer/optimizer.h"
 
 namespace dbspinner {
 
 namespace {
 
-// A relation of a flattened inner-join region.
-struct RegionRel {
-  LogicalOpPtr subtree;   // moved out of the plan during rewrite
-  const LogicalOp* view;  // analysis pointer (valid before the move)
-  size_t start = 0;       // first ordinal in the region root's output
-  size_t width = 0;
-  bool hoistable = false;
-  int component = -1;     // union-find result; -1 = not hoisted
-};
-
-bool SubtreeIsLoopInvariant(const LogicalOp& op) {
-  if (op.kind == LogicalOpKind::kScan &&
-      op.scan_source == ScanSource::kResult) {
-    return false;  // reads a CTE/working table: may change across iterations
-  }
-  for (const auto& c : op.children) {
-    if (!SubtreeIsLoopInvariant(*c)) return false;
-  }
-  return true;
-}
-
 bool IsInnerJoin(const LogicalOp& op) {
   return op.kind == LogicalOpKind::kJoin && op.join_type == JoinType::kInner;
-}
-
-// Analysis flatten: collects relation views and join conjuncts (re-based to
-// the region root's ordinal space) without modifying the tree.
-void FlattenView(const LogicalOp& node, size_t base,
-                 std::vector<RegionRel>* rels,
-                 std::vector<BoundExprPtr>* conjuncts) {
-  if (IsInnerJoin(node)) {
-    size_t left_width = node.children[0]->output_schema.num_columns();
-    FlattenView(*node.children[0], base, rels, conjuncts);
-    FlattenView(*node.children[1], base + left_width, rels, conjuncts);
-    if (node.join_condition) {
-      std::vector<BoundExprPtr> cs;
-      SplitConjuncts(*node.join_condition, &cs);
-      for (auto& c : cs) {
-        c->ShiftColumns(static_cast<int64_t>(base));
-        conjuncts->push_back(std::move(c));
-      }
-    }
-    return;
-  }
-  RegionRel rel;
-  rel.view = &node;
-  rel.start = base;
-  rel.width = node.output_schema.num_columns();
-  rel.hoistable = SubtreeIsLoopInvariant(node);
-  rels->push_back(std::move(rel));
-}
-
-// Destructive flatten: must visit relations in the same order as
-// FlattenView. Moves each relation subtree into `rels[i].subtree`.
-void FlattenTake(LogicalOpPtr node, size_t* next_rel,
-                 std::vector<RegionRel>* rels) {
-  if (IsInnerJoin(*node)) {
-    FlattenTake(std::move(node->children[0]), next_rel, rels);
-    FlattenTake(std::move(node->children[1]), next_rel, rels);
-    return;
-  }
-  (*rels)[(*next_rel)++].subtree = std::move(node);
-}
-
-struct UnionFind {
-  std::vector<int> parent;
-  explicit UnionFind(size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int Find(int x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  }
-  void Union(int a, int b) { parent[Find(a)] = Find(b); }
-};
-
-// Which relations does this conjunct touch?
-std::vector<size_t> TouchedRels(const BoundExpr& conjunct,
-                                const std::vector<RegionRel>& rels) {
-  std::vector<size_t> refs;
-  conjunct.CollectColumnRefs(&refs);
-  std::vector<size_t> touched;
-  for (size_t r : refs) {
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (r >= rels[i].start && r < rels[i].start + rels[i].width) {
-        if (touched.empty() || touched.back() != i) {
-          bool seen = false;
-          for (size_t t : touched) {
-            if (t == i) seen = true;
-          }
-          if (!seen) touched.push_back(i);
-        }
-        break;
-      }
-    }
-  }
-  return touched;
-}
-
-LogicalOpPtr CrossJoinChain(std::vector<LogicalOpPtr> rels) {
-  LogicalOpPtr chain = std::move(rels[0]);
-  for (size_t i = 1; i < rels.size(); ++i) {
-    auto join = std::make_unique<LogicalOp>();
-    join->kind = LogicalOpKind::kJoin;
-    join->join_type = JoinType::kInner;
-    Schema schema = chain->output_schema;
-    for (const auto& col : rels[i]->output_schema.columns()) {
-      schema.AddColumn(col.name, col.type);
-    }
-    join->output_schema = std::move(schema);
-    join->children.push_back(std::move(chain));
-    join->children.push_back(std::move(rels[i]));
-    chain = std::move(join);
-  }
-  return chain;
 }
 
 struct HoistedPlan {
@@ -145,114 +33,75 @@ struct HoistedPlan {
   LogicalOpPtr plan;
 };
 
-// Attempts to rewrite the inner-join region rooted at `*node`. Appends any
+// Rewrites the inner-join region `region` rooted at `*node`. Appends any
 // hoisted common plans to `hoisted`.
-Status TryHoistRegion(LogicalOpPtr* node, int* common_counter,
-                      std::vector<HoistedPlan>* hoisted) {
-  // --- analysis pass ---
-  std::vector<RegionRel> rels;
-  std::vector<BoundExprPtr> conjuncts;
-  FlattenView(**node, 0, &rels, &conjuncts);
-  if (rels.size() < 2) return Status::OK();
-
-  UnionFind uf(rels.size());
-  for (const auto& c : conjuncts) {
-    std::vector<size_t> touched = TouchedRels(*c, rels);
-    bool all_hoistable = !touched.empty();
-    for (size_t t : touched) {
-      if (!rels[t].hoistable) all_hoistable = false;
-    }
-    if (all_hoistable && touched.size() >= 2) {
-      for (size_t i = 1; i < touched.size(); ++i) {
-        uf.Union(static_cast<int>(touched[0]), static_cast<int>(touched[i]));
-      }
-    }
+void HoistRegion(LogicalOpPtr* node, JoinRegion region,
+                 const std::vector<std::string>& written, int* common_counter,
+                 std::vector<HoistedPlan>* hoisted) {
+  const std::vector<RegionRel>& rels = region.rels;
+  std::vector<bool> hoistable(rels.size());
+  for (size_t i = 0; i < rels.size(); ++i) {
+    hoistable[i] = IsLoopInvariant(**rels[i].slot, written);
   }
-  // Components of hoistable relations with >= 2 members get hoisted.
+  UnionFind uf = ConnectRels(region, [&](const RegionConjunct& c) {
+    return std::all_of(c.rels.begin(), c.rels.end(),
+                       [&](size_t t) { return hoistable[t]; });
+  });
+  // Components of >= 2 hoistable relations get hoisted, in the order of
+  // their first relation. A relation that is not hoistable is never united.
+  std::vector<std::vector<size_t>> members(rels.size());
+  for (size_t i = 0; i < rels.size(); ++i) {
+    if (hoistable[i]) members[uf.Find(i)].push_back(i);
+  }
   std::vector<int> component_of(rels.size(), -1);
   std::vector<std::vector<size_t>> components;
-  {
-    std::vector<int> root_to_comp(rels.size(), -1);
-    std::vector<int> root_count(rels.size(), 0);
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (rels[i].hoistable) ++root_count[uf.Find(static_cast<int>(i))];
-    }
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (!rels[i].hoistable) continue;
-      int root = uf.Find(static_cast<int>(i));
-      if (root_count[root] < 2) continue;
-      if (root_to_comp[root] < 0) {
-        root_to_comp[root] = static_cast<int>(components.size());
-        components.emplace_back();
-      }
-      component_of[i] = root_to_comp[root];
-      components[static_cast<size_t>(root_to_comp[root])].push_back(i);
-    }
+  for (size_t i = 0; i < rels.size(); ++i) {
+    const std::vector<size_t>& m = members[uf.Find(i)];
+    if (m.size() < 2 || m[0] != i) continue;
+    for (size_t r : m) component_of[r] = static_cast<int>(components.size());
+    components.push_back(m);
   }
-  if (components.empty()) return Status::OK();
+  if (components.empty()) return;
 
-  size_t total_width = 0;
-  for (const auto& r : rels) total_width += r.width;
-
-  // --- destructive pass ---
-  size_t next_rel = 0;
-  FlattenTake(std::move(*node), &next_rel, &rels);
+  const size_t total_width = region.Width();
+  std::vector<RegionConjunct>& conjuncts = region.conjuncts;
 
   // The rebuilt region consists of "entries": the non-hoisted relations
   // (singletons) plus one common-result scan per component.
   struct NewRel {
     LogicalOpPtr plan;
-    std::vector<size_t> old_rels;        // flatten indices covered
-    std::vector<size_t> member_offsets;  // offset of each old rel within plan
-    size_t width = 0;
+    std::vector<size_t> old_rels;  // flatten indices covered, in plan order
   };
   std::vector<NewRel> entries;
   for (size_t i = 0; i < rels.size(); ++i) {
-    if (component_of[i] >= 0) continue;
-    NewRel e;
-    e.plan = std::move(rels[i].subtree);
-    e.old_rels = {i};
-    e.member_offsets = {0};
-    e.width = rels[i].width;
-    entries.push_back(std::move(e));
+    if (component_of[i] < 0) entries.push_back({std::move(*rels[i].slot), {i}});
   }
   for (size_t c = 0; c < components.size(); ++c) {
     std::string name = "__common#" + std::to_string(++(*common_counter));
-    NewRel e;
     Schema common_schema;
     std::vector<LogicalOpPtr> member_plans;
     for (size_t m : components[c]) {
-      e.old_rels.push_back(m);
-      e.member_offsets.push_back(e.width);
-      for (const auto& col : rels[m].subtree->output_schema.columns()) {
+      for (const auto& col : (*rels[m].slot)->output_schema.columns()) {
         common_schema.AddColumn(col.name, col.type);
       }
-      e.width += rels[m].width;
-      member_plans.push_back(std::move(rels[m].subtree));
+      member_plans.push_back(std::move(*rels[m].slot));
     }
     // Build the hoisted plan: cross-join chain + intra-component conjuncts
     // (the within-block pushdown shapes these into hash joins; components
     // are connected by construction, so every join gets a condition).
     LogicalOpPtr common_plan = CrossJoinChain(std::move(member_plans));
+    std::vector<size_t> comp_map(total_width, 0);
+    region.Pack(components[c], 0, &comp_map);
     std::vector<BoundExprPtr> intra;
-    for (auto& conj : conjuncts) {
-      if (!conj) continue;
-      std::vector<size_t> touched = TouchedRels(*conj, rels);
-      bool all_in_comp = !touched.empty();
-      for (size_t t : touched) {
+    for (RegionConjunct& conj : conjuncts) {
+      if (!conj.expr) continue;
+      bool all_in_comp = !conj.rels.empty();
+      for (size_t t : conj.rels) {
         if (component_of[t] != static_cast<int>(c)) all_in_comp = false;
       }
       if (all_in_comp) {
-        // Remap from region space to component space.
-        std::vector<size_t> comp_map(total_width, 0);
-        for (size_t mi = 0; mi < e.old_rels.size(); ++mi) {
-          size_t m = e.old_rels[mi];
-          for (size_t k = 0; k < rels[m].width; ++k) {
-            comp_map[rels[m].start + k] = e.member_offsets[mi] + k;
-          }
-        }
-        conj->RemapColumns(comp_map);
-        intra.push_back(std::move(conj));
+        conj.expr->RemapColumns(comp_map);
+        intra.push_back(std::move(conj.expr));
       }
     }
     if (!intra.empty()) {
@@ -260,29 +109,27 @@ Status TryHoistRegion(LogicalOpPtr* node, int* common_counter,
                                std::move(common_plan));
     }
     hoisted->push_back(HoistedPlan{name, std::move(common_plan)});
-    e.plan = MakeScan(ScanSource::kResult, name, common_schema);
-    entries.push_back(std::move(e));
+    entries.push_back({MakeScan(ScanSource::kResult, name, common_schema),
+                       components[c]});
   }
 
   // Order entries greedily by join connectivity so the rebuilt chain never
   // introduces a cross join where a join predicate exists: each appended
   // entry shares at least one remaining conjunct with the entries already
   // in the chain (when possible).
-  std::vector<std::vector<size_t>> conj_entries;  // entries each conjunct touches
-  for (const auto& conj : conjuncts) {
-    std::vector<size_t> touched_entries;
-    if (conj) {
-      std::vector<size_t> touched = TouchedRels(*conj, rels);
-      for (size_t e = 0; e < entries.size(); ++e) {
-        for (size_t m : entries[e].old_rels) {
-          if (std::find(touched.begin(), touched.end(), m) != touched.end()) {
-            touched_entries.push_back(e);
-            break;
-          }
-        }
-      }
+  std::vector<size_t> entry_of(rels.size());
+  for (size_t e = 0; e < entries.size(); ++e) {
+    for (size_t m : entries[e].old_rels) entry_of[m] = e;
+  }
+  std::vector<std::vector<size_t>> conj_entries;  // ascending, per conjunct
+  for (const RegionConjunct& conj : conjuncts) {
+    std::vector<size_t> touched;
+    if (conj.expr) {
+      for (size_t t : conj.rels) touched.push_back(entry_of[t]);
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     }
-    conj_entries.push_back(std::move(touched_entries));
+    conj_entries.push_back(std::move(touched));
   }
   std::vector<size_t> order;
   std::vector<bool> used(entries.size(), false);
@@ -307,12 +154,8 @@ Status TryHoistRegion(LogicalOpPtr* node, int* common_counter,
     }
     if (pick == entries.size()) {
       // Disconnected: fall back to the first unused entry (true cross join).
-      for (size_t e = 0; e < entries.size(); ++e) {
-        if (!used[e]) {
-          pick = e;
-          break;
-        }
-      }
+      pick = static_cast<size_t>(std::find(used.begin(), used.end(), false) -
+                                 used.begin());
     }
     used[pick] = true;
     order.push_back(pick);
@@ -323,23 +166,16 @@ Status TryHoistRegion(LogicalOpPtr* node, int* common_counter,
   size_t cursor = 0;
   std::vector<LogicalOpPtr> chain_plans;
   for (size_t e : order) {
-    NewRel& entry = entries[e];
-    for (size_t mi = 0; mi < entry.old_rels.size(); ++mi) {
-      size_t m = entry.old_rels[mi];
-      for (size_t k = 0; k < rels[m].width; ++k) {
-        mapping[rels[m].start + k] = cursor + entry.member_offsets[mi] + k;
-      }
-    }
-    cursor += entry.width;
-    chain_plans.push_back(std::move(entry.plan));
+    cursor = region.Pack(entries[e].old_rels, cursor, &mapping);
+    chain_plans.push_back(std::move(entries[e].plan));
   }
 
   LogicalOpPtr rebuilt = CrossJoinChain(std::move(chain_plans));
   std::vector<BoundExprPtr> remaining;
-  for (auto& conj : conjuncts) {
-    if (!conj) continue;
-    conj->RemapColumns(mapping);
-    remaining.push_back(std::move(conj));
+  for (RegionConjunct& conj : conjuncts) {
+    if (!conj.expr) continue;
+    conj.expr->RemapColumns(mapping);
+    remaining.push_back(std::move(conj.expr));
   }
   if (!remaining.empty()) {
     rebuilt = MakeFilter(CombineConjuncts(std::move(remaining)),
@@ -357,35 +193,23 @@ Status TryHoistRegion(LogicalOpPtr* node, int* common_counter,
   }
   *node = MakeProject(std::move(restore), std::move(names),
                       std::move(rebuilt));
-  return Status::OK();
 }
 
-// Finds region roots in post-order; `in_inner_region` tells whether the
-// parent was an inner join (then this join belongs to the parent's region).
-Status HoistInPlan(LogicalOpPtr* node, int* common_counter,
-                   std::vector<HoistedPlan>* hoisted) {
-  // Recurse into children first, but skip straight through the spine of an
-  // inner-join region (those are handled when the region root rewrites).
-  if (IsInnerJoin(**node)) {
-    // Recurse into the region's relation subtrees only.
-    std::function<Status(LogicalOp*)> recurse_rels =
-        [&](LogicalOp* n) -> Status {
-      for (auto& c : n->children) {
-        if (IsInnerJoin(*c)) {
-          DBSP_RETURN_NOT_OK(recurse_rels(c.get()));
-        } else {
-          DBSP_RETURN_NOT_OK(HoistInPlan(&c, common_counter, hoisted));
-        }
-      }
-      return Status::OK();
-    };
-    DBSP_RETURN_NOT_OK(recurse_rels(node->get()));
-    return TryHoistRegion(node, common_counter, hoisted);
+// Rewrites the inner-join regions of the plan bottom-up: those inside a
+// region's relations before the region itself.
+void HoistInPlan(LogicalOpPtr* node, const std::vector<std::string>& written,
+                 int* common_counter, std::vector<HoistedPlan>* hoisted) {
+  if (!IsInnerJoin(**node)) {
+    for (auto& c : (*node)->children) {
+      HoistInPlan(&c, written, common_counter, hoisted);
+    }
+    return;
   }
-  for (auto& c : (*node)->children) {
-    DBSP_RETURN_NOT_OK(HoistInPlan(&c, common_counter, hoisted));
+  JoinRegion region = FlattenJoinRegion(node, /*through_left_joins=*/false);
+  for (const RegionRel& rel : region.rels) {
+    HoistInPlan(rel.slot, written, common_counter, hoisted);
   }
-  return Status::OK();
+  HoistRegion(node, std::move(region), written, common_counter, hoisted);
 }
 
 }  // namespace
@@ -398,7 +222,8 @@ Status ApplyCommonResultRewrite(Program* program, const IterativeCteInfo& info,
   if (!ri_step.plan) return Status::OK();
 
   std::vector<HoistedPlan> hoisted;
-  DBSP_RETURN_NOT_OK(HoistInPlan(&ri_step.plan, common_counter, &hoisted));
+  HoistInPlan(&ri_step.plan, LoopBodyWrittenNames(*program), common_counter,
+              &hoisted);
   if (hoisted.empty()) return Status::OK();
 
   DBSP_RETURN_NOT_OK(optimizer->OptimizePlan(&ri_step.plan));

@@ -1,4 +1,5 @@
-// Delta-driven (semi-naive) iteration: legality analysis and plan surgery.
+// Delta-driven (semi-naive) iteration: legality analysis, plan surgery and
+// step emission.
 //
 // A merge-update-shaped iterative body recomputes a value per key from the
 // CTE's own rows plus loop-invariant inputs. Once the loop starts converging,
@@ -45,68 +46,14 @@
 //     needed.
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/string_util.h"
+#include "optimizer/join_region.h"
 #include "optimizer/optimizer.h"
 
 namespace dbspinner {
 
 namespace {
-
-// Result names written inside any loop body of the program: a scan of one of
-// these is not loop-invariant. Body ranges are [InitLoop, LoopCheck] of the
-// same loop_id; a rename also unbinds its source.
-std::vector<std::string> LoopBodyWrittenNames(const Program& program) {
-  std::vector<std::string> written;
-  for (size_t i = 0; i < program.steps.size(); ++i) {
-    if (program.steps[i].kind != Step::Kind::kInitLoop) continue;
-    int loop_id = program.steps[i].loop_id;
-    for (size_t j = i + 1; j < program.steps.size(); ++j) {
-      const Step& s = program.steps[j];
-      if (s.kind == Step::Kind::kLoopCheck && s.loop_id == loop_id) break;
-      switch (s.kind) {
-        case Step::Kind::kMaterialize:
-        case Step::Kind::kMergeUpdate:
-        case Step::Kind::kRemoveResult:
-        case Step::Kind::kComputeDelta:
-          written.push_back(s.target);
-          break;
-        case Step::Kind::kRename:
-          written.push_back(s.target);
-          written.push_back(s.source);
-          break;
-        case Step::Kind::kInitLoop:
-        case Step::Kind::kLoopCheck:
-        case Step::Kind::kFinal:
-          break;
-      }
-    }
-  }
-  return written;
-}
-
-bool NameInList(const std::string& name,
-                const std::vector<std::string>& names) {
-  for (const auto& n : names) {
-    if (EqualsIgnoreCase(name, n)) return true;
-  }
-  return false;
-}
-
-bool SubtreeInvariant(const LogicalOp& op,
-                      const std::vector<std::string>& written) {
-  if (op.kind == LogicalOpKind::kScan &&
-      op.scan_source == ScanSource::kResult &&
-      NameInList(op.scan_name, written)) {
-    return false;
-  }
-  if (op.kind == LogicalOpKind::kDeltaRestrict) return false;
-  for (const auto& c : op.children) {
-    if (!SubtreeInvariant(*c, written)) return false;
-  }
-  return true;
-}
 
 // Filter chain over Scan(result:`cte`)? Returns the scan, or null.
 const LogicalOp* SelfScanOf(const LogicalOp& rel, const std::string& cte) {
@@ -118,105 +65,6 @@ const LogicalOp* SelfScanOf(const LogicalOp& rel, const std::string& cte) {
     return n;
   }
   return nullptr;
-}
-
-// One relation of the flattened join region at the bottom of Ri's chain.
-struct DeltaRel {
-  LogicalOpPtr* slot = nullptr;  // owning slot, for surgery
-  size_t start = 0;              // first ordinal in region-root space
-  size_t width = 0;
-  bool null_padded = false;  // right side of some LEFT join
-  bool invariant = false;
-  bool secondary = false;  // Filter* over Scan(cte), not the driving rel
-};
-
-struct DeltaConjunct {
-  BoundExprPtr expr;  // rebased to region-root ordinals
-  bool from_left_join = false;
-};
-
-// Flattens nested joins (INNER and LEFT) into relations + conjuncts, like
-// common_result.cc's FlattenView but keeping owning slots and null-padding.
-void FlattenRegion(LogicalOpPtr* slot, size_t base, bool padded,
-                   std::vector<DeltaRel>* rels,
-                   std::vector<DeltaConjunct>* conjuncts) {
-  LogicalOp* node = slot->get();
-  if (node->kind == LogicalOpKind::kJoin) {
-    size_t left_width = node->children[0]->output_schema.num_columns();
-    bool left_join = node->join_type == JoinType::kLeft;
-    FlattenRegion(&node->children[0], base, padded, rels, conjuncts);
-    FlattenRegion(&node->children[1], base + left_width, padded || left_join,
-                  rels, conjuncts);
-    if (node->join_condition) {
-      std::vector<BoundExprPtr> cs;
-      SplitConjuncts(*node->join_condition, &cs);
-      for (auto& c : cs) {
-        c->ShiftColumns(static_cast<int64_t>(base));
-        conjuncts->push_back(DeltaConjunct{std::move(c), left_join});
-      }
-    }
-    return;
-  }
-  DeltaRel rel;
-  rel.slot = slot;
-  rel.start = base;
-  rel.width = node->output_schema.num_columns();
-  rel.null_padded = padded;
-  rels->push_back(std::move(rel));
-}
-
-// Index of the relation owning region ordinal `ord`; rels.size() if none.
-size_t RelOfOrdinal(const std::vector<DeltaRel>& rels, size_t ord) {
-  for (size_t i = 0; i < rels.size(); ++i) {
-    if (ord >= rels[i].start && ord < rels[i].start + rels[i].width) return i;
-  }
-  return rels.size();
-}
-
-// Distinct relation indices referenced by `expr`.
-std::vector<size_t> TouchedRels(const BoundExpr& expr,
-                                const std::vector<DeltaRel>& rels) {
-  std::vector<size_t> refs;
-  expr.CollectColumnRefs(&refs);
-  std::vector<size_t> touched;
-  for (size_t r : refs) {
-    size_t i = RelOfOrdinal(rels, r);
-    if (i < rels.size() &&
-        std::find(touched.begin(), touched.end(), i) == touched.end()) {
-      touched.push_back(i);
-    }
-  }
-  return touched;
-}
-
-struct UnionFind {
-  std::vector<int> parent;
-  explicit UnionFind(size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int Find(int x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  }
-  void Union(int a, int b) { parent[Find(a)] = Find(b); }
-};
-
-LogicalOpPtr CrossJoinChain(std::vector<LogicalOpPtr> rels) {
-  LogicalOpPtr chain = std::move(rels[0]);
-  for (size_t i = 1; i < rels.size(); ++i) {
-    auto join = std::make_unique<LogicalOp>();
-    join->kind = LogicalOpKind::kJoin;
-    join->join_type = JoinType::kInner;
-    Schema schema = chain->output_schema;
-    for (const auto& col : rels[i]->output_schema.columns()) {
-      schema.AddColumn(col.name, col.type);
-    }
-    join->output_schema = std::move(schema);
-    join->children.push_back(std::move(chain));
-    join->children.push_back(std::move(rels[i]));
-    chain = std::move(join);
-  }
-  return chain;
 }
 
 // Re-points the Scan(result:`cte`) leaf of a cloned secondary at `delta`.
@@ -250,32 +98,19 @@ LogicalOpPtr MakeKeyProject(LogicalOpPtr child, size_t ordinal,
   return MakeProject(std::move(exprs), {name}, std::move(child));
 }
 
-}  // namespace
-
-bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
-                           const std::string& delta_name,
-                           const std::string& affected_name, bool rename_path,
-                           LogicalOpPtr* affected_plan_out) {
-  int ri_idx = program->FindStep(info.ri_step_id);
-  if (ri_idx < 0) return false;
-  Step& ri_step = program->steps[static_cast<size_t>(ri_idx)];
-  if (!ri_step.plan) return false;
-
-  const TypeId key_type = info.cte_schema.column(info.key_col).type;
-  const std::string key_name = info.cte_schema.column(info.key_col).name;
-
-  // --- 1. Trace the output key column down to the join region. -------------
-  LogicalOpPtr* slot = &ri_step.plan;
-  size_t tracked = info.key_col;
-  bool at_region = false;
-  while (!at_region) {
+// Traces CTE key ordinal `*tracked` of `*slot`'s output down through
+// Project (bare column ref), Filter, Distinct and Aggregate (bare group
+// column) to the join region (or lone scan) below. Returns the region's
+// slot with `*tracked` rebased to it, or null for an unsupported shape.
+LogicalOpPtr* TraceKeyToRegion(LogicalOpPtr* slot, size_t* tracked) {
+  while (true) {
     LogicalOp* op = slot->get();
     switch (op->kind) {
       case LogicalOpKind::kProject: {
-        if (tracked >= op->projections.size()) return false;
-        const BoundExpr& e = *op->projections[tracked];
-        if (e.kind != BoundExprKind::kColumnRef) return false;
-        tracked = e.column_index;
+        if (*tracked >= op->projections.size()) return nullptr;
+        const BoundExpr& e = *op->projections[*tracked];
+        if (e.kind != BoundExprKind::kColumnRef) return nullptr;
+        *tracked = e.column_index;
         slot = &op->children[0];
         break;
       }
@@ -286,63 +121,96 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
       case LogicalOpKind::kAggregate: {
         // Output layout is [group columns ++ aggregates]; the key must be a
         // bare group column so groups factor by key.
-        if (tracked >= op->group_exprs.size()) return false;
-        const BoundExpr& e = *op->group_exprs[tracked];
-        if (e.kind != BoundExprKind::kColumnRef) return false;
-        tracked = e.column_index;
+        if (*tracked >= op->group_exprs.size()) return nullptr;
+        const BoundExpr& e = *op->group_exprs[*tracked];
+        if (e.kind != BoundExprKind::kColumnRef) return nullptr;
+        *tracked = e.column_index;
         slot = &op->children[0];
         break;
       }
       case LogicalOpKind::kJoin:
       case LogicalOpKind::kScan:
-        at_region = true;
-        break;
+        return slot;
       default:
-        return false;  // set ops, limit, sort, values: unsupported shapes
+        return nullptr;  // set ops, limit, sort, values: unsupported shapes
     }
   }
+}
+
+}  // namespace
+
+Status ApplyDeltaIterationRewrite(Program* program,
+                                  const IterativeCteInfo& info,
+                                  Optimizer* optimizer) {
+  int init_idx = program->FindStep(info.init_step_id);
+  int check_idx = program->FindStep(info.check_step_id);
+  int ri_idx = program->FindStep(info.ri_step_id);
+  if (init_idx < 0 || check_idx < 0 || ri_idx < 0) return Status::OK();
+  const int loop_id = program->steps[static_cast<size_t>(init_idx)].loop_id;
+  Step& ri_step = program->steps[static_cast<size_t>(ri_idx)];
+  if (!ri_step.plan) return Status::OK();
+
+  // Which update step closes the body? Rename needs the carry union (the
+  // working table replaces the CTE wholesale); merge supplies unaffected
+  // rows by itself.
+  bool rename_path = false;
+  bool found_update = false;
+  for (int i = ri_idx + 1; i < check_idx; ++i) {
+    const Step& s = program->steps[static_cast<size_t>(i)];
+    if ((s.kind == Step::Kind::kRename || s.kind == Step::Kind::kMergeUpdate) &&
+        EqualsIgnoreCase(s.source, info.working_name)) {
+      rename_path = s.kind == Step::Kind::kRename;
+      found_update = true;
+      break;
+    }
+  }
+  if (!found_update) return Status::OK();
+
+  const std::string delta_name = info.cte_name + "__delta";
+  const std::string affected_name = info.cte_name + "__affected";
+  const TypeId key_type = info.cte_schema.column(info.key_col).type;
+  const std::string key_name = info.cte_schema.column(info.key_col).name;
+
+  // --- 1. Trace the output key column down to the join region. -------------
+  size_t tracked = info.key_col;
+  LogicalOpPtr* slot = TraceKeyToRegion(&ri_step.plan, &tracked);
+  if (slot == nullptr) return Status::OK();
 
   // --- 2. Flatten the region and classify its relations. ------------------
-  std::vector<DeltaRel> rels;
-  std::vector<DeltaConjunct> conjuncts;
-  FlattenRegion(slot, 0, false, &rels, &conjuncts);
+  const JoinRegion region =
+      FlattenJoinRegion(slot, /*through_left_joins=*/true);
+  const std::vector<RegionRel>& rels = region.rels;
 
-  size_t driving = RelOfOrdinal(rels, tracked);
-  if (driving >= rels.size()) return false;
-  if (rels[driving].null_padded) return false;
-  if (tracked - rels[driving].start != info.key_col) return false;
-  if (SelfScanOf(*rels[driving].slot->get(), info.cte_name) == nullptr) {
-    return false;
+  size_t driving = region.RelOfOrdinal(tracked);
+  if (driving >= rels.size()) return Status::OK();
+  if (rels[driving].null_padded) return Status::OK();
+  if (tracked - rels[driving].start != info.key_col) return Status::OK();
+  if (SelfScanOf(**rels[driving].slot, info.cte_name) == nullptr) {
+    return Status::OK();
   }
 
   std::vector<std::string> written = LoopBodyWrittenNames(*program);
+  std::vector<bool> invariant(rels.size(), false);
   std::vector<size_t> secondaries;
   for (size_t i = 0; i < rels.size(); ++i) {
     if (i == driving) continue;
-    DeltaRel& rel = rels[i];
-    if (SelfScanOf(*rel.slot->get(), info.cte_name) != nullptr) {
-      rel.secondary = true;
+    if (SelfScanOf(**rels[i].slot, info.cte_name) != nullptr) {
       secondaries.push_back(i);
-    } else if (SubtreeInvariant(*rel.slot->get(), written)) {
-      rel.invariant = true;
+    } else if (IsLoopInvariant(**rels[i].slot, written)) {
+      invariant[i] = true;
     } else {
-      return false;  // reads some other loop-varying result
+      return Status::OK();  // reads some other loop-varying result
     }
   }
 
   // --- 3. Per-secondary dependency plans. ----------------------------------
   // Connectivity ignores conjuncts touching the driving relation, so the
   // driving rel never joins a secondary's component.
-  UnionFind uf(rels.size());
-  for (const auto& c : conjuncts) {
-    std::vector<size_t> touched = TouchedRels(*c.expr, rels);
-    if (std::find(touched.begin(), touched.end(), driving) != touched.end()) {
-      continue;
-    }
-    for (size_t i = 1; i < touched.size(); ++i) {
-      uf.Union(static_cast<int>(touched[0]), static_cast<int>(touched[i]));
-    }
-  }
+  auto touches_driving = [&](const RegionConjunct& c) {
+    return std::find(c.rels.begin(), c.rels.end(), driving) != c.rels.end();
+  };
+  UnionFind uf = ConnectRels(
+      region, [&](const RegionConjunct& c) { return !touches_driving(c); });
 
   const size_t driving_key_ord = rels[driving].start + info.key_col;
   std::vector<LogicalOpPtr> branches;
@@ -354,11 +222,11 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
                                       key_name, key_type));
   }
   for (size_t s : secondaries) {
-    int comp = uf.Find(static_cast<int>(s));
+    size_t comp = uf.Find(s);
     size_t comp_size = 0;
     for (size_t i = 0; i < rels.size(); ++i) {
-      if (uf.Find(static_cast<int>(i)) != comp) continue;
-      if (i != s && !rels[i].invariant) return false;  // two varying rels
+      if (uf.Find(i) != comp) continue;
+      if (i != s && !invariant[i]) return Status::OK();  // two varying rels
       ++comp_size;
     }
     // Join order: the secondary first, so the delta probes every
@@ -371,14 +239,12 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
     };
     for (bool grew = true; grew && members.size() < comp_size;) {
       grew = false;
-      for (const auto& c : conjuncts) {
-        std::vector<size_t> touched = TouchedRels(*c.expr, rels);
-        if (std::find(touched.begin(), touched.end(), driving) !=
-                touched.end() ||
-            std::none_of(touched.begin(), touched.end(), is_member)) {
+      for (const RegionConjunct& c : region.conjuncts) {
+        if (touches_driving(c) ||
+            std::none_of(c.rels.begin(), c.rels.end(), is_member)) {
           continue;
         }
-        for (size_t t : touched) {
+        for (size_t t : c.rels) {
           if (!is_member(t)) {
             members.push_back(t);
             grew = true;
@@ -387,11 +253,11 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
       }
     }
     auto in_comp = [&](size_t ord) {
-      return is_member(RelOfOrdinal(rels, ord));
+      return is_member(region.RelOfOrdinal(ord));
     };
     // The key link maps component rows back to driving keys.
     size_t link_ord = SIZE_MAX;
-    for (const auto& c : conjuncts) {
+    for (const RegionConjunct& c : region.conjuncts) {
       const BoundExpr& e = *c.expr;
       if (e.kind != BoundExprKind::kBinaryOp || e.binary_op != BinaryOp::kEq) {
         continue;
@@ -413,26 +279,22 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
         break;
       }
     }
-    if (link_ord == SIZE_MAX) return false;
+    if (link_ord == SIZE_MAX) return Status::OK();
 
     // Clone the component with the secondary re-pointed at the delta, keep
     // the intra-component INNER conjuncts, and project the link column.
-    size_t total_width = rels.back().start + rels.back().width;
-    std::vector<size_t> mapping(total_width, 0);
+    std::vector<size_t> mapping(region.Width(), 0);
+    region.Pack(members, 0, &mapping);
     std::vector<LogicalOpPtr> clones;
-    size_t packed = 0;
     for (size_t m : members) {
-      LogicalOpPtr clone = (*rels[m].slot)->Clone();
-      if (m == s) RedirectSelfScan(clone.get(), info.cte_name, delta_name);
-      for (size_t k = 0; k < rels[m].width; ++k) {
-        mapping[rels[m].start + k] = packed + k;
+      clones.push_back((*rels[m].slot)->Clone());
+      if (m == s) {
+        RedirectSelfScan(clones.back().get(), info.cte_name, delta_name);
       }
-      packed += rels[m].width;
-      clones.push_back(std::move(clone));
     }
     LogicalOpPtr dep = CrossJoinChain(std::move(clones));
     std::vector<BoundExprPtr> kept;
-    for (const auto& c : conjuncts) {
+    for (const RegionConjunct& c : region.conjuncts) {
       // LEFT-join ON conjuncts are kept too: every affected-key event is
       // witnessed by a region output row (in the previous or the current
       // version) that satisfies the ON condition with a delta row — the
@@ -441,9 +303,8 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
       // Dropping them instead would be sound but degenerates this branch
       // into a cross product (affected = all keys, at O(|inv| * |delta|)
       // materialization cost per iteration).
-      std::vector<size_t> touched = TouchedRels(*c.expr, rels);
-      if (touched.empty()) continue;
-      if (!std::all_of(touched.begin(), touched.end(), is_member)) continue;
+      if (c.rels.empty()) continue;
+      if (!std::all_of(c.rels.begin(), c.rels.end(), is_member)) continue;
       BoundExprPtr clone = c.expr->Clone();
       clone->RemapColumns(mapping);
       kept.push_back(std::move(clone));
@@ -495,9 +356,38 @@ bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
     ri_step.plan = std::move(u);
   }
   ri_step.comment += " [delta-restricted]";
+  DBSP_RETURN_NOT_OK(optimizer->OptimizePlan(&affected));
+  DBSP_RETURN_NOT_OK(optimizer->OptimizePlan(&ri_step.plan));
 
-  *affected_plan_out = std::move(affected);
-  return true;
+  // --- 6. Steps: the delta and the affected keys open the loop body. -------
+  int compute_id;
+  {
+    Step s;  // 3a: diff the CTE against the previous iteration's version
+    s.kind = Step::Kind::kComputeDelta;
+    s.id = program->NewId();
+    s.target = delta_name;
+    s.source = info.cte_name;
+    s.key_col = info.key_col;
+    s.loop_id = loop_id;
+    s.comment = "compute changed rows of '" + info.cte_name + "' into '" +
+                delta_name + "'";
+    compute_id = s.id;
+    program->InsertBefore(info.ri_step_id, std::move(s));
+  }
+  {
+    Step s;  // 3b: the keys whose recomputation could differ this iteration
+    s.kind = Step::Kind::kMaterialize;
+    s.id = program->NewId();
+    s.loop_id = loop_id;  // also bound as the loop's indexed key set
+    s.target = affected_name;
+    s.plan = std::move(affected);
+    s.comment = "materialize affected keys into '" + affected_name + "'";
+    program->InsertBefore(info.ri_step_id, std::move(s));
+  }
+  // The loop body now starts at the delta computation.
+  program->steps[static_cast<size_t>(program->FindStep(info.check_step_id))]
+      .jump_to_id = compute_id;
+  return Status::OK();
 }
 
 }  // namespace dbspinner

@@ -1,7 +1,6 @@
 #include "optimizer/optimizer.h"
 
 #include "optimizer/cost_model.h"
-#include "rewrite/iterative_rewrite.h"
 
 namespace dbspinner {
 

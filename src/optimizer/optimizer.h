@@ -9,6 +9,7 @@
 //   - predicate pushdown within a block (stock rule)
 //   - predicate pushdown from Qf into R0 of an iterative CTE (§V-B, Fig 10)
 //   - common-result extraction out of Ri (§V-A, Fig 9)
+//   - delta-driven (semi-naive) iteration (not in the paper)
 
 #pragma once
 
@@ -86,16 +87,21 @@ Status ApplyCtePredicatePushdown(Program* program,
 Status ApplyCommonResultRewrite(Program* program, const IterativeCteInfo& info,
                                 int* common_counter, Optimizer* optimizer);
 
-/// Delta-driven (semi-naive) iteration, part 1: legality analysis and plan
-/// surgery (delta_analysis.cc). When the Ri plan of `info` has the supported
-/// merge-update shape, restricts its driving self-scan to the keys bound as
-/// result `affected_name`, adds the carry union on the rename path, and
-/// fills `*affected_plan_out` with the plan computing the affected key set
-/// from the per-iteration delta `delta_name`. Returns false (and leaves the
-/// program untouched) when the shape is not supported.
-bool TryPlanDeltaIteration(Program* program, const IterativeCteInfo& info,
-                           const std::string& delta_name,
-                           const std::string& affected_name, bool rename_path,
-                           LogicalOpPtr* affected_plan_out);
+/// Delta-driven (semi-naive) iteration (delta_analysis.cc). When the Ri plan
+/// of `info` has the supported merge-update shape, restricts its driving
+/// self-scan to the keys whose recomputation could differ this iteration,
+/// and the loop body becomes
+///
+///   3a computeDelta cteTable -> cte__delta      (changed rows, old + new)
+///   3b materialize affected keys -> cte__affected
+///   3  materialize restricted Ri into workingTable
+///   4  rename / merge as before (a rename also unions in the unaffected rows)
+///   5  update loop, jump to 3a while continue
+///
+/// so each iteration joins only the rows whose inputs changed. No-op when
+/// the shape is unsupported (the program then runs naively).
+Status ApplyDeltaIterationRewrite(Program* program,
+                                  const IterativeCteInfo& info,
+                                  Optimizer* optimizer);
 
 }  // namespace dbspinner

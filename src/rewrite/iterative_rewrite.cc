@@ -1,7 +1,6 @@
 #include "rewrite/iterative_rewrite.h"
 
 #include "common/string_util.h"
-#include "optimizer/optimizer.h"
 
 namespace dbspinner {
 
@@ -360,74 +359,6 @@ Status ProgramBuilder::AddIterativeCte(Program* program, const CteDef& def) {
 
   program->iterative_ctes.push_back(std::move(info));
   binder_.AddCte(def.name, CteBinding{def.name, schema});
-  return Status::OK();
-}
-
-Status ApplyDeltaIterationRewrite(Program* program,
-                                  const IterativeCteInfo& info,
-                                  Optimizer* optimizer) {
-  int init_idx = program->FindStep(info.init_step_id);
-  int check_idx = program->FindStep(info.check_step_id);
-  int ri_idx = program->FindStep(info.ri_step_id);
-  if (init_idx < 0 || check_idx < 0 || ri_idx < 0) return Status::OK();
-  const int loop_id = program->steps[static_cast<size_t>(init_idx)].loop_id;
-
-  // Which update step closes the body? Rename needs the carry union (the
-  // working table replaces the CTE wholesale); merge supplies unaffected
-  // rows by itself.
-  bool rename_path = false;
-  bool found_update = false;
-  for (int i = ri_idx + 1; i < check_idx; ++i) {
-    const Step& s = program->steps[static_cast<size_t>(i)];
-    if ((s.kind == Step::Kind::kRename || s.kind == Step::Kind::kMergeUpdate) &&
-        EqualsIgnoreCase(s.source, info.working_name)) {
-      rename_path = s.kind == Step::Kind::kRename;
-      found_update = true;
-      break;
-    }
-  }
-  if (!found_update) return Status::OK();
-
-  const std::string delta_name = info.cte_name + "__delta";
-  const std::string affected_name = info.cte_name + "__affected";
-  LogicalOpPtr affected_plan;
-  if (!TryPlanDeltaIteration(program, info, delta_name, affected_name,
-                             rename_path, &affected_plan)) {
-    return Status::OK();
-  }
-
-  DBSP_RETURN_NOT_OK(optimizer->OptimizePlan(&affected_plan));
-  Step& ri_step = program->steps[static_cast<size_t>(
-      program->FindStep(info.ri_step_id))];
-  DBSP_RETURN_NOT_OK(optimizer->OptimizePlan(&ri_step.plan));
-
-  int compute_id;
-  {
-    Step s;  // 3a: diff the CTE against the previous iteration's version
-    s.kind = Step::Kind::kComputeDelta;
-    s.id = program->NewId();
-    s.target = delta_name;
-    s.source = info.cte_name;
-    s.key_col = info.key_col;
-    s.loop_id = loop_id;
-    s.comment = "compute changed rows of '" + info.cte_name + "' into '" +
-                delta_name + "'";
-    compute_id = s.id;
-    program->InsertBefore(info.ri_step_id, std::move(s));
-  }
-  {
-    Step s;  // 3b: the keys whose recomputation could differ this iteration
-    s.kind = Step::Kind::kMaterialize;
-    s.id = program->NewId();
-    s.loop_id = loop_id;  // also bound as the loop's indexed key set
-    s.target = affected_name;
-    s.plan = std::move(affected_plan);
-    s.comment = "materialize affected keys into '" + affected_name + "'";
-    program->InsertBefore(info.ri_step_id, std::move(s));
-  }
-  // The loop body now starts at the delta computation.
-  program->steps[static_cast<size_t>(program->FindStep(info.check_step_id))]
-      .jump_to_id = compute_id;
   return Status::OK();
 }
 

@@ -64,24 +64,6 @@ class ProgramBuilder {
   int loop_counter_ = 0;
 };
 
-class Optimizer;
-
-/// Delta-driven (semi-naive) iteration, part 2: step emission. When the
-/// legality analysis (TryPlanDeltaIteration) accepts the CTE's Ri plan, the
-/// loop body becomes
-///
-///   3a computeDelta cteTable -> cte__delta      (changed rows, old + new)
-///   3b materialize affected keys -> cte__affected
-///   3  materialize restricted Ri into workingTable
-///   4  rename / merge as before
-///   5  update loop, jump to 3a while continue
-///
-/// so each iteration joins only the rows whose inputs changed. No-op when
-/// the shape is unsupported (the program then runs naively).
-Status ApplyDeltaIterationRewrite(Program* program,
-                                  const IterativeCteInfo& info,
-                                  Optimizer* optimizer);
-
 /// True if `query` references table/CTE `name` anywhere in its FROM trees.
 bool QueryReferences(const QueryNode& query, const std::string& name);
 

@@ -75,12 +75,6 @@ bool IsStreamingRole(PipelineRole role) {
          role == PipelineRole::kDeltaRestrict;
 }
 
-/// Lenient per-column type agreement (kNull is the wildcard the constant
-/// folder and NULL literals produce).
-bool TypeAgrees(TypeId have, TypeId want) {
-  return have == want || have == TypeId::kNull || want == TypeId::kNull;
-}
-
 /// Join-key agreement: TypeAgrees, or an INT64/DOUBLE pair, which the row
 /// index hashes and compares by numeric value (DESIGN.md §11, "Row index").
 /// BOOL and STRING keys match only their own type.
@@ -89,15 +83,6 @@ bool KeyTypesAgree(TypeId a, TypeId b) {
     return t == TypeId::kInt64 || t == TypeId::kDouble;
   };
   return TypeAgrees(a, b) || (number(a) && number(b));
-}
-
-/// Exact positional type equality (names ignored; rewrites relabel freely).
-bool SameTypes(const Schema& a, const Schema& b) {
-  if (a.num_columns() != b.num_columns()) return false;
-  for (size_t i = 0; i < a.num_columns(); ++i) {
-    if (a.column(i).type != b.column(i).type) return false;
-  }
-  return true;
 }
 
 /// Physical operator names a logical kind may legally compile to.

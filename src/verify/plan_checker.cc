@@ -41,21 +41,6 @@ size_t ExpectedChildren(LogicalOpKind kind) {
   }
 }
 
-/// Lenient per-column type agreement: exact match, or either side is the
-/// kNull wildcard (NULL literals / folded NULL expressions).
-bool TypeAgrees(TypeId have, TypeId want) {
-  return have == want || have == TypeId::kNull || want == TypeId::kNull;
-}
-
-/// Exact positional type equality between two schemas (names ignored).
-bool SameTypes(const Schema& a, const Schema& b) {
-  if (a.num_columns() != b.num_columns()) return false;
-  for (size_t i = 0; i < a.num_columns(); ++i) {
-    if (a.column(i).type != b.column(i).type) return false;
-  }
-  return true;
-}
-
 class PlanChecker {
  public:
   PlanChecker(const VerifyContext& ctx, int step_id, VerifyReport* report)

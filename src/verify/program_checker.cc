@@ -38,14 +38,6 @@ namespace internal {
 
 namespace {
 
-bool SameTypeVec(const Schema& a, const Schema& b) {
-  if (a.num_columns() != b.num_columns()) return false;
-  for (size_t i = 0; i < a.num_columns(); ++i) {
-    if (a.column(i).type != b.column(i).type) return false;
-  }
-  return true;
-}
-
 /// Appends every result name the plan reads: kResult scans plus the
 /// delta-restrict side input.
 void CollectPlanReads(const LogicalOp& op, std::vector<std::string>* out) {
@@ -156,7 +148,7 @@ struct NameInfo {
         unread != other.unread || has_schema != other.has_schema) {
       return false;
     }
-    return !has_schema || SameTypeVec(schema, other.schema);
+    return !has_schema || SameTypes(schema, other.schema);
   }
 };
 
@@ -177,7 +169,7 @@ NameInfo MeetInfo(const NameInfo& a, const NameInfo& b) {
   m = a;
   m.definite = a.definite && b.definite;
   m.unread = a.unread && b.unread;
-  if (a.has_schema && b.has_schema && SameTypeVec(a.schema, b.schema)) {
+  if (a.has_schema && b.has_schema && SameTypes(a.schema, b.schema)) {
     // keep a's schema
   } else {
     m.has_schema = false;

@@ -1,9 +1,11 @@
 // Internal interface between the verifier's entry points (verify.cc) and
 // the three analyses (plan_checker.cc, program_checker.cc,
-// pipeline_checker.cc).
+// pipeline_checker.cc), plus the type-agreement rules the analyses share.
 
 #pragma once
 
+#include "common/types.h"
+#include "storage/schema.h"
 #include "verify/verify.h"
 
 namespace dbspinner {
@@ -12,6 +14,22 @@ class PhysicalOp;
 
 namespace verify {
 namespace internal {
+
+/// Lenient per-column type agreement: exact match, or either side is the
+/// kNull wildcard (NULL literals / folded NULL expressions).
+inline bool TypeAgrees(TypeId have, TypeId want) {
+  return have == want || have == TypeId::kNull || want == TypeId::kNull;
+}
+
+/// Exact positional type equality between two schemas (names ignored;
+/// rewrites relabel freely).
+inline bool SameTypes(const Schema& a, const Schema& b) {
+  if (a.num_columns() != b.num_columns()) return false;
+  for (size_t i = 0; i < a.num_columns(); ++i) {
+    if (a.column(i).type != b.column(i).type) return false;
+  }
+  return true;
+}
 
 /// Structural + type/schema validation of one logical plan tree (V0xx).
 void CheckPlan(const LogicalOp& plan, const VerifyContext& ctx, int step_id,
