@@ -99,7 +99,6 @@ void BM_SsspDurableCheckpoint(benchmark::State& state) {
   eo.persistence.path = dir;
   eo.persistence.wal = wal;
   eo.persistence.sync = false;  // isolate encode+append cost from fsync
-  eo.persistence.durable_checkpoints = true;
   Database db(std::move(eo));
   {
     graph::EdgeList g = graph::Generate(bench::SpecFor(bench::Dataset::kDblp));

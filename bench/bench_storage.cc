@@ -1,18 +1,12 @@
-// Persistent storage scan throughput (DESIGN.md §12): rows/sec streaming a
-// compressed on-disk table through the buffer manager at three memory
-// budgets — 25%, 50% and 100% of the table's decoded blocks resident.
-//
-// At 100% the second scan is an all-hit pass over the pool (decode cost
-// amortized away); below 100% the clock hand must evict mid-scan and every
-// pass re-decodes the evicted fraction, which is exactly the
-// larger-than-memory regime the extent reader is built for. Counters report
-// the buffer pool's hit/miss/eviction behaviour and the on-disk compression
-// ratio (raw bytes / compressed payload bytes). JSON output via
-// --benchmark_format=json per the bench_util.h conventions.
+// Persistent storage read throughput (DESIGN.md §12): rows/sec decoding a
+// compressed on-disk table back into memory with StorageManager::ReadTable,
+// the path recovery and checkpoint resume take. Every iteration reads each
+// block, checks its checksum and decodes it into the output columns; the
+// counters add the on-disk compression ratio (raw bytes / bytes on disk).
+// JSON output via --benchmark_format=json per the bench_util.h conventions.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -44,7 +38,6 @@ const std::string& CorpusDir() {
     p.path = d;
     p.sync = false;
     p.block_rows = kBlockRows;
-    p.buffer_pool_blocks = 16;
     auto store = StorageManager::Open(p, /*faults=*/nullptr);
     if (!store.ok()) {
       std::fprintf(stderr, "bench_storage setup failed: %s\n",
@@ -78,21 +71,12 @@ const std::string& CorpusDir() {
   return dir;
 }
 
-void BM_ExtentScan(benchmark::State& state) {
-  int budget_pct = static_cast<int>(state.range(0));
-
+void BM_ReadTable(benchmark::State& state) {
   PersistenceOptions p;
   p.enabled = true;
   p.path = CorpusDir();
   p.sync = false;
   p.block_rows = kBlockRows;
-  // Budget = pct of the table's decoded blocks (4 columns x rows/block_rows
-  // blocks each). 100% holds the whole table after one cold pass.
-  const size_t blocks_per_col = (kRows + kBlockRows - 1) / kBlockRows;
-  const size_t total_blocks = 4 * blocks_per_col;
-  p.buffer_pool_blocks =
-      std::max<size_t>(4, total_blocks * budget_pct / 100);
-
   auto open = StorageManager::Open(p, /*faults=*/nullptr);
   if (!open.ok()) {
     state.SkipWithError(open.status().ToString().c_str());
@@ -106,34 +90,22 @@ void BM_ExtentScan(benchmark::State& state) {
     return;
   }
 
-  int64_t rows_scanned = 0;
+  int64_t rows_read = 0;
   for (auto _ : state) {
-    ExtentTableReader reader(store.get(), it->second);
-    int64_t sum = 0;
-    while (true) {
-      Result<TablePtr> chunk = reader.Next();
-      if (!chunk.ok()) {
-        state.SkipWithError(chunk.status().ToString().c_str());
-        return;
-      }
-      if (chunk.value() == nullptr) break;
-      // Touch one numeric column so decode isn't dead code.
-      const ColumnVector& ids = chunk.value()->column(0);
-      for (size_t i = 0; i < ids.size(); ++i) sum += ids.Int64At(i);
+    Result<TablePtr> table = store->ReadTable(it->second);
+    if (!table.ok()) {
+      state.SkipWithError(table.status().ToString().c_str());
+      return;
     }
+    // Touch one numeric column so decode isn't dead code.
+    const ColumnVector& ids = table.value()->column(0);
+    int64_t sum = 0;
+    for (size_t i = 0; i < ids.size(); ++i) sum += ids.Int64At(i);
     benchmark::DoNotOptimize(sum);
-    rows_scanned += static_cast<int64_t>(reader.rows_read());
+    rows_read += static_cast<int64_t>(table.value()->num_rows());
   }
 
-  state.SetItemsProcessed(rows_scanned);  // items/sec == rows/sec
-  BufferManager::Stats bs = store->buffer_manager().stats();
-  state.counters["pool_blocks"] = static_cast<double>(p.buffer_pool_blocks);
-  state.counters["hits"] = static_cast<double>(bs.hits);
-  state.counters["misses"] = static_cast<double>(bs.misses);
-  state.counters["evictions"] = static_cast<double>(bs.evictions);
-  double hits_misses = static_cast<double>(bs.hits + bs.misses);
-  state.counters["hit_rate"] =
-      hits_misses > 0 ? static_cast<double>(bs.hits) / hits_misses : 0.0;
+  state.SetItemsProcessed(rows_read);  // items/sec == rows/sec
   // Write-side counters belong to the process that wrote the corpus; report
   // the ratio from the extent directory instead: raw size / on-disk size.
   uint64_t disk_bytes = 0;
@@ -146,12 +118,7 @@ void BM_ExtentScan(benchmark::State& state) {
   state.counters["compression_ratio"] =
       disk_bytes > 0 ? raw_bytes / static_cast<double>(disk_bytes) : 0.0;
 }
-BENCHMARK(BM_ExtentScan)
-    ->ArgNames({"mem_budget_pct"})
-    ->Arg(25)
-    ->Arg(50)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReadTable)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dbspinner

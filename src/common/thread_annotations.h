@@ -12,9 +12,8 @@
 // The engine's lock-ordering discipline these annotations document (acquire
 // strictly left to right; the full table is DESIGN.md §13):
 //
-//   commit lock  ->  catalog publish  ->  WAL append  ->  buffer latch
+//   commit lock  ->  catalog publish  ->  WAL append
 //   (Database::commit_lock_) (Catalog::Store::mu) (StorageManager::mu_)
-//                                                  (BufferManager::mu_)
 //
 // The macros expand to nothing on compilers without the attributes (GCC
 // builds the same sources warning-free); only the CI clang job enforces

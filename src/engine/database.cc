@@ -663,8 +663,8 @@ Result<QueryResult> Database::RunProgramToResult(SessionState& ss, Catalog* cat,
   ProgramResume resume;
   const ProgramResume* resume_ptr = nullptr;
   const uint64_t tag = ss.durable_program_tag;
-  if (storage_ != nullptr && storage_->options().durable_checkpoints &&
-      ss.options.fault_tolerance.enable_recovery && tag != 0) {
+  if (storage_ != nullptr && ss.options.fault_tolerance.enable_recovery &&
+      tag != 0) {
     uint64_t fp = ProgramFingerprint(program) ^
                   BlockChecksum(ss.temp_scope.data(), ss.temp_scope.size());
     if (auto cp = storage_->FindCheckpoint(tag);

@@ -43,8 +43,8 @@ namespace dbspinner {
 /// uninterruptibly.
 /// Declared a CAPABILITY so the commit slot participates in the engine's
 /// lock-ordering table (DESIGN.md §13: commit lock -> catalog publish ->
-/// WAL append -> buffer latch — it is the OUTERMOST lock; nothing may be
-/// held when acquiring it). Acquire/Release deliberately carry no
+/// WAL append — it is the OUTERMOST lock; nothing may be held when
+/// acquiring it). Acquire/Release deliberately carry no
 /// ACQUIRE/RELEASE attributes: clang's analysis is function-scoped and
 /// same-thread, while this slot's hold is Status-conditional (a cancelled
 /// Acquire returns without the slot) and spans statements and threads

@@ -62,10 +62,6 @@ Status EngineOptions::Validate() const {
     if (persistence.block_rows < 1) {
       return Status::InvalidArgument("persistence.block_rows must be >= 1");
     }
-    if (persistence.buffer_pool_blocks < 1) {
-      return Status::InvalidArgument(
-          "persistence.buffer_pool_blocks must be >= 1");
-    }
     if (persistence.manifest_every < 1) {
       return Status::InvalidArgument("persistence.manifest_every must be >= 1");
     }

@@ -85,10 +85,6 @@ struct FaultToleranceOptions {
   /// (kUnavailable) failure, before falling back to checkpoint restore.
   int max_step_retries = 3;
 
-  /// Base backoff between retries; attempt i sleeps backoff << i. Zero (the
-  /// default) keeps tests fast; real deployments would set this.
-  int64_t retry_backoff_us = 0;
-
   /// Checkpoint cadence K: snapshot loop state + registry every K loop
   /// iterations (plus one checkpoint at every loop entry). <= 0 disables
   /// periodic checkpoints, leaving only loop-entry and program-start ones.

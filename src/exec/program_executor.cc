@@ -3,7 +3,6 @@
 #include "exec/pipeline.h"
 
 #include <chrono>
-#include <thread>
 #include <unordered_map>
 
 #include "exec/merge_update.h"
@@ -445,10 +444,6 @@ Result<TablePtr> RunProgram(const Program& program, ExecContext* ctx,
         for (int attempt = 0;
              !st.ok() && st.IsRetryable() && attempt < ft.max_step_retries;
              ++attempt) {
-          if (ft.retry_backoff_us > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(ft.retry_backoff_us << attempt));
-          }
           ++ctx->stats.step_retries;
           st = run_step(step, pc, &next_pc);
           if (!st.ok()) {

@@ -222,8 +222,9 @@ Status ApplyCommonResultRewrite(Program* program, const IterativeCteInfo& info,
   if (!ri_step.plan) return Status::OK();
 
   std::vector<HoistedPlan> hoisted;
-  HoistInPlan(&ri_step.plan, LoopBodyWrittenNames(*program), common_counter,
-              &hoisted);
+  HoistInPlan(&ri_step.plan,
+              LoopBodyWrittenNames(*program, info.init_step_id),
+              common_counter, &hoisted);
   if (hoisted.empty()) return Status::OK();
 
   DBSP_RETURN_NOT_OK(optimizer->OptimizePlan(&ri_step.plan));

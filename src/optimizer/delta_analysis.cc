@@ -20,7 +20,7 @@
 //     subset of the current CTE keys and output rows factor by key;
 //   * the driving scan is not on the null-padded side of a LEFT join;
 //   * every other relation of the join region is either loop-invariant
-//     (reads no result written inside any loop body) or a secondary
+//     (reads no result written inside this loop's body) or a secondary
 //     self-reference (a Filter chain over a scan of the CTE);
 //   * each secondary's join component (connectivity over conjuncts that do
 //     not touch the driving relation) contains no other varying relation,
@@ -189,7 +189,8 @@ Status ApplyDeltaIterationRewrite(Program* program,
     return Status::OK();
   }
 
-  std::vector<std::string> written = LoopBodyWrittenNames(*program);
+  std::vector<std::string> written =
+      LoopBodyWrittenNames(*program, info.init_step_id);
   std::vector<bool> invariant(rels.size(), false);
   std::vector<size_t> secondaries;
   for (size_t i = 0; i < rels.size(); ++i) {

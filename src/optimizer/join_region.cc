@@ -110,30 +110,31 @@ LogicalOpPtr CrossJoinChain(std::vector<LogicalOpPtr> rels) {
   return chain;
 }
 
-std::vector<std::string> LoopBodyWrittenNames(const Program& program) {
+std::vector<std::string> LoopBodyWrittenNames(const Program& program,
+                                              int init_step_id) {
   std::vector<std::string> written;
-  for (size_t i = 0; i < program.steps.size(); ++i) {
-    if (program.steps[i].kind != Step::Kind::kInitLoop) continue;
-    int loop_id = program.steps[i].loop_id;
-    for (size_t j = i + 1; j < program.steps.size(); ++j) {
-      const Step& s = program.steps[j];
-      if (s.kind == Step::Kind::kLoopCheck && s.loop_id == loop_id) break;
-      switch (s.kind) {
-        case Step::Kind::kMaterialize:
-        case Step::Kind::kMergeUpdate:
-        case Step::Kind::kRemoveResult:
-        case Step::Kind::kComputeDelta:
-          written.push_back(s.target);
-          break;
-        case Step::Kind::kRename:
-          written.push_back(s.target);
-          written.push_back(s.source);
-          break;
-        case Step::Kind::kInitLoop:
-        case Step::Kind::kLoopCheck:
-        case Step::Kind::kFinal:
-          break;
-      }
+  const int init = program.FindStep(init_step_id);
+  if (init < 0) return written;
+  const int loop_id = program.steps[static_cast<size_t>(init)].loop_id;
+  for (size_t j = static_cast<size_t>(init) + 1; j < program.steps.size();
+       ++j) {
+    const Step& s = program.steps[j];
+    if (s.kind == Step::Kind::kLoopCheck && s.loop_id == loop_id) break;
+    switch (s.kind) {
+      case Step::Kind::kMaterialize:
+      case Step::Kind::kMergeUpdate:
+      case Step::Kind::kRemoveResult:
+      case Step::Kind::kComputeDelta:
+        written.push_back(s.target);
+        break;
+      case Step::Kind::kRename:
+        written.push_back(s.target);
+        written.push_back(s.source);
+        break;
+      case Step::Kind::kInitLoop:
+      case Step::Kind::kLoopCheck:
+      case Step::Kind::kFinal:
+        break;
     }
   }
   return written;

@@ -75,12 +75,16 @@ UnionFind ConnectRels(
 /// Left-deep chain of INNER cross joins over `rels` (at least one), in order.
 LogicalOpPtr CrossJoinChain(std::vector<LogicalOpPtr> rels);
 
-/// Result names some loop body of the program writes: the steps between a
-/// kInitLoop and the kLoopCheck of its loop, a rename's source included.
-std::vector<std::string> LoopBodyWrittenNames(const Program& program);
+/// Result names the body of one loop writes: the steps between the
+/// kInitLoop `init_step_id` and its loop's kLoopCheck, a rename's source
+/// included. Steps run in order, so a result another loop writes is fixed
+/// while this one runs: an earlier loop has finished, and a later one has
+/// not started.
+std::vector<std::string> LoopBodyWrittenNames(const Program& program,
+                                              int init_step_id);
 
 /// The loop-invariance rule: a subtree reads the same rows on every
-/// iteration of every loop unless it scans a result in `written` (see
+/// iteration of a loop unless it scans a result in `written` (see
 /// LoopBodyWrittenNames) or holds a DeltaRestrict.
 bool IsLoopInvariant(const LogicalOp& op,
                      const std::vector<std::string>& written);

@@ -91,7 +91,7 @@ class Catalog {
   };
 
   /// The catalog-publish lock: second in the engine's ordering (commit lock
-  /// -> catalog publish -> WAL append -> buffer latch, DESIGN.md §13).
+  /// -> catalog publish -> WAL append, DESIGN.md §13).
   /// Held only for the pointer swap / shallow map copy — never across I/O.
   struct Store {
     mutable Mutex mu;

@@ -299,9 +299,7 @@ int64_t RawColumnBytes(const ColumnVector& col) {
 
 StorageManager::StorageManager(PersistenceOptions options,
                                FaultInjector* faults)
-    : options_(std::move(options)),
-      faults_(faults),
-      buffer_(options_.buffer_pool_blocks) {}
+    : options_(std::move(options)), faults_(faults) {}
 
 Result<std::unique_ptr<StorageManager>> StorageManager::Open(
     const PersistenceOptions& options, FaultInjector* faults) {
@@ -792,112 +790,94 @@ StorageManager::GetExtentInfo(uint64_t extent_id) {
   return it->second;
 }
 
-Result<PinnedBlock> StorageManager::PinBlock(uint64_t extent_id,
-                                             uint32_t block_index,
-                                             TypeId type) {
-  DBSP_ASSIGN_OR_RETURN(std::shared_ptr<const ExtentInfo> info,
-                        GetExtentInfo(extent_id));
-  if (block_index >= info->blocks.size()) {
-    return Status::Corruption("block " + std::to_string(block_index) +
-                              " out of range for extent " +
-                              std::to_string(extent_id));
-  }
-  if (info->type != type &&
-      !(info->type == TypeId::kNull || type == TypeId::kNull)) {
-    return Status::Corruption("extent " + std::to_string(extent_id) +
-                              " stores type " +
-                              std::to_string(static_cast<int>(info->type)) +
-                              ", reader expects " +
-                              std::to_string(static_cast<int>(type)));
-  }
-  const std::string path = ExtentPath(extent_id);
-  const ExtentInfo::BlockMeta meta = info->blocks[block_index];
-  const TypeId block_type = info->type;
-  BlockKey key{extent_id, block_index};
-  return buffer_.Pin(key, [&]() -> Result<ColumnVectorPtr> {
-    std::string payload;
-    DBSP_RETURN_NOT_OK(
-        PreadExact(path, meta.offset, meta.payload_bytes, &payload));
-    if (BlockChecksum(payload.data(), payload.size()) != meta.checksum) {
-      return Status::Corruption("block " + std::to_string(block_index) +
-                                " of extent " + std::to_string(extent_id) +
-                                " failed its checksum");
-    }
-    auto col = std::make_shared<ColumnVector>(block_type);
-    col->Reserve(meta.rows);
-    DBSP_RETURN_NOT_OK(DecodeBlock(
-        static_cast<BlockCodec>(meta.codec), block_type, meta.rows,
-        reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
-        col.get()));
-    return ColumnVectorPtr(std::move(col));
-  });
-}
-
 Result<TablePtr> StorageManager::ReadTable(const TableImage& image) {
-  ExtentTableReader reader(this, image);
-  TablePtr out = Table::Make(image.schema);
-  out->Reserve(image.rows);
-  for (;;) {
-    DBSP_ASSIGN_OR_RETURN(TablePtr block, reader.Next());
-    if (block == nullptr) break;
-    out->AppendAll(*block);
+  const size_t ncols = image.schema.num_columns();
+  if (image.extent_ids.size() != ncols) {
+    return Status::Corruption("table image has " +
+                              std::to_string(image.extent_ids.size()) +
+                              " extents for " + std::to_string(ncols) +
+                              " columns");
   }
-  if (out->num_rows() != image.rows) {
-    return Status::Corruption(
-        "table image expected " + std::to_string(image.rows) +
-        " rows, extents yielded " + std::to_string(out->num_rows()));
+  // The image and every column's block directory must agree on types and on
+  // the rows of each block before anything is read.
+  std::vector<std::shared_ptr<const ExtentInfo>> infos;
+  infos.reserve(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    const uint64_t extent_id = image.extent_ids[c];
+    DBSP_ASSIGN_OR_RETURN(std::shared_ptr<const ExtentInfo> info,
+                          GetExtentInfo(extent_id));
+    const TypeId type = image.schema.column(c).type;
+    if (info->type != type &&
+        !(info->type == TypeId::kNull || type == TypeId::kNull)) {
+      return Status::Corruption("extent " + std::to_string(extent_id) +
+                                " stores type " +
+                                std::to_string(static_cast<int>(info->type)) +
+                                ", reader expects " +
+                                std::to_string(static_cast<int>(type)));
+    }
+    if (c > 0) {
+      const ExtentInfo& first = *infos[0];
+      if (info->blocks.size() != first.blocks.size()) {
+        return Status::Corruption(
+            "column extents disagree on block count: " +
+            std::to_string(first.blocks.size()) + " vs " +
+            std::to_string(info->blocks.size()));
+      }
+      for (size_t b = 0; b < first.blocks.size(); ++b) {
+        if (info->blocks[b].rows != first.blocks[b].rows) {
+          return Status::Corruption(
+              "column extents disagree on block " + std::to_string(b) +
+              " row count: " + std::to_string(first.blocks[b].rows) + " vs " +
+              std::to_string(info->blocks[b].rows));
+        }
+      }
+    }
+    infos.push_back(std::move(info));
   }
-  return out;
+  const uint64_t rows = ncols == 0 ? 0 : infos[0]->total_rows;
+  if (rows != image.rows) {
+    return Status::Corruption("table image expected " +
+                              std::to_string(image.rows) +
+                              " rows, extents hold " + std::to_string(rows));
+  }
+
+  // One pread, checksum and decode per block, appended to its column.
+  std::vector<ColumnVectorPtr> columns;
+  columns.reserve(ncols);
+  std::string payload;
+  for (size_t c = 0; c < ncols; ++c) {
+    const ExtentInfo& info = *infos[c];
+    const std::string path = ExtentPath(info.id);
+    auto col = std::make_shared<ColumnVector>(info.type);
+    col->Reserve(rows);
+    for (size_t b = 0; b < info.blocks.size(); ++b) {
+      const ExtentInfo::BlockMeta& meta = info.blocks[b];
+      DBSP_RETURN_NOT_OK(
+          PreadExact(path, meta.offset, meta.payload_bytes, &payload));
+      if (BlockChecksum(payload.data(), payload.size()) != meta.checksum) {
+        return Status::Corruption("block " + std::to_string(b) +
+                                  " of extent " + std::to_string(info.id) +
+                                  " failed its checksum");
+      }
+      DBSP_RETURN_NOT_OK(DecodeBlock(
+          static_cast<BlockCodec>(meta.codec), info.type, meta.rows,
+          reinterpret_cast<const uint8_t*>(payload.data()), payload.size(),
+          col.get()));
+    }
+    const TypeId type = image.schema.column(c).type;
+    if (type != info.type) {  // a NULL-typed side: coerce to the schema
+      auto coerced = std::make_shared<ColumnVector>(type);
+      coerced->AppendAll(*col);
+      col = std::move(coerced);
+    }
+    columns.push_back(std::move(col));
+  }
+  return Table::FromColumns(image.schema, std::move(columns));
 }
 
 StorageManager::Counters StorageManager::counters() const {
   MutexLock lock(mu_);
   return counters_;
-}
-
-// --- ExtentTableReader -----------------------------------------------------
-
-ExtentTableReader::ExtentTableReader(StorageManager* store, TableImage image)
-    : store_(store), image_(std::move(image)) {}
-
-Result<TablePtr> ExtentTableReader::Next() {
-  const size_t ncols = image_.schema.num_columns();
-  if (ncols == 0 || image_.extent_ids.size() != ncols) {
-    if (ncols != image_.extent_ids.size()) {
-      return Status::Corruption("table image has " +
-                                std::to_string(image_.extent_ids.size()) +
-                                " extents for " + std::to_string(ncols) +
-                                " columns");
-    }
-    return TablePtr(nullptr);  // zero-column tables have no stored blocks
-  }
-  DBSP_ASSIGN_OR_RETURN(auto first_info,
-                        store_->GetExtentInfo(image_.extent_ids[0]));
-  if (next_block_ >= first_info->blocks.size()) return TablePtr(nullptr);
-
-  std::vector<ColumnVectorPtr> cols;
-  cols.reserve(ncols);
-  size_t block_rows = 0;
-  for (size_t c = 0; c < ncols; ++c) {
-    DBSP_ASSIGN_OR_RETURN(
-        PinnedBlock pin,
-        store_->PinBlock(image_.extent_ids[c], next_block_,
-                         image_.schema.column(c).type));
-    if (c == 0) {
-      block_rows = pin.data()->size();
-    } else if (pin.data()->size() != block_rows) {
-      return Status::Corruption(
-          "column extents disagree on block " + std::to_string(next_block_) +
-          " row count: " + std::to_string(block_rows) + " vs " +
-          std::to_string(pin.data()->size()));
-    }
-    // The decoded column shared_ptr outlives the pin; the pool just drops
-    // its cache reference on eviction.
-    cols.push_back(pin.data());
-  }
-  ++next_block_;
-  rows_read_ += block_rows;
-  return Table::FromColumns(image_.schema, std::move(cols));
 }
 
 }  // namespace dbspinner

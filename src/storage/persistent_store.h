@@ -22,8 +22,7 @@
 // first torn frame.
 //
 // All durable mutations serialize on one internal mutex; reads of recovered
-// images and block loads are lock-free apart from the extent-handle cache
-// and the buffer-manager pool lock.
+// images are lock-free apart from the extent-directory cache.
 
 #pragma once
 
@@ -40,7 +39,6 @@
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "storage/buffer_manager.h"
 #include "storage/codec.h"
 #include "storage/storage_options.h"
 #include "storage/table.h"
@@ -80,31 +78,6 @@ struct CheckpointImage {
   std::vector<std::pair<std::string, TableImage>> registry;
 };
 
-class StorageManager;
-
-/// Streaming reader over one TableImage: yields one Table per aligned block
-/// of rows, each assembled zero-copy from buffer-manager-pinned decoded
-/// columns. The working set is one block per column regardless of table
-/// size — this is the larger-than-memory scan path (bench_storage drives it
-/// at 25% / 50% / 100% memory budgets).
-class ExtentTableReader {
- public:
-  ExtentTableReader(StorageManager* store, TableImage image);
-
-  /// Next block as a Table (usable directly as a DataChunk base), or nullptr
-  /// after the last block.
-  Result<TablePtr> Next();
-
-  /// Rows yielded so far.
-  uint64_t rows_read() const { return rows_read_; }
-
- private:
-  StorageManager* store_;
-  TableImage image_;
-  uint32_t next_block_ = 0;
-  uint64_t rows_read_ = 0;
-};
-
 /// One open database directory. Thread-safe.
 class StorageManager {
  public:
@@ -137,8 +110,10 @@ class StorageManager {
   /// Durable tables as of open + subsequent logged operations.
   std::map<std::string, TableImage> tables() const;
 
-  /// Fully materializes an image by streaming its blocks through the buffer
-  /// manager.
+  /// Fully materializes an image: each block is read, checksummed and
+  /// decoded once, straight into its column of the returned table. Any
+  /// disagreement between the image and its extents (type, block count,
+  /// per-block or total row counts) is kCorruption.
   Result<TablePtr> ReadTable(const TableImage& image);
 
   // --- durable executor checkpoints --------------------------------------
@@ -157,32 +132,6 @@ class StorageManager {
   /// Latest durable checkpoint for `tag`, if any.
   std::optional<CheckpointImage> FindCheckpoint(uint64_t tag) const;
 
-  // --- internals shared with ExtentTableReader ---------------------------
-
-  /// Pins block `block_index` of extent `extent_id` (loading + decoding on
-  /// miss). `type` must match the extent's stored type.
-  Result<PinnedBlock> PinBlock(uint64_t extent_id, uint32_t block_index,
-                               TypeId type);
-
-  /// Parsed block directory of one extent.
-  struct ExtentInfo {
-    uint64_t id = 0;
-    TypeId type = TypeId::kInt64;
-    uint64_t total_rows = 0;
-    struct BlockMeta {
-      uint64_t offset = 0;
-      uint64_t checksum = 0;
-      uint32_t rows = 0;
-      uint32_t payload_bytes = 0;
-      uint8_t codec = 0;
-    };
-    std::vector<BlockMeta> blocks;
-  };
-  Result<std::shared_ptr<const ExtentInfo>> GetExtentInfo(uint64_t extent_id);
-
-  BufferManager& buffer_manager() { return buffer_; }
-  const PersistenceOptions& options() const { return options_; }
-
   struct Counters {
     int64_t extents_written = 0;
     int64_t blocks_written = 0;
@@ -200,6 +149,23 @@ class StorageManager {
  private:
   StorageManager(PersistenceOptions options, FaultInjector* faults);
 
+  /// Parsed block directory of one extent.
+  struct ExtentInfo {
+    uint64_t id = 0;
+    TypeId type = TypeId::kInt64;
+    uint64_t total_rows = 0;
+    struct BlockMeta {
+      uint64_t offset = 0;
+      uint64_t checksum = 0;
+      uint32_t rows = 0;
+      uint32_t payload_bytes = 0;
+      uint8_t codec = 0;
+    };
+    std::vector<BlockMeta> blocks;
+  };
+  /// The extent's block directory, parsed once and cached.
+  Result<std::shared_ptr<const ExtentInfo>> GetExtentInfo(uint64_t extent_id);
+
   /// Runs at Open before the manager is shared; Open takes mu_ anyway so
   /// the analysis sees the guarded recovery writes as locked.
   Status Recover() DBSP_REQUIRES(mu_);
@@ -215,10 +181,9 @@ class StorageManager {
 
   const PersistenceOptions options_;
   FaultInjector* faults_;
-  BufferManager buffer_;
 
-  /// The WAL-append lock: third in the engine's ordering (commit lock ->
-  /// catalog publish -> WAL append -> buffer latch, DESIGN.md §13). All
+  /// The WAL-append lock: the innermost of the engine's ordering (commit
+  /// lock -> catalog publish -> WAL append, DESIGN.md §13). All
   /// durable mutations serialize on it; the WAL appender itself is
   /// lock-free because wal_ is only reachable under mu_.
   mutable Mutex mu_;

@@ -39,20 +39,11 @@ struct PersistenceOptions {
   /// Rows per compressed block within a column extent.
   size_t block_rows = 4096;
 
-  /// Buffer-manager capacity in decoded blocks. Scans over tables larger
-  /// than this stream blocks through clock eviction.
-  size_t buffer_pool_blocks = 256;
-
   /// Fold the WAL into a fresh manifest (and GC unreferenced extents) every
   /// N durable operations. Small values bound recovery replay; the
   /// durability harness uses this to exercise the manifest-swap abort site
   /// mid-program.
   int64_t manifest_every = 16;
-
-  /// Persist executor checkpoints (pc, loop states, COW registry) so an
-  /// iterative program killed mid-loop resumes from its last durable
-  /// checkpoint on reopen instead of restarting from scratch.
-  bool durable_checkpoints = true;
 };
 
 }  // namespace dbspinner

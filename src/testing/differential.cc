@@ -54,9 +54,8 @@ OracleOutcome RunPersistenceOracle(const FuzzCase& c, std::string name,
   eo.persistence.enabled = true;
   eo.persistence.path = dir;
   eo.persistence.sync = false;  // format round-trip only; no crash here
-  eo.persistence.block_rows = 64;        // multi-block extents on small data
-  eo.persistence.buffer_pool_blocks = 8; // scans must evict under pressure
-  eo.persistence.manifest_every = 4;     // folds + extent GC mid-load
+  eo.persistence.block_rows = 64;     // multi-block extents on small data
+  eo.persistence.manifest_every = 4;  // folds + extent GC mid-load
   {
     Database db(eo);
     out.status = LoadCaseData(&db, c);

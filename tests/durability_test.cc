@@ -15,7 +15,7 @@
 // SIGKILL does not drop the page cache, so a killed write is simulated by
 // dying at operation *entry* (see FaultInjectionConfig::abort_site); torn
 // tails are covered separately by explicit truncation in codec/WAL unit
-// tests (codec_test.cc, storage additions in buffer_manager_test.cc).
+// tests (codec_test.cc, persistent_store_test.cc).
 //
 // Skipped under TSan (tests/CMakeLists.txt): the harness forks dozens of
 // children and TSan's interceptors make that pathologically slow; the same

@@ -221,6 +221,65 @@ TEST_F(OptimizerTest, CommonResultHoistsJoinWithPlainCte) {
   testing::ExpectSameRows(hoisted, plain);
 }
 
+// Loop invariance is decided per loop. `b` runs after `a` has finished, so
+// `a`'s final result is fixed while `b` iterates, although `a`'s own body
+// rewrites it: `b`'s join of edges with `a` hoists, and the delta rewrite
+// treats `a` as invariant.
+TEST_F(OptimizerTest, LaterLoopTreatsEarlierLoopsResultAsInvariant) {
+  MustExecute(&db_,
+              "INSERT INTO edges VALUES (1, 2, 0.5), (1, 3, 0.5), "
+              "(2, 3, 1.0), (3, 1, 1.0), (2, 4, 1.0), (4, 2, 1.0)");
+  MustExecute(&db_,
+              "INSERT INTO vertexstatus VALUES (1, 1), (2, 0), (3, 1), "
+              "(4, 1)");
+  db_.options().verify.enforce = true;
+  const std::string sql =
+      "WITH ITERATIVE a (node, hop) AS (\n"
+      "  SELECT node, status FROM vertexstatus\n"
+      "ITERATE\n"
+      "  SELECT node, hop + 1 FROM a\n"
+      "UNTIL 2 ITERATIONS),\n"
+      "ITERATIVE b (node, total) AS (\n"
+      "  SELECT node, 0 FROM vertexstatus\n"
+      "ITERATE\n"
+      "  SELECT b.node, b.total + SUM(a.hop)\n"
+      "  FROM b JOIN edges ON b.node = edges.dst\n"
+      "    JOIN a ON a.node = edges.src\n"
+      "  GROUP BY b.node, b.total\n"
+      "UNTIL 3 ITERATIONS)\n"
+      "SELECT node, total FROM b";
+  // The line of the step that materializes `b`'s Ri.
+  auto b_ri_line = [](const std::string& plan) {
+    size_t at = plan.find("iterative part Ri into 'b__working'");
+    if (at == std::string::npos) return std::string();
+    return plan.substr(at, plan.find('\n', at) - at);
+  };
+  std::string plan = Explain(sql);
+  EXPECT_NE(plan.find("loop-invariant common result '__common#1'"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(b_ri_line(plan).find("[common results extracted]"),
+            std::string::npos)
+      << plan;
+  // The hoisted step runs once, after `a`'s loop and before `b`'s.
+  const size_t common = plan.find("loop-invariant common result");
+  EXPECT_GT(common, plan.find("Initialize loop")) << plan;
+  EXPECT_LT(common, plan.rfind("Initialize loop")) << plan;
+  TablePtr rewritten = testing::MustQuery(&db_, sql);
+
+  db_.options().optimizer.enable_common_result = false;
+  plan = Explain(sql);
+  EXPECT_NE(b_ri_line(plan).find("[delta-restricted]"), std::string::npos)
+      << plan;
+  TablePtr delta_only = testing::MustQuery(&db_, sql);
+
+  db_.options().optimizer.enable_delta_iteration = false;
+  TablePtr plain = testing::MustQuery(&db_, sql);
+  EXPECT_GT(plain->num_rows(), 0u);
+  testing::ExpectSameRows(rewritten, plain);
+  testing::ExpectSameRows(delta_only, plain);
+}
+
 // Both loop rewrites on the -VS queries under default options. PR-VS keeps
 // its common result but not its delta rewrite: the delta analysis's flatten
 // stops at the column-restoring Project that common result leaves between

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,7 +45,6 @@ class PersistentStoreTest : public ::testing::Test {
     p.path = dir_;
     p.sync = false;  // unit tests don't kill the process
     p.block_rows = 16;
-    p.buffer_pool_blocks = 4;
     p.manifest_every = 1000;  // folds only when a test forces them
     return p;
   }
@@ -172,31 +172,44 @@ TEST_F(PersistentStoreTest, TornWalTailIsIgnoredNotFatal) {
 
 TEST_F(PersistentStoreTest, CorruptedExtentReadsAsCorruption) {
   TablePtr t = MakeTable(64, 0);
-  uint64_t extent_id = 0;
+  uint64_t id_extent = 0, score_extent = 0;
   {
     auto store = OpenStore(Options());
     ASSERT_NE(store, nullptr);
     ASSERT_TRUE(store->LogUpsertTable("t", std::nullopt, *t).ok());
-    extent_id = store->tables()["t"].extent_ids[0];
+    ASSERT_TRUE(store->LogUpsertTable("u", std::nullopt, *t).ok());
+    id_extent = store->tables()["t"].extent_ids[0];
+    score_extent = store->tables()["u"].extent_ids[1];
   }
-  // Flip a byte in the middle of the extent's payload region.
-  std::string path = dir_ + "/data/e" + std::to_string(extent_id) + ".col";
-  ASSERT_TRUE(std::filesystem::exists(path));
-  {
+  auto path_of = [&](uint64_t extent_id) {
+    return dir_ + "/data/e" + std::to_string(extent_id) + ".col";
+  };
+  auto flip = [&](uint64_t extent_id, uint64_t offset) {
+    std::string path = path_of(extent_id);
+    ASSERT_TRUE(std::filesystem::exists(path));
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(std::filesystem::file_size(path) / 2));
+    f.seekp(static_cast<std::streamoff>(offset));
     char b = 0;
     f.read(&b, 1);
     f.seekp(-1, std::ios::cur);
     b = static_cast<char>(b ^ 0x40);
     f.write(&b, 1);
-  }
+  };
+  // A byte in the middle of the extent file.
+  flip(id_extent, std::filesystem::file_size(path_of(id_extent)) / 2);
+  // A byte among the raw DOUBLE values of the first block (past the 9-byte
+  // extent header): it still decodes, so only the block checksum sees it.
+  flip(score_extent, 9 + 20);
+
   auto store = OpenStore(Options());
   ASSERT_NE(store, nullptr);
-  auto read = store->ReadTable(store->tables()["t"]);
-  ASSERT_FALSE(read.ok()) << "corrupted extent decoded cleanly";
-  EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
-      << read.status().ToString();
+  for (const char* name : {"t", "u"}) {
+    auto read = store->ReadTable(store->tables()[name]);
+    ASSERT_FALSE(read.ok()) << "corrupted extent of " << name
+                            << " decoded cleanly";
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << read.status().ToString();
+  }
 }
 
 TEST_F(PersistentStoreTest, CheckpointRoundTripAndClear) {
@@ -313,29 +326,115 @@ TEST_F(PersistentStoreTest, ConcurrentReadersOverSharedStore) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-TEST_F(PersistentStoreTest, ExtentReaderStreamsInBlocks) {
-  auto store = OpenStore(Options());  // block_rows = 16
-  ASSERT_NE(store, nullptr);
-  TablePtr t = MakeTable(100, 0);
-  ASSERT_TRUE(store->LogUpsertTable("t", std::nullopt, *t).ok());
-  ExtentTableReader reader(store.get(), store->tables()["t"]);
-  TablePtr rebuilt;
-  uint64_t blocks = 0;
-  while (true) {
-    auto chunk = reader.Next();
-    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-    if (chunk.value() == nullptr) break;
-    ++blocks;
-    EXPECT_LE(chunk.value()->num_rows(), 16u);
-    if (rebuilt == nullptr) {
-      rebuilt = chunk.value()->Clone();
-    } else {
-      rebuilt->AppendAll(*chunk.value());
+TEST_F(PersistentStoreTest, ReadTableRoundTripsMultiBlockExtents) {
+  // block_rows = 16: 100 rows span seven blocks (the last one partial), 16
+  // rows exactly one, and an empty table one block of zero rows. Rows come
+  // back in order, NULLs included, with the schema's column types.
+  TablePtr hundred = MakeTable(100, 0);
+  TablePtr sparse = Table::Make(hundred->schema());
+  for (int64_t i = 0; i < 40; ++i) {
+    sparse->AppendRow({i % 3 == 0 ? Value::Null() : Value::Int64(i),
+                       i % 5 == 0 ? Value::Null() : Value::Double(i * 0.5),
+                       i % 7 == 0 ? Value::Null() : Value::String("s")});
+  }
+  const std::vector<std::pair<std::string, TablePtr>> cases = {
+      {"hundred", hundred},
+      {"one_block", MakeTable(16, 3)},
+      {"sparse", sparse},
+      {"empty", MakeTable(0, 0)}};
+  {
+    auto store = OpenStore(Options());
+    ASSERT_NE(store, nullptr);
+    for (const auto& [name, t] : cases) {
+      ASSERT_TRUE(store->LogUpsertTable(name, std::nullopt, *t).ok()) << name;
     }
   }
-  EXPECT_EQ(blocks, (100 + 15) / 16u);
-  EXPECT_EQ(reader.rows_read(), 100u);
-  ExpectSameRows(t, rebuilt);
+  auto store = OpenStore(Options());
+  ASSERT_NE(store, nullptr);
+  auto tables = store->tables();
+  for (const auto& [name, t] : cases) {
+    ASSERT_EQ(tables.count(name), 1u) << name;
+    auto read = store->ReadTable(tables[name]);
+    ASSERT_TRUE(read.ok()) << name << ": " << read.status().ToString();
+    const Table& got = *read.value();
+    ASSERT_EQ(got.num_rows(), t->num_rows()) << name;
+    ASSERT_EQ(got.num_columns(), t->num_columns()) << name;
+    for (size_t c = 0; c < got.num_columns(); ++c) {
+      EXPECT_EQ(got.column(c).type(), t->schema().column(c).type) << name;
+    }
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      for (size_t c = 0; c < got.num_columns(); ++c) {
+        const Value want = t->GetValue(r, c);
+        const Value have = got.GetValue(r, c);
+        EXPECT_EQ(have.is_null(), want.is_null()) << name << " " << r;
+        EXPECT_EQ(have.ToString(), want.ToString()) << name << " " << r;
+      }
+    }
+  }
+}
+
+// The read path checks the image against its extents before decoding. Each
+// test below splices a well-formed image so exactly one check fails.
+TEST_F(PersistentStoreTest, ExtentsDisagreeingOnBlockRowsReadAsCorruption) {
+  auto store = OpenStore(Options());  // block_rows = 16
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->LogUpsertTable("full", std::nullopt, *MakeTable(16, 0))
+                  .ok());
+  ASSERT_TRUE(store->LogUpsertTable("short", std::nullopt, *MakeTable(10, 0))
+                  .ok());
+  ASSERT_TRUE(store->LogUpsertTable("two", std::nullopt, *MakeTable(32, 0))
+                  .ok());
+  auto tables = store->tables();
+
+  // One block each, of 16 and of 10 rows.
+  TableImage rows_differ = tables["full"];
+  rows_differ.extent_ids[1] = tables["short"].extent_ids[1];
+  auto read = store->ReadTable(rows_differ);
+  ASSERT_FALSE(read.ok()) << "extents of 16 and 10 rows read as one table";
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+      << read.status().ToString();
+
+  // Two blocks of 16 rows against one, in both column orders.
+  for (const auto& [first, other] :
+       {std::pair<std::string, std::string>{"two", "full"}, {"full", "two"}}) {
+    TableImage blocks_differ = tables[first];
+    blocks_differ.extent_ids[2] = tables[other].extent_ids[2];
+    read = store->ReadTable(blocks_differ);
+    ASSERT_FALSE(read.ok()) << first << " with a column of " << other
+                            << " read as one table";
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << read.status().ToString();
+  }
+}
+
+TEST_F(PersistentStoreTest, ImageRowTotalMismatchReadsAsCorruption) {
+  auto store = OpenStore(Options());
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->LogUpsertTable("t", std::nullopt, *MakeTable(40, 0)).ok());
+  const TableImage image = store->tables()["t"];
+  ASSERT_EQ(image.rows, 40u);
+  for (uint64_t rows : {uint64_t{39}, uint64_t{41}, uint64_t{0}}) {
+    TableImage wrong = image;
+    wrong.rows = rows;
+    auto read = store->ReadTable(wrong);
+    ASSERT_FALSE(read.ok()) << "image of " << rows << " rows read 40";
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << read.status().ToString();
+  }
+}
+
+TEST_F(PersistentStoreTest, ExtentReadAsAnotherTypeReadsAsCorruption) {
+  auto store = OpenStore(Options());
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->LogUpsertTable("t", std::nullopt, *MakeTable(20, 0)).ok());
+  // Column 1 stores distinct DOUBLEs, raw-coded: its 8-byte values would
+  // decode cleanly as BIGINTs, so only the type check can refuse them.
+  TableImage retyped = store->tables()["t"];
+  retyped.extent_ids[0] = retyped.extent_ids[1];
+  auto read = store->ReadTable(retyped);
+  ASSERT_FALSE(read.ok()) << "a DOUBLE extent read as BIGINT";
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+      << read.status().ToString();
 }
 
 }  // namespace

@@ -10,11 +10,11 @@
 //   1. Reading a DBSP_GUARDED_BY member without holding its mutex.
 //   2. Calling a DBSP_REQUIRES helper without the lock (the "Locked"-suffix
 //      contract every storage-layer helper uses).
-//   3. A misordered acquisition: taking the WAL-append-stand-in lock while
-//      already holding the buffer-latch-stand-in, against their declared
-//      DBSP_ACQUIRED_AFTER order — the same inner-before-outer inversion
-//      the engine-wide table (commit lock -> catalog publish -> WAL append
-//      -> buffer latch) forbids.
+//   3. A misordered acquisition: taking the catalog-publish-stand-in lock
+//      while already holding the WAL-append-stand-in, against their declared
+//      DBSP_ACQUIRED_BEFORE order — the same inner-before-outer inversion
+//      the engine-wide table (commit lock -> catalog publish -> WAL append)
+//      forbids.
 
 #include "common/thread_annotations.h"
 
@@ -30,19 +30,19 @@ class LockDisciplineArtifact {
   void CallLockedHelperWithoutLock() { MutateLocked(); }
 
   // Violation 3: acquisition against the declared order. The checked
-  // discipline says wal_mu_ is acquired before buffer_mu_; this takes them
+  // discipline says catalog_mu_ is acquired before wal_mu_; this takes them
   // inner-first.
   void MisorderedAcquisition() {
-    MutexLock inner(buffer_mu_);
-    MutexLock outer(wal_mu_);  // -Wthread-safety-beta: wrong order
-    balance_ = 0;              // (guarded by wal_mu_, held — not the bug here)
+    MutexLock inner(wal_mu_);
+    MutexLock outer(catalog_mu_);  // -Wthread-safety-beta: wrong order
+    balance_ = 0;  // (guarded by wal_mu_, held — not the bug here)
   }
 
  private:
   void MutateLocked() DBSP_REQUIRES(wal_mu_) { ++balance_; }
 
-  Mutex wal_mu_ DBSP_ACQUIRED_BEFORE(buffer_mu_);
-  Mutex buffer_mu_;
+  Mutex catalog_mu_ DBSP_ACQUIRED_BEFORE(wal_mu_);
+  Mutex wal_mu_;
   int balance_ DBSP_GUARDED_BY(wal_mu_) = 0;
 };
 

@@ -79,10 +79,8 @@ EngineOptions MakeOptions(const std::string& dir) {
   eo.persistence.enabled = true;
   eo.persistence.path = dir;
   eo.persistence.sync = true;
-  eo.persistence.block_rows = 32;         // several blocks per extent
-  eo.persistence.buffer_pool_blocks = 16; // recovery scans must evict
-  eo.persistence.manifest_every = 4;      // manifest swaps mid-program
-  eo.persistence.durable_checkpoints = true;
+  eo.persistence.block_rows = 32;     // several blocks per extent
+  eo.persistence.manifest_every = 4;  // manifest swaps mid-program
   eo.fault_tolerance.enable_recovery = true;
   eo.fault_tolerance.checkpoint_interval = 2;  // K=2: frequent kill targets
   return eo;
